@@ -9,6 +9,8 @@ every report it emits.  A disagreement is never a property of the input
 quandle, only of this package, so it surfaces as
 InconsistentCharacterizations rather than as a value.
 
+classify() and verify_suite() share one per-quandle pass, gather_facts().
+
 verify_suite() is the falsification harness: given a corpus (and optionally
 a set of group tables), it reruns every structural fact the package relies
 on and reports pass or fail per fact, with concrete witnesses on failure.
@@ -18,9 +20,9 @@ report instead of aborting the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import congruence, core, grouptables, orbitseries, permgroup
 from .core import Quandle
@@ -91,6 +93,47 @@ def is_n_reductive(q: Quandle, n: int, work_cap: int = DEFAULT_WORK_CAP) -> bool
     return _first_constant_layer(q, work_cap, max_layer=n) is not None
 
 
+def _reductivity_routes(q: Quandle, inn_group: PermGroup, lr: int | None,
+                        cap: int, work_cap: int
+                        ) -> tuple[congruence.OChain, int | None, int | None, int | None]:
+    """The four reductivity routes, computed but not compared.
+
+    Returns the O-chain (its degree is the chain route), the first
+    all-constant composite layer, the nilpotency class of the inner group,
+    and the number of stabilizer-collapse steps down to the one-element
+    quandle.  When the locally reductive degree lr is None the identity
+    route is None without building a layer: layer k contains R_b^k, and an
+    all-constant layer would force R_b^k to be constant at b.
+    """
+    chain = congruence.o_chain(q, cap)
+    if q.order == 1:
+        ident = 0
+    elif lr is None:
+        ident = None
+    else:
+        ident = _first_constant_layer(q, work_cap)
+    cls = permgroup.nilpotency_class(inn_group, cap)
+    lam = congruence.l_chain(q)
+    steps = len(lam) - 1 if lam[-1].order == 1 else None
+    return chain, ident, cls, steps
+
+
+def _routes_agree(deg: int | None, ident: int | None, cls: int | None,
+                  steps: int | None) -> bool:
+    """Degree n pairs with inner class n-1, the one-element quandle with 0."""
+    expected_cls = None if deg is None else max(deg - 1, 0)
+    return ident == deg and cls == expected_cls and steps == deg
+
+
+def _check_routes(q: Quandle, deg: int | None, ident: int | None,
+                  cls: int | None, steps: int | None) -> None:
+    if not _routes_agree(deg, ident, cls, steps):
+        raise InconsistentCharacterizations(
+            f"reductivity routes disagree on {q.label or f'order {q.order}'}: "
+            f"chain={deg} identity={ident} inner-class={cls} "
+            f"collapse-steps={steps}")
+
+
 def reductive_degree(q: Quandle, cap: int = permgroup.DEFAULT_CLOSURE_CAP,
                      work_cap: int = DEFAULT_WORK_CAP) -> int | None:
     """Minimal n making the quandle n-reductive, or None when none exists.
@@ -104,18 +147,10 @@ def reductive_degree(q: Quandle, cap: int = permgroup.DEFAULT_CLOSURE_CAP,
     InconsistentCharacterizations, since the four are provably equal for
     finite quandles.
     """
-    deg = congruence.o_chain(q, cap).degree
-    ident = 0 if q.order == 1 else _first_constant_layer(q, work_cap)
-    cls = permgroup.nilpotency_class(congruence.inn(q, cap), cap)
-    lam = congruence.l_chain(q)
-    steps = len(lam) - 1 if lam[-1].order == 1 else None
-    expected_cls = None if deg is None else max(deg - 1, 0)
-    if ident != deg or cls != expected_cls or steps != deg:
-        raise InconsistentCharacterizations(
-            f"reductivity routes disagree on {q.label or f'order {q.order}'}: "
-            f"chain={deg} identity={ident} inner-class={cls} "
-            f"collapse-steps={steps}")
-    return deg
+    chain, ident, cls, steps = _reductivity_routes(
+        q, congruence.inn(q, cap), locally_reductive_degree(q), cap, work_cap)
+    _check_routes(q, chain.degree, ident, cls, steps)
+    return chain.degree
 
 
 def _constant_power(table: tuple[tuple[int, ...], ...], size: int,
@@ -293,42 +328,105 @@ def _enforce_degree_chain(report: ClassificationReport) -> None:
             f"lr={degs[0]} tos={degs[1]} red={degs[2]}")
 
 
-def classify(q: Quandle, *, closure_cap: int = permgroup.DEFAULT_CLOSURE_CAP,
-             work_cap: int = DEFAULT_WORK_CAP,
-             ncs_max_order: int = 12) -> ClassificationReport:
-    """Aggregate every predicate and degree into one report.
+@dataclass(frozen=True)
+class QuandleFacts(ClassificationReport):
+    """The report fields plus the raw material the fact suite reads.
 
-    Cap parameters propagate to the group closures and the folded-product
-    check.  The exhaustive subquandle scan behind ncs only runs when the
-    order is at most ncs_max_order; above that the field is None.
+    Built by gather_facts().  The four reductivity routes (the O-chain's
+    degree, ident, inn_nilpotency_class, collapse_steps) are stored side by
+    side and not compared here: classify() raises on a disagreement,
+    verify_suite() reports it as a failing fact.
+    """
+
+    q: Quandle
+    inn_orbits: tuple[tuple[int, ...], ...]
+    trans_orbits: tuple[tuple[int, ...], ...]
+    trans_abelian: bool
+    tree: orbitseries.OrbitTreeNode
+    chain: congruence.OChain
+    ident: int | None
+    collapse_steps: int | None
+
+    @property
+    def name(self) -> str:
+        return self.label or f"order-{self.order} table"
+
+    def report(self) -> ClassificationReport:
+        return ClassificationReport(**{
+            f.name: getattr(self, f.name) for f in fields(ClassificationReport)})
+
+
+def gather_facts(q: Quandle, *,
+                 closure_cap: int = permgroup.DEFAULT_CLOSURE_CAP,
+                 work_cap: int = DEFAULT_WORK_CAP,
+                 ncs_max_order: int = 12) -> QuandleFacts:
+    """Every per-quandle quantity of the report and the suite, each built once.
+
+    One pass builds the inner and transvection groups, the orbit tree, the
+    O- and L-chains and the rest.  Never raises on a route disagreement;
+    cap errors propagate.
     """
     inn_group = congruence.inn(q, closure_cap)
     trans_group = congruence.trans(q, closure_cap)
-    orbit_sizes = tuple(sorted(
-        (len(o) for o in permgroup.orbits(inn_group)), reverse=True))
-    sd = orbitseries.degrees(q)
+    inn_orbits = permgroup.orbits(inn_group)
+    tree = orbitseries.orbit_tree(q)
+    sd = orbitseries.SeriesDegrees.of_tree(tree)
     dl = permgroup.derived_length(trans_group, closure_cap)
-    report = ClassificationReport(
+    faithful = congruence.lambda_congruence(q).is_zero
+    medial = is_medial(q)
+    trans_abelian = trans_group.is_abelian()
+    abelian = trans_abelian and permgroup.is_semiregular(trans_group)
+    nilpotent = permgroup.nilpotency_class(trans_group, closure_cap) is not None
+    lr = locally_reductive_degree(q)
+    chain, ident, inn_cls, steps = _reductivity_routes(
+        q, inn_group, lr, closure_cap, work_cap)
+    return QuandleFacts(
         order=q.order,
         label=q.label,
-        orbit_sizes=orbit_sizes,
-        connected=len(orbit_sizes) == 1,
-        faithful=congruence.lambda_congruence(q).is_zero,
-        medial=is_medial(q),
-        abelian=trans_group.is_abelian() and permgroup.is_semiregular(trans_group),
-        nilpotent_quandle=permgroup.nilpotency_class(
-            trans_group, closure_cap) is not None,
+        orbit_sizes=tuple(sorted((len(o) for o in inn_orbits), reverse=True)),
+        connected=len(inn_orbits) == 1,
+        faithful=faithful,
+        medial=medial,
+        abelian=abelian,
+        nilpotent_quandle=nilpotent,
         solvable_quandle=dl is not None,
         trans_derived_length=dl,
-        reductive_degree=reductive_degree(q, closure_cap, work_cap),
-        locally_reductive_degree=locally_reductive_degree(q),
+        reductive_degree=chain.degree,
+        locally_reductive_degree=lr,
         os_degree=sd.os_degree,
         tos_degree=sd.tos_degree,
         ncs=orbitseries.is_ncs(q) if q.order <= ncs_max_order else None,
         inn_order=inn_group.order,
         trans_order=trans_group.order,
-        inn_nilpotency_class=permgroup.nilpotency_class(inn_group, closure_cap),
+        inn_nilpotency_class=inn_cls,
+        q=q,
+        inn_orbits=inn_orbits,
+        trans_orbits=permgroup.orbits(trans_group),
+        trans_abelian=trans_abelian,
+        tree=tree,
+        chain=chain,
+        ident=ident,
+        collapse_steps=steps,
     )
+
+
+def classify(q: Quandle, *, closure_cap: int = permgroup.DEFAULT_CLOSURE_CAP,
+             work_cap: int = DEFAULT_WORK_CAP,
+             ncs_max_order: int = 12) -> ClassificationReport:
+    """Aggregate every predicate and degree into one report.
+
+    The report is projected from gather_facts().  Cap parameters propagate
+    to the group closures and the folded-product check.  The exhaustive
+    subquandle scan behind ncs only runs when the order is at most
+    ncs_max_order; above that the field is None.  Raises
+    InconsistentCharacterizations when the reductivity routes or the degree
+    ordering disagree.
+    """
+    facts = gather_facts(q, closure_cap=closure_cap, work_cap=work_cap,
+                         ncs_max_order=ncs_max_order)
+    _check_routes(q, facts.reductive_degree, facts.ident,
+                  facts.inn_nilpotency_class, facts.collapse_steps)
+    report = facts.report()
     _enforce_degree_chain(report)
     return report
 
@@ -363,59 +461,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-@dataclass
-class _Facts:
-    """Per-quandle raw material shared by the suite checks."""
-
-    q: Quandle
-    name: str
-    red: int | None
-    ident: int | None
-    inn_cls: int | None
-    collapse_steps: int | None
-    lr: int | None
-    os: int
-    tos: int | None
-    medial: bool
-    faithful: bool
-    connected: bool
-    inn_group: PermGroup
-    trans_group: PermGroup
-    dl: int | None
-    ncs: bool | None
-    tree: orbitseries.OrbitTreeNode
-    congruences: tuple[congruence.Congruence, ...] | None
-
-
-def _gather(q: Quandle, closure_cap: int, work_cap: int,
-            congruence_max_order: int, ncs_max_order: int) -> _Facts:
-    inn_group = congruence.inn(q, closure_cap)
-    trans_group = congruence.trans(q, closure_cap)
-    lam = congruence.l_chain(q)
-    sd = orbitseries.degrees(q)
-    return _Facts(
-        q=q,
-        name=q.label or f"order-{q.order} table",
-        red=congruence.o_chain(q, closure_cap).degree,
-        ident=0 if q.order == 1 else _first_constant_layer(q, work_cap),
-        inn_cls=permgroup.nilpotency_class(inn_group, closure_cap),
-        collapse_steps=len(lam) - 1 if lam[-1].order == 1 else None,
-        lr=locally_reductive_degree(q),
-        os=sd.os_degree,
-        tos=sd.tos_degree,
-        medial=is_medial(q),
-        faithful=congruence.lambda_congruence(q).is_zero,
-        connected=len(permgroup.orbits(inn_group)) == 1,
-        inn_group=inn_group,
-        trans_group=trans_group,
-        dl=permgroup.derived_length(trans_group, closure_cap),
-        ncs=orbitseries.is_ncs(q) if q.order <= ncs_max_order else None,
-        tree=orbitseries.orbit_tree(q),
-        congruences=(congruence.all_congruences(q)
-                     if q.order <= congruence_max_order else None),
-    )
-
-
 def _tos_of(q: Quandle) -> int | None:
     return orbitseries.degrees(q).tos_degree
 
@@ -432,6 +477,104 @@ def _padded_equal(left: Sequence[tuple[int, ...]],
         if left[min(i, len(left) - 1)] != right[min(i, len(right) - 1)]:
             return False
     return True
+
+
+def _series_and_congruence_facts(f: QuandleFacts,
+                                 lattice: Sequence[congruence.Congruence] | None,
+                                 closure_cap: int,
+                                 record: Callable[[str, bool, str], None]) -> None:
+    """The principal-series and per-congruence facts of one member.
+
+    The member's principal series serve both the branch and the quotient
+    facts.  Each congruence's quotient, its tos and its class subquandles
+    are built once, read by every fact that needs them, and dropped before
+    the next congruence.
+    """
+    q, lr, tos = f.q, f.locally_reductive_degree, f.tos_degree
+    series = [orbitseries.principal_series(q, x) for x in range(q.order)]
+    for branch in f.tree.branches():
+        path = [node.subset for node in branch]
+        meet = set(path[0])
+        for subset in path[1:]:
+            meet &= set(subset)
+        leaf = branch[-1].subset
+        if tuple(sorted(meet)) != leaf:
+            record("branches-are-principal-series", False,
+                   f"{f.name}: branch meet is not the leaf")
+            continue
+        record("branches-are-principal-series",
+               all(series[x] == path for x in leaf),
+               f"{f.name}: branch to {leaf} is not "
+               f"the principal series of its members")
+    if lattice is None:
+        return
+    lam = congruence.lambda_congruence(q)
+    for cong in lattice:
+        for cls in cong.classes:
+            members = set(cls)
+            record("congruence-classes-are-subquandles",
+                   all(q.table[a][b] in members for a in cls for b in cls),
+                   f"{f.name}: class {cls} is not closed")
+        relative = congruence.trans_rel(q, cong, closure_cap)
+        record("relative-transvections-trivial-iff-kernel",
+               relative.is_trivial() == cong.refines(lam),
+               f"{f.name}: relative transvection triviality "
+               f"disagrees with translation-kernel refinement")
+        quot, proj = core.quotient(q, cong.classes)
+        blocks = ([core.induced_subquandle(q, cls) for cls in cong.classes]
+                  if lr is not None or tos is not None else [])
+        if tos is not None:
+            qt = _tos_of(quot)
+            record("quotient-tos-bounded", qt is not None and qt <= tos,
+                   f"{f.name}: quotient tos {qt} exceeds {tos}")
+            inner = [_tos_of(block) for block in blocks]
+            if qt is not None and None not in inner:
+                record("tos-extension-bound", tos <= qt + max(inner),
+                       f"{f.name}: tos {tos} exceeds {qt}+{max(inner)}")
+        if lr is not None:
+            outer = locally_reductive_degree(quot)
+            inner = [locally_reductive_degree(block) for block in blocks]
+            if outer is not None and None not in inner:
+                record("locally-reductive-extension-bound",
+                       lr <= outer + max(inner),
+                       f"{f.name}: lr {lr} exceeds {outer}+{max(inner)}")
+        quotient_series = [orbitseries.principal_series(quot, y)
+                           for y in range(quot.order)]
+        for x in range(q.order):
+            record("quotient-series-memberwise",
+                   _padded_equal(_series_image(series[x], proj),
+                                 quotient_series[proj[x]]),
+                   f"{f.name}: projected series of {x} differs "
+                   f"from the quotient series")
+
+
+#: Names of the corpus facts in report order; the group facts follow when
+#: group tables are supplied.
+_CORPUS_FACTS = (
+    "classification-completes",
+    "reductivity-routes-agree",
+    "reductive-faithful-or-connected-is-trivial",
+    "degree-existence-and-ordering",
+    "medial-degrees-equal",
+    "medial-iff-abelian-transvections",
+    "orbits-inner-equal-transvection",
+    "tos-existence-iff-ncs",
+    "solvable-tos-bound",
+    "orbit-chain-descends",
+    "branches-are-principal-series",
+    "congruence-classes-are-subquandles",
+    "relative-transvections-trivial-iff-kernel",
+    "quotient-tos-bounded",
+    "subquandle-tos-bounded",
+    "product-tos-is-max",
+    "locally-reductive-extension-bound",
+    "tos-extension-bound",
+    "quotient-series-memberwise",
+)
+_GROUP_FACTS = (
+    "conjugation-engel-subset-bridge",
+    "two-engel-conjugation-reductive-by-3",
+)
 
 
 def verify_suite(corpus: Iterable[Quandle],
@@ -452,255 +595,132 @@ def verify_suite(corpus: Iterable[Quandle],
     facts run only when group tables are supplied as (name, table) pairs.
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
-    results: list[CheckResult] = []
-    facts: list[_Facts] = []
-    broken: list[str] = []
+    names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
+    checked = dict.fromkeys(names, 0)
+    failed: dict[str, list[str]] = {name: [] for name in names}
+
+    def record(name: str, ok: bool, witness: str) -> None:
+        checked[name] += 1
+        if not ok:
+            failed[name].append(witness)
+
+    facts: list[QuandleFacts] = []
+    lattices: list[tuple[congruence.Congruence, ...] | None] = []
     for q in quandles:
         try:
-            facts.append(_gather(q, closure_cap, work_cap,
-                                 congruence_max_order, ncs_max_order))
+            f = gather_facts(q, closure_cap=closure_cap, work_cap=work_cap,
+                             ncs_max_order=ncs_max_order)
+            lattice = (congruence.all_congruences(q)
+                       if q.order <= congruence_max_order else None)
         except QuandleError as exc:
-            broken.append(f"{q.label or q.order}: {exc}")
-    results.append(CheckResult("classification-completes", not broken,
-                               tuple(broken), len(quandles)))
+            failed["classification-completes"].append(
+                f"{q.label or q.order}: {exc}")
+        else:
+            facts.append(f)
+            lattices.append(lattice)
+    checked["classification-completes"] = len(quandles)
 
-    def run(name: str, instances: Iterator[tuple[bool, str]]) -> None:
-        witnesses = []
-        count = 0
-        for ok, witness in instances:
-            count += 1
-            if not ok:
-                witnesses.append(witness)
-        results.append(CheckResult(name, not witnesses, tuple(witnesses), count))
-
-    def reductivity_routes() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            expected_cls = None if f.red is None else max(f.red - 1, 0)
-            ok = (f.ident == f.red and f.inn_cls == expected_cls
-                  and f.collapse_steps == f.red)
-            yield ok, (f"{f.name}: chain={f.red} identity={f.ident} "
-                       f"inner-class={f.inn_cls} collapse={f.collapse_steps}")
-    run("reductivity-routes-agree", reductivity_routes())
-
-    def faithful_or_connected() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.red is not None and (f.faithful or f.connected):
-                yield f.q.order == 1, f"{f.name}: reductive but order {f.q.order}"
-    run("reductive-faithful-or-connected-is-trivial", faithful_or_connected())
-
-    def existence_and_order() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            present = [d is not None for d in (f.lr, f.tos, f.red)]
-            if any(present) != all(present):
-                yield False, f"{f.name}: lr={f.lr} tos={f.tos} red={f.red}"
-            elif all(present):
-                yield (f.lr <= f.tos <= f.red,
-                       f"{f.name}: lr={f.lr} tos={f.tos} red={f.red}")
-            else:
-                yield True, f.name
-    run("degree-existence-and-ordering", existence_and_order())
-
-    def medial_equal() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.medial and f.red is not None:
-                yield (f.lr == f.tos == f.red,
-                       f"{f.name}: lr={f.lr} tos={f.tos} red={f.red}")
-    run("medial-degrees-equal", medial_equal())
-
-    def medial_vs_trans() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            yield (f.medial == f.trans_group.is_abelian(),
-                   f"{f.name}: medial={f.medial} "
-                   f"abelian transvections={f.trans_group.is_abelian()}")
-    run("medial-iff-abelian-transvections", medial_vs_trans())
-
-    def orbit_agreement() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            same = (permgroup.orbits(f.inn_group)
-                    == permgroup.orbits(f.trans_group))
-            yield same, f"{f.name}: inner and transvection orbits differ"
-    run("orbits-inner-equal-transvection", orbit_agreement())
-
-    def tos_iff_ncs() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.ncs is not None:
-                yield ((f.tos is not None) == f.ncs,
-                       f"{f.name}: tos={f.tos} ncs={f.ncs}")
-    run("tos-existence-iff-ncs", tos_iff_ncs())
-
-    def solvable_bound() -> Iterator[tuple[bool, str]]:
+    for f in facts:
+        red, lr, tos = (f.reductive_degree, f.locally_reductive_degree,
+                        f.tos_degree)
+        dl, cls = f.trans_derived_length, f.inn_nilpotency_class
+        record("reductivity-routes-agree",
+               _routes_agree(red, f.ident, cls, f.collapse_steps),
+               f"{f.name}: chain={red} identity={f.ident} "
+               f"inner-class={cls} collapse={f.collapse_steps}")
+        if red is not None and (f.faithful or f.connected):
+            record("reductive-faithful-or-connected-is-trivial",
+                   f.order == 1, f"{f.name}: reductive but order {f.order}")
+        degs = f"{f.name}: lr={lr} tos={tos} red={red}"
+        present = [d is not None for d in (lr, tos, red)]
+        if any(present) != all(present):
+            record("degree-existence-and-ordering", False, degs)
+        elif all(present):
+            record("degree-existence-and-ordering", lr <= tos <= red, degs)
+        else:
+            record("degree-existence-and-ordering", True, f.name)
+        if f.medial and red is not None:
+            record("medial-degrees-equal", lr == tos == red, degs)
+        record("medial-iff-abelian-transvections",
+               f.medial == f.trans_abelian,
+               f"{f.name}: medial={f.medial} "
+               f"abelian transvections={f.trans_abelian}")
+        record("orbits-inner-equal-transvection",
+               f.inn_orbits == f.trans_orbits,
+               f"{f.name}: inner and transvection orbits differ")
+        if f.ncs is not None:
+            record("tos-existence-iff-ncs", (tos is not None) == f.ncs,
+                   f"{f.name}: tos={tos} ncs={f.ncs}")
         # The trivial transvection group counts as derived length one here:
         # the bound multiplies by the solvable length of the quandle, and a
         # quandle with abelian (possibly trivial) transvections has length 1.
-        for f in facts:
-            if f.dl is not None and f.lr is not None:
-                factor = max(f.dl, 1)
-                ok = f.tos is not None and f.tos <= factor * f.lr
-                yield ok, (f"{f.name}: tos={f.tos} bound={factor}*{f.lr}")
-    run("solvable-tos-bound", solvable_bound())
+        if dl is not None and lr is not None:
+            factor = max(dl, 1)
+            record("solvable-tos-bound",
+                   tos is not None and tos <= factor * lr,
+                   f"{f.name}: tos={tos} bound={factor}*{lr}")
+        chain = f.chain
+        record("orbit-chain-descends",
+               len(chain) <= f.order + 1 and all(
+                   chain[i + 1].refines(chain[i])
+                   for i in range(len(chain) - 1)),
+               f"{f.name}: chain of {len(chain)} terms not descending")
 
-    def ochain_descending() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            chain = congruence.o_chain(f.q, closure_cap)
-            ok = len(chain) <= f.q.order + 1 and all(
-                chain[i + 1].refines(chain[i]) for i in range(len(chain) - 1))
-            yield ok, f"{f.name}: chain of {len(chain)} terms not descending"
-    run("orbit-chain-descends", ochain_descending())
+    for f, lattice in zip(facts, lattices):
+        _series_and_congruence_facts(f, lattice, closure_cap, record)
 
-    def branch_principal() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            for branch in f.tree.branches():
-                path = [node.subset for node in branch]
-                meet = set(path[0])
-                for subset in path[1:]:
-                    meet &= set(subset)
-                if tuple(sorted(meet)) != branch[-1].subset:
-                    yield False, f"{f.name}: branch meet is not the leaf"
-                    continue
-                ok = all(orbitseries.principal_series(f.q, x) == path
-                         for x in branch[-1].subset)
-                yield ok, (f"{f.name}: branch to {branch[-1].subset} is not "
-                           f"the principal series of its members")
-    run("branches-are-principal-series", branch_principal())
+    for f in facts:
+        tos = f.tos_degree
+        if tos is None or f.order > subquandle_max_order:
+            continue
+        for subset in orbitseries.all_subquandles(f.q):
+            st = _tos_of(core.induced_subquandle(f.q, subset))
+            record("subquandle-tos-bounded", st is not None and st <= tos,
+                   f"{f.name}: subquandle {subset} tos {st} exceeds {tos}")
 
-    def classes_closed() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.congruences is None:
-                continue
-            for cong in f.congruences:
-                for cls in cong.classes:
-                    members = set(cls)
-                    ok = all(f.q.table[a][b] in members
-                             for a in cls for b in cls)
-                    yield ok, f"{f.name}: class {cls} is not closed"
-    run("congruence-classes-are-subquandles", classes_closed())
-
-    def trans_rel_triviality() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.congruences is None:
-                continue
-            lam = congruence.lambda_congruence(f.q)
-            for cong in f.congruences:
-                relative = congruence.trans_rel(f.q, cong, closure_cap)
-                yield (relative.is_trivial() == cong.refines(lam),
-                       f"{f.name}: relative transvection triviality "
-                       f"disagrees with translation-kernel refinement")
-    run("relative-transvections-trivial-iff-kernel", trans_rel_triviality())
-
-    def quotient_tos() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.congruences is None or f.tos is None:
-                continue
-            for cong in f.congruences:
-                quot, _ = core.quotient(f.q, cong.classes)
-                qt = _tos_of(quot)
-                yield (qt is not None and qt <= f.tos,
-                       f"{f.name}: quotient tos {qt} exceeds {f.tos}")
-    run("quotient-tos-bounded", quotient_tos())
-
-    def subquandle_tos() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.tos is None or f.q.order > subquandle_max_order:
-                continue
-            for subset in orbitseries.all_subquandles(f.q):
-                st = _tos_of(core.induced_subquandle(f.q, subset))
-                yield (st is not None and st <= f.tos,
-                       f"{f.name}: subquandle {subset} tos {st} exceeds {f.tos}")
-    run("subquandle-tos-bounded", subquandle_tos())
-
-    def product_tos() -> Iterator[tuple[bool, str]]:
-        for fa, fb in combinations_with_replacement(facts, 2):
-            if fa.q.order * fb.q.order > product_max_order:
-                continue
-            pt = _tos_of(core.direct_product(fa.q, fb.q))
-            if fa.tos is None or fb.tos is None:
-                yield (pt is None,
-                       f"{fa.name} x {fb.name}: product tos {pt} without factors")
-            else:
-                yield (pt == max(fa.tos, fb.tos),
-                       f"{fa.name} x {fb.name}: product tos {pt} "
-                       f"!= max({fa.tos},{fb.tos})")
-    run("product-tos-is-max", product_tos())
-
-    def lr_extension() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.congruences is None or f.lr is None:
-                continue
-            for cong in f.congruences:
-                quot, _ = core.quotient(f.q, cong.classes)
-                outer = locally_reductive_degree(quot)
-                inner = [locally_reductive_degree(
-                    core.induced_subquandle(f.q, cls)) for cls in cong.classes]
-                if outer is None or any(v is None for v in inner):
-                    continue
-                yield (f.lr <= outer + max(inner),
-                       f"{f.name}: lr {f.lr} exceeds {outer}+{max(inner)}")
-    run("locally-reductive-extension-bound", lr_extension())
-
-    def tos_extension() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.congruences is None or f.tos is None:
-                continue
-            for cong in f.congruences:
-                quot, _ = core.quotient(f.q, cong.classes)
-                outer = _tos_of(quot)
-                inner = [_tos_of(core.induced_subquandle(f.q, cls))
-                         for cls in cong.classes]
-                if outer is None or any(v is None for v in inner):
-                    continue
-                yield (f.tos <= outer + max(inner),
-                       f"{f.name}: tos {f.tos} exceeds {outer}+{max(inner)}")
-    run("tos-extension-bound", tos_extension())
-
-    def quotient_series() -> Iterator[tuple[bool, str]]:
-        for f in facts:
-            if f.congruences is None:
-                continue
-            for cong in f.congruences:
-                quot, proj = core.quotient(f.q, cong.classes)
-                for x in range(f.q.order):
-                    image = _series_image(
-                        orbitseries.principal_series(f.q, x), proj)
-                    direct = orbitseries.principal_series(quot, proj[x])
-                    yield (_padded_equal(image, direct),
-                           f"{f.name}: projected series of {x} differs "
-                           f"from the quotient series")
-    run("quotient-series-memberwise", quotient_series())
+    for fa, fb in combinations_with_replacement(facts, 2):
+        if fa.order * fb.order > product_max_order:
+            continue
+        pt = _tos_of(core.direct_product(fa.q, fb.q))
+        ta, tb = fa.tos_degree, fb.tos_degree
+        if ta is None or tb is None:
+            record("product-tos-is-max", pt is None,
+                   f"{fa.name} x {fb.name}: product tos {pt} without factors")
+        else:
+            record("product-tos-is-max", pt == max(ta, tb),
+                   f"{fa.name} x {fb.name}: product tos {pt} "
+                   f"!= max({ta},{tb})")
 
     if groups is not None:
         named = list(groups)
+        for gname, table in named:
+            subsets = [tuple(range(len(table)))]
+            subsets.extend(grouptables.conjugacy_classes(table))
+            for subset in subsets:
+                quandle = core.conj_subset(table, subset)
+                for n in range(1, engel_max_n + 1):
+                    lhs = is_n_locally_reductive(quandle, n)
+                    rhs = grouptables.is_n_engel_subset(table, subset, n)
+                    record("conjugation-engel-subset-bridge", lhs == rhs,
+                           f"{gname}, subset {subset}, n={n}: "
+                           f"local reductivity {lhs} vs bracket {rhs}")
+        for gname, table in named:
+            if len(table) > 32:
+                continue
+            everything = tuple(range(len(table)))
+            two_engel = grouptables.is_n_engel_subset(table, everything, 2)
+            crossed = conj_two_engel_check(table, everything)
+            if crossed != two_engel:
+                record("two-engel-conjugation-reductive-by-3", False,
+                       f"{gname}: two-split check disagrees")
+            elif two_engel:
+                red = reductive_degree(core.conj(table), closure_cap, work_cap)
+                record("two-engel-conjugation-reductive-by-3",
+                       red is not None and red <= 3,
+                       f"{gname}: 2-Engel but reductive degree {red}")
+            else:
+                record("two-engel-conjugation-reductive-by-3", True, gname)
 
-        def engel_bridge() -> Iterator[tuple[bool, str]]:
-            for gname, table in named:
-                subsets = [tuple(range(len(table)))]
-                subsets.extend(grouptables.conjugacy_classes(table))
-                for subset in subsets:
-                    quandle = core.conj_subset(table, subset)
-                    for n in range(1, engel_max_n + 1):
-                        lhs = is_n_locally_reductive(quandle, n)
-                        rhs = grouptables.is_n_engel_subset(table, subset, n)
-                        yield (lhs == rhs,
-                               f"{gname}, subset {subset}, n={n}: "
-                               f"local reductivity {lhs} vs bracket {rhs}")
-        run("conjugation-engel-subset-bridge", engel_bridge())
-
-        def two_engel_red3() -> Iterator[tuple[bool, str]]:
-            for gname, table in named:
-                if len(table) > 32:
-                    continue
-                everything = tuple(range(len(table)))
-                two_engel = grouptables.is_n_engel_subset(table, everything, 2)
-                crossed = conj_two_engel_check(table, everything)
-                if crossed != two_engel:
-                    yield False, f"{gname}: two-split check disagrees"
-                    continue
-                if two_engel:
-                    red = reductive_degree(core.conj(table), closure_cap,
-                                           work_cap)
-                    yield (red is not None and red <= 3,
-                           f"{gname}: 2-Engel but reductive degree {red}")
-                else:
-                    yield True, gname
-        run("two-engel-conjugation-reductive-by-3", two_engel_red3())
-
-    return SuiteReport(tuple(results))
+    return SuiteReport(tuple(
+        CheckResult(name, not failed[name], tuple(failed[name]), checked[name])
+        for name in names))

@@ -53,15 +53,7 @@ class Congruence:
 
     @staticmethod
     def from_classes(n: int, classes: Iterable[Sequence[int]]) -> "Congruence":
-        class_of = [-1] * n
-        for i, cls in enumerate(classes):
-            for x in cls:
-                if not 0 <= x < n or class_of[x] != -1:
-                    raise ValueError("not a partition of the carrier")
-                class_of[x] = i
-        if -1 in class_of:
-            raise ValueError("not a partition of the carrier")
-        return Congruence.from_class_of(class_of)
+        return Congruence.from_class_of(core.partition_labels(n, classes))
 
     @staticmethod
     def zero(n: int) -> "Congruence":
@@ -112,19 +104,11 @@ def join(a: Congruence, b: Congruence) -> Congruence:
     """
     if a.n != b.n:
         raise ValueError("partitions of different carriers")
-    parent = list(range(a.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    find, union = permgroup.union_find(a.n)
     for cong in (a, b):
         for cls in cong.classes:
-            root = find(cls[0])
             for x in cls[1:]:
-                parent[find(x)] = root
+                union(cls[0], x)
     return Congruence.from_class_of(tuple(find(x) for x in range(a.n)))
 
 
@@ -160,21 +144,7 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
     """
     n = q.order
     table = q.table
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        return True
-
+    find, union = permgroup.union_find(n)
     for a, b in pairs:
         union(a, b)
     dirty = True
@@ -363,10 +333,6 @@ class OChain:
 
     def __iter__(self):
         return iter(self.terms)
-
-    @property
-    def reaches_zero(self) -> bool:
-        return self.terms[-1].is_zero
 
     @property
     def degree(self) -> Optional[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import grouptables, permgroup
 from .errors import AxiomViolation, NotACongruence, NotAUnit, NotClosed
@@ -67,7 +67,7 @@ def validate(table: Sequence[Sequence[int]], label: str | None = None) -> Quandl
     if n == 0:
         raise ValueError("a quandle needs at least one element")
     for a, row in enumerate(t):
-        if len(row) != n:
+        if len(row) != n or not all(isinstance(v, int) for v in row):
             raise AxiomViolation(2, (a,))
     for a in range(n):
         if not (0 <= t[a][a] < n) or t[a][a] != a:
@@ -252,7 +252,8 @@ def congruence_witness(q: Quandle, class_of: Sequence[int]) -> Optional[tuple[in
     return None
 
 
-def _classes_to_class_of(n: int, classes: Sequence[Sequence[int]]) -> list[int]:
+def partition_labels(n: int, classes: Iterable[Sequence[int]]) -> list[int]:
+    """Class index of every carrier element; ValueError unless a partition."""
     class_of = [-1] * n
     for i, cls in enumerate(classes):
         for x in cls:
@@ -273,7 +274,7 @@ def quotient(q: Quandle, partition: Sequence[Sequence[int]],
     """
     n = q.order
     blocks = sorted((tuple(sorted(cls)) for cls in partition), key=min)
-    class_of = _classes_to_class_of(n, blocks)
+    class_of = partition_labels(n, blocks)
     witness = congruence_witness(q, class_of)
     if witness is not None:
         raise NotACongruence(witness)
@@ -282,14 +283,6 @@ def quotient(q: Quandle, partition: Sequence[Sequence[int]],
         tuple(class_of[q.table[a][b]] for b in reps) for a in reps
     )
     return validate(table, label=label), tuple(class_of)
-
-
-def iso_signature(q: Quandle) -> tuple:
-    """A cheap isomorphism invariant used for bucketing and pruning."""
-    orbit_parts = permgroup.orbits(q.table)
-    sizes = tuple(sorted(len(p) for p in orbit_parts))
-    types = tuple(sorted(permgroup.cycle_type(row) for row in q.table))
-    return (q.order, sizes, types)
 
 
 def _element_invariants(q: Quandle) -> list[tuple]:

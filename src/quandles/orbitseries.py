@@ -17,44 +17,24 @@ recoverable by collecting ``node.subset`` over ``nodes()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
-from .core import Quandle, subquandle_closure
+from .core import Quandle
 from .errors import CapExceeded, DepthCapExceeded
+from .permgroup import orbits
 
 #: Largest number of subsets the exhaustive scans will walk (2**20 masks).
 DEFAULT_SUBSET_CAP = 2 ** 20
 
 
 def _orbits_within(table: tuple[tuple[int, ...], ...],
-                   subset: tuple[int, ...]) -> list[tuple[int, ...]]:
+                   subset: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Orbits of the induced quandle on a closed subset.
 
-    Union-find over the edges b -> a |> b for a, b in the subset.  Each
-    restricted translation is a bijection of the subset, so the undirected
-    components are exactly the orbits of the generated group.  Returned as
-    sorted tuples ordered by smallest member.
+    The restricted translations are bijections of the subset, so the orbits
+    of the group they generate are the components of the edges b -> a |> b.
     """
-    index = {x: i for i, x in enumerate(subset)}
-    parent = list(range(len(subset)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in subset:
-        row = table[a]
-        for i, b in enumerate(subset):
-            ri, rj = find(i), find(index[row[b]])
-            if ri != rj:
-                parent[ri] = rj
-    buckets: dict[int, list[int]] = {}
-    for i, x in enumerate(subset):
-        buckets.setdefault(find(i), []).append(x)
-    return sorted((tuple(xs) for xs in buckets.values()), key=lambda t: t[0])
+    return orbits([table[a] for a in subset], subset)
 
 
 @dataclass(frozen=True)
@@ -136,16 +116,21 @@ class SeriesDegrees:
     os_degree: int
     tos_degree: int | None
 
+    @staticmethod
+    def of_tree(root: OrbitTreeNode) -> "SeriesDegrees":
+        """Both descent degrees from one traversal of an orbit tree."""
+        deepest = 0
+        trivializes = True
+        for leaf in root.leaves():
+            deepest = max(deepest, leaf.depth)
+            if len(leaf.subset) > 1:
+                trivializes = False
+        return SeriesDegrees(deepest, deepest if trivializes else None)
+
 
 def degrees(q: Quandle) -> SeriesDegrees:
-    """Compute both descent degrees from one tree traversal."""
-    deepest = 0
-    trivializes = True
-    for leaf in orbit_tree(q).leaves():
-        deepest = max(deepest, leaf.depth)
-        if len(leaf.subset) > 1:
-            trivializes = False
-    return SeriesDegrees(deepest, deepest if trivializes else None)
+    """Compute both descent degrees from the quandle's orbit tree."""
+    return SeriesDegrees.of_tree(orbit_tree(q))
 
 
 def _orbit_of(table: tuple[tuple[int, ...], ...],
@@ -202,27 +187,11 @@ def all_subquandles(q: Quandle,
     """Every nonempty closed subset, found by scanning all 2**n bitmasks.
 
     Exhaustive by construction and therefore capped: raises CapExceeded when
-    2**q.order exceeds cap rather than silently degrading.  For quandles too
-    large to scan, generated_subquandles gives a lower approximation.
+    2**q.order exceeds cap rather than silently degrading.
     """
     if 1 << q.order > cap:
         raise CapExceeded("subquandle scan over 2**order subsets", cap)
     return list(_closed_subsets(q.table, q.order))
-
-
-def generated_subquandles(q: Quandle, max_seed: int = 3) -> list[tuple[int, ...]]:
-    """Closed subsets generated by at most max_seed elements.
-
-    An incomplete substitute for all_subquandles on quandles past the
-    exhaustive cap: any subquandle needing more than max_seed generators is
-    missed, and callers that need exactness must not use this.  Results are
-    deduplicated and ordered by size, then lexicographically.
-    """
-    seen: set[tuple[int, ...]] = set()
-    for size in range(1, max_seed + 1):
-        for seed in combinations(range(q.order), size):
-            seen.add(subquandle_closure(q, seed))
-    return sorted(seen, key=lambda s: (len(s), s))
 
 
 def is_ncs(q: Quandle, cap: int = DEFAULT_SUBSET_CAP) -> bool:

@@ -13,7 +13,7 @@ The commutator convention is [x, y] = x^{-1} y^{-1} x y throughout.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 
@@ -229,25 +229,36 @@ def derived_length(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> int | No
     return None
 
 
-def is_perfect(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
-    return _commutator_term(group, group, group, cap) == group
+def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:
+    """A disjoint-set forest on 0..n-1, as (find, union) closures.
 
+    find returns the root of a point's class (with path halving); union
+    merges two classes and reports whether they were distinct.
+    """
+    parent = list(range(n))
 
-def is_n_engel_subset(subset: Sequence[Perm], n: int) -> bool:
-    """Whether [b,_n a] is the identity for every a, b in the subset."""
-    if n < 0:
-        raise ValueError("bracket depth must be nonnegative")
-    subset = list(subset)
-    if not subset:
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[ry] = rx
         return True
-    e = identity(len(subset[0]))
-    return all(engel_bracket(a, b, n) == e for a in subset for b in subset)
+
+    return find, union
 
 
 def orbits(group_or_gens: PermGroup | Sequence[Perm],
            domain: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
     """Orbit partition via union-find on generator images; no closure needed.
 
+    Images outside the domain are ignored, so for a domain the generators
+    map into itself this is the orbit partition of the restricted action.
     Orbits are returned as sorted tuples, ordered by smallest member.
     """
     if isinstance(group_or_gens, PermGroup):
@@ -260,21 +271,13 @@ def orbits(group_or_gens: PermGroup | Sequence[Perm],
         degree = len(gens[0])
     if domain is None:
         domain = range(degree)
-    parent = {x: x for x in domain}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    inside = set(domain)
+    find, union = union_find(degree)
     for g in gens:
         for x in domain:
             y = g[x]
-            if y in parent:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[ry] = rx
+            if y != x and y in inside:
+                union(x, y)
     buckets: dict[int, list[int]] = {}
     for x in domain:
         buckets.setdefault(find(x), []).append(x)

@@ -92,6 +92,11 @@ class TestReductiveDegree:
         with pytest.raises(WorkCapExceeded):
             classify.reductive_degree(core.dihedral(8), work_cap=3)
 
+    def test_no_local_degree_settles_identity_route_without_layers(self):
+        # dihedral(3) is connected, so no R_b^k is ever constant and no
+        # composite layer can be; a tiny work cap must not be consulted.
+        assert classify.reductive_degree(core.dihedral(3), work_cap=10) is None
+
 
 class TestLocalReductivity:
     def test_negative_degree_rejected(self):
@@ -356,6 +361,34 @@ class TestVerifySuite:
         assert rep.ok, rep.summary()
 
 
+    def test_default_corpus_shape_is_pinned(self):
+        rep = classify.verify_suite(corpus.default_corpus(),
+                                    corpus.builtin_groups())
+        assert [(r.name, r.checked) for r in rep.results] == [
+            ("classification-completes", 24),
+            ("reductivity-routes-agree", 24),
+            ("reductive-faithful-or-connected-is-trivial", 1),
+            ("degree-existence-and-ordering", 24),
+            ("medial-degrees-equal", 13),
+            ("medial-iff-abelian-transvections", 24),
+            ("orbits-inner-equal-transvection", 24),
+            ("tos-existence-iff-ncs", 20),
+            ("solvable-tos-bound", 15),
+            ("orbit-chain-descends", 24),
+            ("branches-are-principal-series", 132),
+            ("congruence-classes-are-subquandles", 848),
+            ("relative-transvections-trivial-iff-kernel", 241),
+            ("quotient-tos-bounded", 220),
+            ("subquandle-tos-bounded", 227),
+            ("product-tos-is-max", 65),
+            ("locally-reductive-extension-bound", 220),
+            ("tos-extension-bound", 220),
+            ("quotient-series-memberwise", 1724),
+            ("conjugation-engel-subset-bridge", 380),
+            ("two-engel-conjugation-reductive-by-3", 16),
+        ]
+
+
 class TestRouteAgreement:
     def test_routes_cross_checked_on_every_default_member(self):
         for q in corpus.default_corpus():
@@ -363,3 +396,19 @@ class TestRouteAgreement:
                 classify.reductive_degree(q)
             except InconsistentCharacterizations as exc:
                 pytest.fail(f"route disagreement on {q.label}: {exc}")
+
+    def test_injected_disagreement_caught_by_classify_and_suite(
+            self, monkeypatch):
+        # A stabilizer-collapse chain that never leaves dihedral(4) claims
+        # no degree, while the other three routes give 2.
+        monkeypatch.setattr(congruence, "l_chain", lambda q: [q])
+        d4 = core.dihedral(4)
+        with pytest.raises(InconsistentCharacterizations):
+            classify.classify(d4)
+        rep = classify.verify_suite([d4])
+        routes = next(r for r in rep.results
+                      if r.name == "reductivity-routes-agree")
+        assert not routes.passed
+        assert routes.checked == 1
+        assert routes.witnesses == (
+            "dihedral(4): chain=2 identity=2 inner-class=1 collapse=None",)

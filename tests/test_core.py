@@ -56,6 +56,18 @@ def test_validate_rejects_ragged_and_out_of_range_as_axiom_two():
     assert info.value.axiom == 2
 
 
+def test_validate_rejects_non_integer_entries_as_axiom_two():
+    # 0.0 == 0 and {0.0, 1.0} == {0, 1}, so floats would pass the
+    # idempotence and bijectivity checks and then fail as tuple indices.
+    with pytest.raises(AxiomViolation) as info:
+        core.validate([[0.0, 1.0], [0.0, 1.0]])
+    assert info.value.axiom == 2
+    assert info.value.witness == (0,)
+    with pytest.raises(AxiomViolation) as info:
+        core.validate([[0, 1], [0, "1"]])
+    assert info.value.witness == (1,)
+
+
 def test_trivial_rows_are_identity():
     q = core.trivial(3)
     for row in q.table:

@@ -153,40 +153,11 @@ def test_engel_bracket_on_s3_generators():
     assert permgroup.engel_bracket(transposition, cycle, 2) == e
 
 
-def test_engel_subset_with_central_elements():
-    # central elements commute with everything, so the subset is 1-Engel
-    rep = grouptables.regular_representation(grouptables.dihedral_group(4))
-    central = [
-        g for g in rep
-        if all(permgroup.compose(g, h) == permgroup.compose(h, g) for h in rep)
-    ]
-    assert len(central) == 2
-    assert permgroup.is_n_engel_subset(central, 1)
-
-
-def test_engel_subset_q8_whole_group_at_two():
-    g = grouptables.regular_representation(grouptables.quaternion_8())
-    assert permgroup.is_n_engel_subset(tuple(g), 2)
-
-
-def test_engel_subset_s3_transpositions_at_three():
-    transpositions = [(1, 0, 2), (0, 2, 1), (2, 1, 0)]
-    assert not permgroup.is_n_engel_subset(transpositions, 3)
-
-
 def test_semiregular_groups():
     assert permgroup.is_semiregular(permgroup.trivial_group(5))
     d3 = core.dihedral(3)
     assert permgroup.is_semiregular(congruence.trans(d3))
     assert not permgroup.is_semiregular(congruence.inn(d3))
-
-
-def test_perfect_groups():
-    assert permgroup.is_perfect(permgroup.trivial_group(2))
-    a5 = permgroup.closure([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
-    assert permgroup.is_perfect(a5)
-    s3 = permgroup.closure([(1, 0, 2), (1, 2, 0)])
-    assert not permgroup.is_perfect(s3)
 
 
 def test_cycle_type():
