@@ -20,12 +20,7 @@ from typing import Sequence
 
 from . import classify, core, corpus, permgroup, qndfile
 from .core import Quandle
-from .errors import (
-    CapExceeded,
-    DepthCapExceeded,
-    QuandleError,
-    WorkCapExceeded,
-)
+from .errors import CapExceeded, QuandleError, WorkCapExceeded
 from .orbitseries import OrbitTreeNode, orbit_tree
 
 EXIT_OK = 0
@@ -34,7 +29,7 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
 
-_BUDGET_ERRORS = (CapExceeded, WorkCapExceeded, DepthCapExceeded)
+_BUDGET_ERRORS = (CapExceeded, WorkCapExceeded)
 
 
 class _UsageError(Exception):

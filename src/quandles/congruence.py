@@ -242,12 +242,10 @@ def trans(q: Quandle, cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> PermGroup:
     return trans_rel(q, Congruence.one(q.order), cap=cap)
 
 
-def trans_rel(q: Quandle, cong: Congruence,
-              cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> PermGroup:
-    """Transvection group relative to a congruence: <L_a L_b^{-1} : a ~ b>.
+def trans_rel_generators(q: Quandle, cong: Congruence) -> list[permgroup.Perm]:
+    """Generators L_a L_e^{-1} of trans_rel, e the first member of a's class.
 
-    Within each class all pairs reduce to pairs against the class base,
-    since L_a L_b^{-1} = (L_a L_e^{-1})(L_b L_e^{-1})^{-1}.
+    They suffice, since L_a L_b^{-1} = (L_a L_e^{-1})(L_b L_e^{-1})^{-1}.
     """
     if cong.n != q.order:
         raise ValueError("congruence size differs from quandle order")
@@ -256,16 +254,21 @@ def trans_rel(q: Quandle, cong: Congruence,
         base_inv = permgroup.inverse(q.table[cls[0]])
         for a in cls[1:]:
             gens.append(permgroup.compose(q.table[a], base_inv))
-    return permgroup.closure(gens, degree=q.order, cap=cap)
+    return gens
+
+
+def trans_rel(q: Quandle, cong: Congruence,
+              cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> PermGroup:
+    """Transvection group relative to a congruence: <L_a L_b^{-1} : a ~ b>."""
+    return permgroup.closure(trans_rel_generators(q, cong), degree=q.order, cap=cap)
 
 
 def orbit_congruence(q: Quandle, group: PermGroup) -> Congruence:
-    """Orbit partition of a subgroup normal in the inner group.
+    """Orbit partition of a caller-supplied subgroup normal in the inner group.
 
-    Normality is rechecked here (conjugates of the subgroup's generators by
-    the rows of q must land back in the subgroup), and the orbit partition
-    is rechecked to be a congruence; both are cheap at this scale and catch
-    misuse early.
+    Normality (conjugates of the generators by the rows of q stay in the
+    group) and the orbit partition being a congruence are both checked.
+    o_chain needs neither check: both hold for relative transvection groups.
     """
     if group.degree != q.order:
         raise ValueError("group degree differs from quandle order")
@@ -343,11 +346,18 @@ class OChain:
         return None
 
 
-def o_chain(q: Quandle, cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> OChain:
-    """Compute the O-chain of q, stopping at the first repeated term."""
+def o_chain(q: Quandle) -> OChain:
+    """Compute the O-chain of q, stopping at the first repeated term.
+
+    Each term is the orbit partition of the previous term's trans_rel
+    generators; no group is closed.  The identity partition, which has no
+    generators, ends the chain.
+    """
     terms = [Congruence.one(q.order)]
-    while True:
-        nxt = orbit_congruence(q, trans_rel(q, terms[-1], cap=cap))
+    while not terms[-1].is_zero:
+        gens = trans_rel_generators(q, terms[-1])
+        nxt = Congruence.from_classes(q.order, permgroup.orbits(gens))
         if nxt == terms[-1]:
-            return OChain(tuple(terms))
+            break
         terms.append(nxt)
+    return OChain(tuple(terms))

@@ -232,23 +232,32 @@ def induced_subquandle(q: Quandle, subset: Sequence[int]) -> Quandle:
 
 
 def congruence_witness(q: Quandle, class_of: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """First violation of the two congruence conditions, or None.
+    """A violation of the two congruence conditions, or None.
 
     A witness (a, b, c, d, 1) means (a>c, b>d) split although a ~ b and
-    c ~ d; (a, b, c, d, 2) means the left divisions split.
+    c ~ d; (a, b, c, d, 2) means the left divisions split.  O(n^2): each x
+    is checked against its class's first member r only, r>c ~ x>c and
+    c>r ~ c>x and the left-division twins, which suffices by transitivity:
+    a>c ~ r>c ~ b>c ~ b>r' ~ b>d, with r' the first member of c's class.
     """
     n = q.order
     if len(class_of) != n:
         raise ValueError("partition size differs from quandle order")
-    related = [[x for x in range(n) if class_of[x] == class_of[y]] for y in range(n)]
-    for a in range(n):
-        for b in related[a]:
-            for c in range(n):
-                for d in related[c]:
-                    if class_of[q.table[a][c]] != class_of[q.table[b][d]]:
-                        return (a, b, c, d, 1)
-                    if class_of[q.ldiv(a, c)] != class_of[q.ldiv(b, d)]:
-                        return (a, b, c, d, 2)
+    table, ldiv = q.table, q._ldiv
+    base_of: dict[int, int] = {}
+    for x in range(n):
+        r = base_of.setdefault(class_of[x], x)
+        if r == x:
+            continue
+        for c in range(n):
+            if class_of[table[r][c]] != class_of[table[x][c]]:
+                return (r, x, c, c, 1)
+            if class_of[ldiv[r][c]] != class_of[ldiv[x][c]]:
+                return (r, x, c, c, 2)
+            if class_of[table[c][r]] != class_of[table[c][x]]:
+                return (c, c, r, x, 1)
+            if class_of[ldiv[c][r]] != class_of[ldiv[c][x]]:
+                return (c, c, r, x, 2)
     return None
 
 

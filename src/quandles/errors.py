@@ -82,10 +82,6 @@ class WorkCapExceeded(QuandleError):
         super().__init__(f"identity check exceeded work cap of {cap} lookups")
 
 
-class DepthCapExceeded(QuandleError):
-    """Defensive guard for orbit tree recursion; unreachable for valid quandles."""
-
-
 class UnknownName(QuandleError):
     """Name not present in the builtin registry."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Quandle
-from .errors import CapExceeded, DepthCapExceeded
+from .errors import CapExceeded
 from .permgroup import orbits
 
 #: Largest number of subsets the exhaustive scans will walk (2**20 masks).
@@ -79,22 +79,17 @@ class OrbitTreeNode:
                 yield [self, *tail]
 
 
-def orbit_tree(q: Quandle, depth_cap: int | None = None) -> OrbitTreeNode:
+def orbit_tree(q: Quandle) -> OrbitTreeNode:
     """Build the full splitting tree of a quandle.
 
-    Every split replaces a subset by strictly smaller orbits, so the depth
-    never reaches q.order and the default cap is unreachable; it exists so a
-    corrupted table cannot recurse forever.
+    A subset splits only into at least two orbits, each strictly smaller and
+    nonempty, so the depth stays below q.order and the recursion ends.
     """
-    if depth_cap is None:
-        depth_cap = q.order
 
     def build(subset: tuple[int, ...], depth: int) -> OrbitTreeNode:
         orbs = _orbits_within(q.table, subset)
         if len(orbs) == 1:
             return OrbitTreeNode(subset, depth, ())
-        if depth >= depth_cap:
-            raise DepthCapExceeded(f"orbit tree deeper than {depth_cap}")
         return OrbitTreeNode(
             subset, depth, tuple(build(o, depth + 1) for o in orbs))
 

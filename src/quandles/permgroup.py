@@ -48,16 +48,6 @@ def commutator(x: Perm, y: Perm) -> Perm:
     return compose(inverse(x), compose(inverse(y), compose(x, y)))
 
 
-def engel_bracket(a: Perm, b: Perm, n: int) -> Perm:
-    """The iterated bracket [b,_n a]: [b,_0 a] = a, [b,_{k+1} a] = [b, [b,_k a]]."""
-    if n < 0:
-        raise ValueError("bracket depth must be nonnegative")
-    c = a
-    for _ in range(n):
-        c = commutator(b, c)
-    return c
-
-
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle lengths of p in decreasing order (fixed points included)."""
     seen = [False] * len(p)
@@ -112,9 +102,10 @@ class PermGroup:
         return len(self.elements) == 1
 
     def is_abelian(self) -> bool:
-        elems = self.elements
-        for i, x in enumerate(elems):
-            for y in elems[i + 1:]:
+        """True when the generators commute pairwise, which they generate."""
+        gens = self.generators
+        for i, x in enumerate(gens):
+            for y in gens[i + 1:]:
                 if compose(x, y) != compose(y, x):
                     return False
         return True

@@ -203,6 +203,15 @@ def closure_order(perms: list[tuple[int, ...]]) -> int:
         elements |= fresh
 
 
+def is_abelian_by_elements(elements: list[tuple[int, ...]]) -> bool:
+    """Whether every pair of group elements commutes, checked pair by pair."""
+    for i, x in enumerate(elements):
+        for y in elements[i + 1:]:
+            if any(x[y[k]] != y[x[k]] for k in range(len(x))):
+                return False
+    return True
+
+
 def derived_chain_orders(perms: list[tuple[int, ...]]) -> list[int]:
     """Orders along the derived series, recomputing commutators element-wise."""
     degree = len(perms[0]) if perms else 1
@@ -248,7 +257,7 @@ def derived_chain_orders(perms: list[tuple[int, ...]]) -> list[int]:
     return orders
 
 
-def _partitions(n: int):
+def set_partitions(n: int):
     """All set partitions of range(n) as class-index vectors."""
     assignment = [0] * n
 
@@ -276,7 +285,7 @@ def congruence_class_sets(table: Table) -> set[frozenset[frozenset[int]]]:
             ldiv[a][table[a][b]] = b
 
     found: set[frozenset[frozenset[int]]] = set()
-    for assignment in _partitions(n):
+    for assignment in set_partitions(n):
         ok = True
         for a in range(n):
             for b in range(n):

@@ -3,7 +3,7 @@
 import pytest
 
 import _oracles
-from quandles import congruence, core, grouptables, permgroup
+from quandles import congruence, core, corpus, grouptables, permgroup
 from quandles.congruence import Congruence
 from quandles.errors import NotNormal
 
@@ -84,11 +84,39 @@ def test_all_congruences_match_partition_scan_oracle():
         assert got == want, q.label
 
 
+def _census(max_order):
+    return [q for n in range(1, max_order + 1)
+            for q in corpus.enumerate_quandles(n)]
+
+
+def _is_violation(q, labels, witness):
+    a, b, c, d, direction = witness
+    op = q.left if direction == 1 else q.ldiv
+    return (labels[a] == labels[b] and labels[c] == labels[d]
+            and labels[op(a, c)] != labels[op(b, d)])
+
+
 def test_all_congruences_match_package_scan():
     for q in (core.dihedral(4), core.dihedral(8), core.trivial(4)):
         got = {classes_as_sets(c) for c in congruence.all_congruences(q)}
         scan = {classes_as_sets(c) for c in congruence.all_congruences_scan(q)}
         assert got == scan
+    # the scan's one-sided witness against the direct two-sided oracle, on
+    # every set partition; each witness it returns must be a real violation
+    partitions = 0
+    for q in _census(5) + [core.dihedral(6), core.affine(7, 3),
+                           core.conj(grouptables.symmetric_group(3))]:
+        want = _oracles.congruence_class_sets(q.table)
+        scan = {classes_as_sets(c) for c in congruence.all_congruences_scan(q)}
+        assert scan == want, q.label
+        for labels in _oracles.set_partitions(q.order):
+            partitions += 1
+            witness = core.congruence_witness(q, labels)
+            blocks = classes_as_sets(Congruence.from_class_of(labels))
+            assert (witness is None) == (blocks in want), (q.label, labels)
+            if witness is not None:
+                assert _is_violation(q, labels, witness), (q.label, labels, witness)
+    assert partitions == 2550
 
 
 def test_congruence_lattice_sizes_frozen():
@@ -220,3 +248,17 @@ def test_o_chain_terms_refine_downward():
 def test_o_chain_degree_of_the_point_is_zero():
     chain = congruence.o_chain(core.trivial(1))
     assert chain.degree == 0
+
+
+def test_o_chain_matches_checked_orbit_congruences():
+    # the chain skips the normality and congruence checks of
+    # orbit_congruence, which raises if either ever fails
+    for q in corpus.default_corpus() + _census(5):
+        terms = [Congruence.one(q.order)]
+        while True:
+            nxt = congruence.orbit_congruence(
+                q, congruence.trans_rel(q, terms[-1]))
+            if nxt == terms[-1]:
+                break
+            terms.append(nxt)
+        assert congruence.o_chain(q).terms == tuple(terms), q.label

@@ -3,7 +3,7 @@
 import pytest
 
 import _oracles
-from quandles import congruence, core, grouptables, permgroup
+from quandles import congruence, core, corpus, grouptables, permgroup
 from quandles.errors import CapExceeded
 
 
@@ -128,31 +128,6 @@ def test_nilpotent_implies_solvable_with_smaller_length():
     assert length is not None and length <= cls
 
 
-def test_engel_bracket_depth_zero():
-    a, b = (1, 0, 2), (1, 2, 0)
-    assert permgroup.engel_bracket(a, b, 0) == a
-
-
-def test_engel_bracket_of_commuting_pair():
-    a = (1, 0, 3, 2)
-    b = (2, 3, 0, 1)
-    assert permgroup.compose(a, b) == permgroup.compose(b, a)
-    assert permgroup.engel_bracket(a, b, 1) == (0, 1, 2, 3)
-
-
-def test_engel_bracket_on_s3_generators():
-    transposition = (1, 0, 2)
-    cycle = (1, 2, 0)
-    e = (0, 1, 2)
-    # bracketing the transposition onto the 3-cycle oscillates between the
-    # two 3-cycles forever
-    for n in range(1, 11):
-        assert permgroup.engel_bracket(cycle, transposition, n) != e
-    # the other orientation dies at depth 2: [b,[b,a]] = [b,b] = 1
-    assert permgroup.engel_bracket(transposition, cycle, 1) == cycle
-    assert permgroup.engel_bracket(transposition, cycle, 2) == e
-
-
 def test_semiregular_groups():
     assert permgroup.is_semiregular(permgroup.trivial_group(5))
     d3 = core.dihedral(3)
@@ -164,3 +139,15 @@ def test_cycle_type():
     assert permgroup.cycle_type((1, 0, 3, 2)) == (2, 2)
     assert permgroup.cycle_type((0, 1, 2)) == (1, 1, 1)
     assert permgroup.cycle_type((1, 2, 0, 4, 3)) == (3, 2)
+
+
+def test_is_abelian_matches_all_element_pairs():
+    verdicts = set()
+    s3 = permgroup.closure([(1, 0, 2), (1, 2, 0)])
+    groups = [s3] + [group for q in corpus.default_corpus()
+                     for group in (congruence.inn(q), congruence.trans(q))]
+    for group in groups:
+        want = _oracles.is_abelian_by_elements(list(group.elements))
+        assert group.is_abelian() == want, group
+        verdicts.add(want)
+    assert verdicts == {True, False}
