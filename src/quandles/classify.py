@@ -212,7 +212,13 @@ def locally_reductive_degree(q: Quandle) -> int | None:
 
 
 def is_medial(q: Quandle) -> bool:
-    """Exhaustive check of (a>b) > (c>d) = (a>c) > (b>d)."""
+    """Exhaustive O(n^4) check of (a>b) > (c>d) = (a>c) > (b>d).
+
+    gather_facts() reads mediality off the transvection group instead (Q is
+    medial exactly when Dis(Q) is abelian); this identity scan is the
+    suite's independent route, compared with it by the
+    medial-iff-abelian-transvections fact.
+    """
     t = q.table
     r = range(q.order)
     for a in r:
@@ -341,7 +347,6 @@ class QuandleFacts(ClassificationReport):
     q: Quandle
     inn_orbits: tuple[tuple[int, ...], ...]
     trans_orbits: tuple[tuple[int, ...], ...]
-    trans_abelian: bool
     tree: orbitseries.OrbitTreeNode
     chain: congruence.OChain
     ident: int | None
@@ -363,8 +368,9 @@ def gather_facts(q: Quandle, *,
     """Every per-quandle quantity of the report and the suite, each built once.
 
     One pass builds the inner and transvection groups, the orbit tree, the
-    O- and L-chains and the rest.  Never raises on a route disagreement;
-    cap errors propagate.
+    O- and L-chains and the rest.  medial is whether the transvection
+    group is abelian, O(n^3); is_medial() is left to the suite.  Never
+    raises on a route disagreement; cap errors propagate.
     """
     inn_group = congruence.inn(q, closure_cap)
     trans_group = congruence.trans(q, closure_cap)
@@ -373,9 +379,8 @@ def gather_facts(q: Quandle, *,
     sd = orbitseries.SeriesDegrees.of_tree(tree)
     dl = permgroup.derived_length(trans_group, closure_cap)
     faithful = congruence.lambda_congruence(q).is_zero
-    medial = is_medial(q)
-    trans_abelian = trans_group.is_abelian()
-    abelian = trans_abelian and permgroup.is_semiregular(trans_group)
+    medial = trans_group.is_abelian()
+    abelian = medial and permgroup.is_semiregular(trans_group)
     nilpotent = permgroup.nilpotency_class(trans_group, closure_cap) is not None
     lr = locally_reductive_degree(q)
     chain, ident, inn_cls, steps = _reductivity_routes(
@@ -402,7 +407,6 @@ def gather_facts(q: Quandle, *,
         q=q,
         inn_orbits=inn_orbits,
         trans_orbits=permgroup.orbits(trans_group),
-        trans_abelian=trans_abelian,
         tree=tree,
         chain=chain,
         ident=ident,
@@ -641,10 +645,11 @@ def verify_suite(corpus: Iterable[Quandle],
             record("degree-existence-and-ordering", True, f.name)
         if f.medial and red is not None:
             record("medial-degrees-equal", lr == tos == red, degs)
+        identity_medial = is_medial(f.q)
         record("medial-iff-abelian-transvections",
-               f.medial == f.trans_abelian,
-               f"{f.name}: medial={f.medial} "
-               f"abelian transvections={f.trans_abelian}")
+               identity_medial == f.medial,
+               f"{f.name}: medial={identity_medial} "
+               f"abelian transvections={f.medial}")
         record("orbits-inner-equal-transvection",
                f.inn_orbits == f.trans_orbits,
                f"{f.name}: inner and transvection orbits differ")

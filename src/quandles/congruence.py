@@ -115,8 +115,9 @@ def join(a: Congruence, b: Congruence) -> Congruence:
 def is_congruence(q: Quandle, partition) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Check both compatibility conditions; returns (ok, witness).
 
-    The witness is (a, b, c, d, direction) with direction 1 for products
-    and 2 for left divisions, as produced by core.congruence_witness.
+    The witness is (a, b, c, d, 1) as produced by core.congruence_witness:
+    a ~ b and c ~ d, but a>c and b>d lie in different classes.  Left
+    division needs no check of its own on a finite quandle.
     """
     cong = _coerce(q.order, partition)
     witness = core.congruence_witness(q, cong.class_of)

@@ -235,29 +235,29 @@ def congruence_witness(q: Quandle, class_of: Sequence[int]) -> Optional[tuple[in
     """A violation of the two congruence conditions, or None.
 
     A witness (a, b, c, d, 1) means (a>c, b>d) split although a ~ b and
-    c ~ d; (a, b, c, d, 2) means the left divisions split.  O(n^2): each x
-    is checked against its class's first member r only, r>c ~ x>c and
-    c>r ~ c>x and the left-division twins, which suffices by transitivity:
-    a>c ~ r>c ~ b>c ~ b>r' ~ b>d, with r' the first member of c's class.
+    c ~ d; direction 1 (products) is the only one returned.  O(n^2): each
+    x is checked against its class's first member r only, r>c ~ x>c and
+    c>r ~ c>x, which suffices by transitivity: a>c ~ r>c ~ b>c ~ b>r' ~
+    b>d, with r' the first member of c's class.  Left division needs no
+    check of its own: each L_c has finite order, so L_c^-1 is a power of
+    L_c and maps classes into classes; and for x ~ r and y = L_x^-1(c),
+    r>y ~ x>y = c, so y ~ L_r^-1(c).
     """
     n = q.order
     if len(class_of) != n:
         raise ValueError("partition size differs from quandle order")
-    table, ldiv = q.table, q._ldiv
+    table = q.table
     base_of: dict[int, int] = {}
     for x in range(n):
         r = base_of.setdefault(class_of[x], x)
         if r == x:
             continue
+        row_r, row_x = table[r], table[x]
         for c in range(n):
-            if class_of[table[r][c]] != class_of[table[x][c]]:
+            if class_of[row_r[c]] != class_of[row_x[c]]:
                 return (r, x, c, c, 1)
-            if class_of[ldiv[r][c]] != class_of[ldiv[x][c]]:
-                return (r, x, c, c, 2)
             if class_of[table[c][r]] != class_of[table[c][x]]:
                 return (c, c, r, x, 1)
-            if class_of[ldiv[c][r]] != class_of[ldiv[c][x]]:
-                return (c, c, r, x, 2)
     return None
 
 

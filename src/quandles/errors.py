@@ -49,7 +49,12 @@ class NotClosed(QuandleError):
 
 
 class NotACongruence(QuandleError):
-    """A partition fails one of the two congruence conditions."""
+    """A partition fails one of the two congruence conditions.
+
+    On a finite quandle the product condition implies the left-division
+    one, so the witness is always (a, b, c, d, 1): a ~ b and c ~ d, but a>c
+    and b>d lie in different classes.
+    """
 
     def __init__(self, witness: tuple[int, ...] | None = None):
         self.witness = witness

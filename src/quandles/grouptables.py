@@ -191,10 +191,23 @@ def check_conjugation_closed(table: GroupTable, subset: Sequence[int],
 # Builders for the small groups used throughout the test corpus.
 
 def from_perm_generators(gens: Sequence[permgroup.Perm]) -> GroupTable:
-    """Multiplication table of the group generated by the given permutations."""
-    group = permgroup.closure(gens)
-    elements = group.elements
-    index = {p: i for i, p in enumerate(elements)}
+    """Multiplication table of the group generated by the given permutations.
+
+    Element labels are the order of a breadth-first walk from the identity,
+    each element left-multiplied by every given generator in turn; the
+    builtin group tables depend on it, so it does not follow
+    permgroup.closure's insertion order.
+    """
+    if not gens:
+        raise ValueError("need at least one generator")
+    elements = [permgroup.identity(len(gens[0]))]
+    index = {elements[0]: 0}
+    for w in elements:
+        for g in gens:
+            p = permgroup.compose(g, w)
+            if p not in index:
+                index[p] = len(elements)
+                elements.append(p)
     return tuple(
         tuple(index[permgroup.compose(p, q)] for q in elements)
         for p in elements

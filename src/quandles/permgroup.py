@@ -3,17 +3,17 @@
 Permutations are image tuples: p[i] is the image of point i, and products
 compose like functions, (p * q)(i) = p[q[i]].  Everything here is sized for
 the groups that arise from quandles of a few dozen elements, so groups are
-materialized by breadth-first closure instead of anything clever; the order
-of insertion is deterministic (identity first, then words by length, the
-frontier expanded generator by generator in index order via left
-multiplication), which keeps every downstream computation reproducible.
+materialized by closure instead of anything clever.  closure() keeps only
+the generators that enlarge the group (the first step of Dimino's
+algorithm), and its order of insertion is deterministic, which keeps every
+downstream computation reproducible.
 
 The commutator convention is [x, y] = x^{-1} y^{-1} x y throughout.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded
 
@@ -111,19 +111,18 @@ class PermGroup:
         return True
 
 
-def _dedup(perms: Iterable[Perm]) -> list[Perm]:
-    seen = set()
-    out = []
-    for p in perms:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
 def closure(generators: Sequence[Perm], degree: int | None = None,
             cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
-    """Generate the group, breadth first, raising CapExceeded past cap elements."""
+    """Generate the group, raising CapExceeded past cap elements.
+
+    Generators are taken in order, and one that is already an element is
+    skipped; the result's generators are the kept ones, each outside the
+    group generated by those before it.  Insertion order: the identity,
+    then for each kept generator g the elements already present times g
+    (they are closed under the earlier kept generators), then each new
+    element times every kept generator, breadth first, all by left
+    multiplication.  The work is |G| times the number of kept generators.
+    """
     generators = list(generators)
     if degree is None:
         if not generators:
@@ -131,21 +130,26 @@ def closure(generators: Sequence[Perm], degree: int | None = None,
         degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    gens = _dedup(g for g in generators if g != identity(degree))
     elements: list[Perm] = [identity(degree)]
     index = {elements[0]}
-    at = 0
-    while at < len(elements):
-        w = elements[at]
-        at += 1
-        for g in gens:
-            p = compose(g, w)
-            if p not in index:
-                if len(elements) >= cap:
-                    raise CapExceeded("group closure", cap)
-                index.add(p)
-                elements.append(p)
-    return PermGroup(degree, tuple(gens), tuple(elements))
+    kept: list[Perm] = []
+    for g in generators:
+        if g in index:
+            continue
+        kept.append(g)
+        old = len(elements)
+        at = 0
+        while at < len(elements):
+            w = elements[at]
+            for k in (g,) if at < old else kept:
+                p = compose(k, w)
+                if p not in index:
+                    if len(elements) >= cap:
+                        raise CapExceeded("group closure", cap)
+                    index.add(p)
+                    elements.append(p)
+            at += 1
+    return PermGroup(degree, tuple(kept), tuple(elements))
 
 
 def trivial_group(degree: int) -> PermGroup:
@@ -157,17 +161,16 @@ def normal_closure(seed: Sequence[Perm], ambient: PermGroup,
     """Smallest subgroup containing seed that ambient's generators normalize.
 
     Since everything is finite, closure under conjugation by each ambient
-    generator already gives closure under conjugation by inverses.
+    generator already gives closure under conjugation by inverses.  Each
+    round conjugates the group's kept generators only.
     """
-    gens = _dedup(p for p in seed if p != identity(ambient.degree))
+    group = closure(seed, ambient.degree, cap)
     while True:
-        group = closure(gens, ambient.degree, cap)
-        new = [c for s in gens for t in ambient.generators
+        new = [c for s in group.generators for t in ambient.generators
                if (c := conjugate(s, t)) not in group]
         if not new:
-            return PermGroup(ambient.degree, tuple(gens), group.elements)
-        gens.extend(_dedup(new))
-        gens = _dedup(gens)
+            return group
+        group = closure(group.generators + tuple(new), ambient.degree, cap)
 
 
 def _commutator_term(left: PermGroup, right: PermGroup, ambient: PermGroup,

@@ -186,8 +186,8 @@ def series_degrees_recursive(table: Table) -> tuple[int, int | None]:
     return rec(frozenset(range(len(table))))
 
 
-def closure_order(perms: list[tuple[int, ...]]) -> int:
-    """Group closure size by pairwise-product sweeps to a fixed point."""
+def closure_elements(perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Group closure by pairwise-product sweeps to a fixed point."""
     degree = len(perms[0]) if perms else 1
     elements = {tuple(range(degree))}
     elements.update(tuple(p) for p in perms)
@@ -199,8 +199,13 @@ def closure_order(perms: list[tuple[int, ...]]) -> int:
                 if pq not in elements:
                     fresh.add(pq)
         if not fresh:
-            return len(elements)
+            return elements
         elements |= fresh
+
+
+def closure_order(perms: list[tuple[int, ...]]) -> int:
+    """Group closure size, from closure_elements."""
+    return len(closure_elements(perms))
 
 
 def is_abelian_by_elements(elements: list[tuple[int, ...]]) -> bool:

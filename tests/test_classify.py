@@ -153,9 +153,27 @@ class TestStructureFlags:
         assert not classify.is_medial(_builtin("conj-s3"))
 
     def test_medial_iff_transvection_group_abelian(self):
-        for q in corpus.default_corpus():
-            group = congruence.trans(q)
-            assert classify.is_medial(q) == group.is_abelian(), q.label
+        # gather_facts reads medial off the transvection group; the
+        # identity scan is the independent route
+        s3 = grouptables.symmetric_group(3)
+        extra = [core.dihedral(2 ** k) for k in range(7)]
+        extra += [core.affine(43, 3),
+                  core.conj(grouptables.direct_product(s3, s3))]
+        spec = corpus.CorpusSpec(exhaustive_up_to=5)
+        verdicts = set()
+        for q in corpus.default_corpus(spec) + extra:
+            medial = classify.is_medial(q)
+            assert classify.gather_facts(q).medial == medial, q.label
+            verdicts.add(medial)
+        assert verdicts == {True, False}
+
+    def test_classify_does_not_run_the_identity_scan(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError("classify ran the O(n^4) medial scan")
+
+        monkeypatch.setattr(classify, "is_medial", refuse)
+        for q in (core.dihedral(16), core.affine(7, 3), _builtin("conj-s3")):
+            assert classify.classify(q).order == q.order
 
     def test_connected_values(self):
         assert classify.is_connected(core.dihedral(3))

@@ -1,5 +1,7 @@
 """Finite group tables: validation, structure constants, and presets."""
 
+import hashlib
+
 import pytest
 
 import _oracles
@@ -169,6 +171,38 @@ def test_from_perm_generators_roundtrip():
     rebuilt = grouptables.from_perm_generators(rep.generators)
     assert len(rebuilt) == 8
     assert grouptables.nilpotency_class(rebuilt) == 2
+
+
+# Element labels of the builtin permutation-generated groups.  Quandles built
+# on them (conj, gen and tree output) read these labels, so they must not
+# follow permgroup.closure's insertion order.
+S3_TABLE = (
+    (0, 1, 2, 3, 4, 5), (1, 0, 4, 5, 2, 3), (2, 3, 5, 4, 1, 0),
+    (3, 2, 1, 0, 5, 4), (4, 5, 3, 2, 0, 1), (5, 4, 0, 1, 3, 2),
+)
+A4_TABLE = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (1, 3, 5, 0, 7, 8, 10, 11, 2, 6, 9, 4),
+    (2, 4, 0, 6, 1, 9, 3, 8, 7, 5, 11, 10),
+    (3, 0, 8, 1, 11, 2, 9, 4, 5, 10, 6, 7),
+    (4, 6, 9, 2, 8, 7, 11, 10, 0, 3, 5, 1),
+    (5, 7, 1, 10, 3, 6, 0, 2, 11, 8, 4, 9),
+    (6, 2, 7, 4, 10, 0, 5, 1, 9, 11, 3, 8),
+    (7, 10, 6, 5, 2, 11, 4, 9, 1, 0, 8, 3),
+    (8, 11, 3, 9, 0, 10, 1, 5, 4, 2, 7, 6),
+    (9, 8, 4, 11, 6, 3, 2, 0, 10, 7, 1, 5),
+    (10, 5, 11, 7, 9, 1, 8, 3, 6, 4, 0, 2),
+    (11, 9, 10, 8, 5, 4, 7, 6, 3, 1, 2, 0),
+)
+# sha256 of repr(symmetric_group(4)).
+S4_SHA256 = "7bea5514af9f3fddd3bd3f988b21b31074b74eda75a4edd284da29d6e35ccc6e"
+
+
+def test_from_perm_generators_labels_are_pinned():
+    assert grouptables.symmetric_group(3) == S3_TABLE
+    assert grouptables.alternating_group_4() == A4_TABLE
+    s4 = repr(grouptables.symmetric_group(4)).encode()
+    assert hashlib.sha256(s4).hexdigest() == S4_SHA256
 
 
 def test_preset_orders():

@@ -49,6 +49,32 @@ def test_closure_cap():
         permgroup.closure([(1, 2, 3, 4, 0)], cap=3)
 
 
+def test_closure_cap_is_the_group_order():
+    d5 = core.dihedral(5)
+    for q in (d5, core.disjoint_union(d5, d5)):
+        order = congruence.inn(q).order
+        assert order in (10, 100)
+        assert permgroup.closure(q.table, cap=order).order == order
+        with pytest.raises(CapExceeded):
+            permgroup.closure(q.table, cap=order - 1)
+
+
+def test_closure_keeps_only_generators_that_enlarge_the_group():
+    for q in corpus.default_corpus():
+        for given in (list(q.table), congruence.trans_rel_generators(
+                q, congruence.Congruence.one(q.order))):
+            group = permgroup.closure(given, q.order)
+            kept = group.generators
+            # a subsequence of the given generators ...
+            rest = iter(given)
+            assert all(any(g == h for h in rest) for g in kept), q.label
+            # ... each outside the group generated by those kept before it
+            for i, g in enumerate(kept):
+                assert g not in permgroup.closure(kept[:i], q.order), q.label
+            assert set(group.elements) == _oracles.closure_elements(given), q.label
+            assert len(group.elements) == len(set(group.elements))
+
+
 def test_orbits_of_trivial_group():
     g = permgroup.trivial_group(3)
     assert permgroup.orbits(g) == ((0,), (1,), (2,))
