@@ -38,43 +38,40 @@ def _first_constant_layer(q: Quandle, work_cap: int = DEFAULT_WORK_CAP,
                           max_layer: int | None = None) -> int | None:
     """Minimal k such that every k-fold composite of right translations is constant.
 
-    Layer 1 holds the columns of the table; layer k+1 composes one more
-    right translation onto each member of layer k.  A quandle is n-reductive
-    exactly when layer n contains only constant maps, and an all-constant
-    layer stays all-constant, so the first such k is the minimal degree.
-    Layers are deduplicated sets, and once a layer set repeats the sequence
-    has entered a cycle of non-constant layers: no degree exists and the
-    function returns None.  With max_layer set, gives up (returns None) past
-    that layer instead of iterating to the cycle.
+    Layer k holds the maps a -> (((a > c_1) > c_2) ...) > c_k.  A quandle is
+    n-reductive exactly when layer n contains only constant maps, and an
+    all-constant layer stays all-constant, so the first such k is the
+    minimal degree.  Layers are never built; they are read off partitions
+    instead.  Layer k is all-constant exactly when the relation =_k is
+    total, where a =_k a' when every k-fold composite agrees on a and a'.
+    =_0 is equality, and a =_(k+1) a' exactly when (a > c) =_k (a' > c) for
+    every c, so each step relabels the elements by the signature
+    (class of a > c for every c).  The relations only coarsen, so a step
+    that merges no class repeats forever: no layer is all-constant and the
+    function returns None.  With max_layer set, gives up (returns None)
+    past that layer instead of iterating to the fixed point.
 
-    Every produced map entry counts one table lookup against work_cap;
-    overdraft raises WorkCapExceeded before the offending layer is built.
+    Every layer costs n^2 table lookups against work_cap; overdraft raises
+    WorkCapExceeded before a layer after the first is built.
     """
     size = q.order
-    table = q.table
-    layer = {tuple(table[a][c] for a in range(size)) for c in range(size)}
-    work = size * size
-    seen = {frozenset(layer)}
-    k = 1
+    labels: Sequence[int] = range(size)
+    classes = size
+    work = 0
+    k = 0
     while True:
-        if all(len(set(m)) == 1 for m in layer):
-            return k
-        if max_layer is not None and k >= max_layer:
-            return None
-        cost = len(layer) * size * size
-        if work + cost > work_cap:
+        if k and work + size * size > work_cap:
             raise WorkCapExceeded(work_cap)
-        work += cost
-        nxt = set()
-        for m in layer:
-            for c in range(size):
-                nxt.add(tuple(table[m[a]][c] for a in range(size)))
-        key = frozenset(nxt)
-        if key in seen:
-            return None
-        seen.add(key)
-        layer = nxt
+        work += size * size
+        ids: dict[tuple[int, ...], int] = {}
+        labels = [ids.setdefault(tuple([labels[x] for x in row]), len(ids))
+                  for row in q.table]
         k += 1
+        if len(ids) == 1:
+            return k
+        if len(ids) == classes or (max_layer is not None and k >= max_layer):
+            return None
+        classes = len(ids)
 
 
 def is_n_reductive(q: Quandle, n: int, work_cap: int = DEFAULT_WORK_CAP) -> bool:

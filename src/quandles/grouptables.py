@@ -154,12 +154,8 @@ def is_abelian(table: GroupTable) -> bool:
 
 
 def regular_representation(table: GroupTable) -> permgroup.PermGroup:
-    """The left regular representation; rows of the table are its elements."""
-    rows = tuple(tuple(row) for row in table)
-    e = identity_of(table)
-    ordered = (rows[e],) + tuple(r for i, r in enumerate(rows) if i != e)
-    gens = tuple(r for i, r in enumerate(rows) if i != e)
-    return permgroup.PermGroup(len(table), gens, ordered)
+    """The left regular representation, generated by the table's rows."""
+    return permgroup.closure(table, len(table))
 
 
 def nilpotency_class(table: GroupTable) -> int | None:
@@ -195,8 +191,7 @@ def from_perm_generators(gens: Sequence[permgroup.Perm]) -> GroupTable:
 
     Element labels are the order of a breadth-first walk from the identity,
     each element left-multiplied by every given generator in turn; the
-    builtin group tables depend on it, so it does not follow
-    permgroup.closure's insertion order.
+    builtin group tables depend on these labels.
     """
     if not gens:
         raise ValueError("need at least one generator")

@@ -1,19 +1,26 @@
-"""Small permutation groups with fully materialized element sets.
+"""Permutation groups held as stabilizer chains.
 
 Permutations are image tuples: p[i] is the image of point i, and products
-compose like functions, (p * q)(i) = p[q[i]].  Everything here is sized for
-the groups that arise from quandles of a few dozen elements, so groups are
-materialized by closure instead of anything clever.  closure() keeps only
-the generators that enlarge the group (the first step of Dimino's
-algorithm), and its order of insertion is deterministic, which keeps every
-downstream computation reproducible.
+compose like functions, (p * q)(i) = p[q[i]].  A PermGroup is a base and
+strong generating set, built by deterministic Schreier-Sims (Seress,
+Permutation Group Algorithms, 2003, ch. 4-5; Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, 2005, section 4.4).  Each level of
+the chain holds a base point, the strong generators that fix the earlier
+base points, the basic orbit of its point under them, and a transversal
+of that orbit with its inverses.  The order is the product of the basic
+orbit lengths and membership is a sift, so no element set is ever built;
+elements are enumerated from the transversals only on demand.
+
+Everything is deterministic: generators are taken in the given order and
+a new base point is the first point the sifted residue moves, which keeps
+every downstream computation reproducible.
 
 The commutator convention is [x, y] = x^{-1} y^{-1} x y throughout.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 
@@ -65,41 +72,105 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-class PermGroup:
-    """A permutation group with its elements materialized up front.
+class _Level:
+    """One level of a stabilizer chain.
 
-    Use closure() to build one; the constructor trusts its arguments.
+    gens are the strong generators of this level, all fixing the earlier
+    base points; orbit is the basic orbit of point under them, in the
+    order found; rep[x] maps point to x and rep_inv[x] is its inverse.
+    tested[i] counts the gens already paired with orbit[i] into a Schreier
+    generator.
     """
 
-    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: tuple[Perm, ...]):
+    __slots__ = ("point", "gens", "orbit", "rep", "rep_inv", "tested")
+
+    def __init__(self, point: int, e: Perm):
+        self.point = point
+        self.gens: list[Perm] = []
+        self.orbit = [point]
+        self.rep = {point: e}
+        self.rep_inv = {point: e}
+        self.tested = [0]
+
+
+class PermGroup:
+    """A permutation group as a base and strong generating set.
+
+    Build one with closure() or normal_closure(); the constructor makes the
+    trivial group.  generators are the kept given generators: each one that
+    did not sift to the identity, so each lies outside the group generated
+    by those kept before it.  The order is exact once the builder returns;
+    while the chain grows it is a lower bound, which is what the cap is
+    checked against.  Elements are enumerated from the transversals on
+    demand, |G| of them, so iterate only over small groups.
+    """
+
+    def __init__(self, degree: int, cap: int = DEFAULT_CLOSURE_CAP):
         self.degree = degree
-        self.generators = generators
-        self.elements = elements
-        self._element_set = frozenset(elements)
+        self.generators: tuple[Perm, ...] = ()
+        self._cap = cap
+        self._identity = identity(degree)
+        self._levels: list[_Level] = []
+        self._order = 1
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self._order
+
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        """The order; len() fails past sys.maxsize, where order still works."""
+        return self._order
 
     def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
+        """Every element once, identity first.
+
+        The elements are the products u_0 u_1 ... of one transversal
+        representative per level.
+        """
+        levels = self._levels
+
+        def walk(i: int, prefix: Perm) -> Iterator[Perm]:
+            if i == len(levels):
+                yield prefix
+                return
+            for u in levels[i].rep.values():
+                yield from walk(i + 1, compose(prefix, u))
+
+        return walk(0, self._identity)
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self._element_set
+        """Membership by sifting.
+
+        p is in the group exactly when stripping it by the transversals,
+        level by level, leaves the identity.
+        """
+        if len(p) != self.degree:
+            return False
+        p = tuple(p)
+        for level in self._levels:
+            x = p[level.point]
+            if x != level.point:
+                inv = level.rep_inv.get(x)
+                if inv is None:
+                    return False
+                p = compose(inv, p)
+        return p == self._identity
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermGroup):
             return NotImplemented
-        return self.degree == other.degree and self._element_set == other._element_set
+        return (self.degree == other.degree and self._order == other._order
+                and all(g in other for g in self.generators))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return self._order == 1
 
     def is_abelian(self) -> bool:
         """True when the generators commute pairwise, which they generate."""
@@ -110,18 +181,102 @@ class PermGroup:
                     return False
         return True
 
+    def _extend(self, candidates: Iterable[Perm]) -> None:
+        """Add the candidates in order, keeping each that does not sift to 1.
+
+        A kept candidate joins generators, and its residue becomes a strong
+        generator of every level down to the one where its sift stopped.
+        The Schreier-Sims loop then runs from that level up to the top.  A
+        level is done when every (orbit point, generator) pair is tested:
+        a pair whose image is new extends the orbit and the transversal,
+        any other gives a Schreier generator that must sift to the identity
+        through the levels below.  A residue that does not becomes a strong
+        generator of the levels below, and the loop resumes at the deepest
+        of them.  Pairs already tested stay tested, since transversals only
+        grow.  The helpers are local: sift runs once per Schreier generator.
+        """
+        levels, e, cap = self._levels, self._identity, self._cap
+
+        def sift(g: Perm, start: int) -> tuple[Perm, int]:
+            # The residue, and the first level whose orbit misses the image
+            # of its point (len(levels) when g passed them all).
+            for i in range(start, len(levels)):
+                level = levels[i]
+                x = g[level.point]
+                if x != level.point:
+                    inv = level.rep_inv.get(x)
+                    if inv is None:
+                        return g, i
+                    g = compose(inv, g)
+            return g, len(levels)
+
+        def add_strong(h: Perm, first: int, last: int) -> None:
+            # last may be one past the deepest level: a new level, based at
+            # the first point h moves.
+            if last == len(levels):
+                levels.append(_Level(next(x for x in range(self.degree) if h[x] != x), e))
+            for level in levels[first:last + 1]:
+                level.gens.append(h)
+
+        def grow(level: _Level, y: int, rep_y: Perm) -> None:
+            # The product of the orbit lengths so far is a lower bound on
+            # |G| and equals it once the chain is complete: the cap check
+            # fires early and is exact.
+            size = len(level.orbit)
+            level.orbit.append(y)
+            level.rep[y] = rep_y
+            level.rep_inv[y] = inverse(rep_y)
+            level.tested.append(0)
+            self._order = self._order // size * (size + 1)
+            if self._order > cap:
+                raise CapExceeded("group closure", cap)
+
+        def schreier_residue(i: int) -> tuple[Perm, int] | None:
+            level = levels[i]
+            orbit, gens, tested, rep = level.orbit, level.gens, level.tested, level.rep
+            at = 0
+            while at < len(orbit):
+                x = orbit[at]
+                while tested[at] < len(gens):
+                    s = gens[tested[at]]
+                    tested[at] += 1
+                    y = s[x]
+                    moved = compose(s, rep[x])
+                    if y not in rep:
+                        grow(level, y, moved)
+                        continue
+                    residue, stop = sift(compose(level.rep_inv[y], moved), i + 1)
+                    if residue != e:
+                        return residue, stop
+                at += 1
+            return None
+
+        for g in candidates:
+            residue, stop = sift(g, 0)
+            if residue == e:
+                continue
+            self.generators += (g,)
+            add_strong(residue, 0, stop)
+            i = stop
+            while i >= 0:
+                found = schreier_residue(i)
+                if found is None:
+                    i -= 1
+                else:
+                    residue, stop = found
+                    add_strong(residue, i + 1, stop)
+                    i = stop
+
 
 def closure(generators: Sequence[Perm], degree: int | None = None,
             cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
-    """Generate the group, raising CapExceeded past cap elements.
+    """The group the generators generate, by Schreier-Sims.
 
-    Generators are taken in order, and one that is already an element is
-    skipped; the result's generators are the kept ones, each outside the
-    group generated by those before it.  Insertion order: the identity,
-    then for each kept generator g the elements already present times g
-    (they are closed under the earlier kept generators), then each new
-    element times every kept generator, breadth first, all by left
-    multiplication.  The work is |G| times the number of kept generators.
+    Generators are taken in order and each one that sifts to the identity
+    is skipped: the result's generators are the kept ones, each outside the
+    group generated by those before it.  Raises CapExceeded exactly when
+    the group has more than cap elements, as soon as the chain built so far
+    proves it.
     """
     generators = list(generators)
     if degree is None:
@@ -130,47 +285,32 @@ def closure(generators: Sequence[Perm], degree: int | None = None,
         degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    elements: list[Perm] = [identity(degree)]
-    index = {elements[0]}
-    kept: list[Perm] = []
-    for g in generators:
-        if g in index:
-            continue
-        kept.append(g)
-        old = len(elements)
-        at = 0
-        while at < len(elements):
-            w = elements[at]
-            for k in (g,) if at < old else kept:
-                p = compose(k, w)
-                if p not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded("group closure", cap)
-                    index.add(p)
-                    elements.append(p)
-            at += 1
-    return PermGroup(degree, tuple(kept), tuple(elements))
+    group = PermGroup(degree, cap)
+    group._extend(tuple(g) for g in generators)
+    return group
 
 
 def trivial_group(degree: int) -> PermGroup:
-    return PermGroup(degree, (), (identity(degree),))
+    return PermGroup(degree)
 
 
 def normal_closure(seed: Sequence[Perm], ambient: PermGroup,
                    cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
     """Smallest subgroup containing seed that ambient's generators normalize.
 
-    Since everything is finite, closure under conjugation by each ambient
-    generator already gives closure under conjugation by inverses.  Each
-    round conjugates the group's kept generators only.
+    One chain grows: the closure of seed, then each kept generator's
+    conjugates by the ambient generators, in turn, added when they do not
+    sift (and kept, so conjugated in their turn).  Since everything is
+    finite, closure under conjugation by each ambient generator already
+    gives closure under conjugation by inverses.
     """
     group = closure(seed, ambient.degree, cap)
-    while True:
-        new = [c for s in group.generators for t in ambient.generators
-               if (c := conjugate(s, t)) not in group]
-        if not new:
-            return group
-        group = closure(group.generators + tuple(new), ambient.degree, cap)
+    done = 0
+    while done < len(group.generators):
+        s = group.generators[done]
+        group._extend(conjugate(s, t) for t in ambient.generators)
+        done += 1
+    return group
 
 
 def _commutator_term(left: PermGroup, right: PermGroup, ambient: PermGroup,
@@ -186,11 +326,15 @@ def _commutator_term(left: PermGroup, right: PermGroup, ambient: PermGroup,
 
 
 def lower_central_series(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[PermGroup, ...]:
-    """G = gamma_1 >= gamma_2 >= ..., stopping at the first repeated term."""
+    """G = gamma_1 >= gamma_2 >= ..., stopping at the first repeated term.
+
+    The terms are nested, so a term of the same order as the one before it
+    is the same group.
+    """
     terms = [group]
     while True:
         nxt = _commutator_term(terms[-1], group, group, cap)
-        if nxt == terms[-1]:
+        if nxt.order == terms[-1].order:
             break
         terms.append(nxt)
     return tuple(terms)
@@ -205,11 +349,12 @@ def nilpotency_class(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> int | 
 
 
 def derived_series(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[PermGroup, ...]:
+    """G >= G' >= G'' >= ..., stopping at the first term of unchanged order."""
     terms = [group]
     while True:
         prev = terms[-1]
         nxt = _commutator_term(prev, prev, prev, cap)
-        if nxt == prev:
+        if nxt.order == prev.order:
             break
         terms.append(nxt)
     return tuple(terms)
@@ -279,13 +424,12 @@ def orbits(group_or_gens: PermGroup | Sequence[Perm],
 
 
 def is_semiregular(group: PermGroup, domain: Sequence[int] | None = None) -> bool:
-    """True when no element except the identity fixes a point of the domain."""
+    """True when no element except the identity fixes a point of the domain.
+
+    By orbit-stabilizer, x has a trivial stabilizer exactly when its orbit
+    has |G| points.
+    """
     if domain is None:
         domain = range(group.degree)
-    e = identity(group.degree)
-    for p in group.elements:
-        if p == e:
-            continue
-        if any(p[x] == x for x in domain):
-            return False
-    return True
+    size = {x: len(orbit) for orbit in orbits(group) for x in orbit}
+    return all(size[x] == group.order for x in domain)

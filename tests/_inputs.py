@@ -1,0 +1,26 @@
+"""Larger quandles shared by the tests that compare a route with an oracle.
+
+The nine inputs of the benchmark's classify workload (big tables with small
+groups, and tiny tables with inner groups of 10^3 to 10^4 elements), built
+here without relabelling, and the dihedral quandles of order 2^k.
+"""
+
+from quandles import core, grouptables
+
+
+def classify_workload_inputs() -> list[tuple[str, core.Quandle]]:
+    s3 = grouptables.symmetric_group(3)
+    d3, d5 = core.dihedral(3), core.dihedral(5)
+    return [
+        ("dihedral-32", core.dihedral(32)), ("dihedral-48", core.dihedral(48)),
+        ("dihedral-64", core.dihedral(64)), ("affine-43-3", core.affine(43, 3)),
+        ("conj-s3xs3", core.conj(grouptables.direct_product(s3, s3))),
+        ("3xdihedral-5", core.disjoint_union(d5, d5, d5)),
+        ("4xdihedral-5", core.disjoint_union(d5, d5, d5, d5)),
+        ("dihedral-3-plus-3xdihedral-5", core.disjoint_union(d3, d5, d5, d5)),
+        ("affine-7-3-plus-2xdihedral-5", core.disjoint_union(core.affine(7, 3), d5, d5)),
+    ]
+
+
+def dihedral_powers_of_two(max_k: int) -> list[tuple[str, core.Quandle]]:
+    return [(f"dihedral-{2 ** k}", core.dihedral(2 ** k)) for k in range(1, max_k + 1)]

@@ -328,3 +328,38 @@ def engel_bracket_direct(mul: Table, a: int, b: int, n: int) -> int:
     for _ in range(n):
         acc = mul[mul[mul[inverse[b]][inverse[acc]]][b]][acc]
     return acc
+
+
+def first_constant_layer_by_maps(table: Table, max_layer: int | None = None) -> int | None:
+    """Minimal k whose k-fold composites of right translations are all constant.
+
+    Builds every layer as the set of its maps: layer 1 holds the columns of
+    the table, layer k+1 composes one more right translation onto each map
+    of layer k.  A repeated layer set means a cycle of non-constant layers,
+    so None; with max_layer set, None past that layer.
+    """
+    size = len(table)
+    layer = {tuple(table[a][c] for a in range(size)) for c in range(size)}
+    seen = {frozenset(layer)}
+    k = 1
+    while True:
+        if all(len(set(m)) == 1 for m in layer):
+            return k
+        if max_layer is not None and k >= max_layer:
+            return None
+        layer = {tuple(table[m[a]][c] for a in range(size))
+                 for m in layer for c in range(size)}
+        key = frozenset(layer)
+        if key in seen:
+            return None
+        seen.add(key)
+        k += 1
+
+
+def is_semiregular_by_elements(elements: list[tuple[int, ...]],
+                               domain: range | list[int]) -> bool:
+    """Whether no element but the identity fixes a point of the domain."""
+    for p in elements:
+        if any(p[i] != i for i in range(len(p))) and any(p[x] == x for x in domain):
+            return False
+    return True

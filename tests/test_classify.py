@@ -2,10 +2,12 @@
 
 import pytest
 
+import _inputs
 import _oracles
 from quandles import classify, congruence, core, corpus, grouptables, permgroup
 from quandles.classify import ClassificationReport, CheckResult, SuiteReport
 from quandles.errors import (
+    CapExceeded,
     InconsistentCharacterizations,
     NotClosed,
     WorkCapExceeded,
@@ -96,6 +98,25 @@ class TestReductiveDegree:
         # dihedral(3) is connected, so no R_b^k is ever constant and no
         # composite layer can be; a tiny work cap must not be consulted.
         assert classify.reductive_degree(core.dihedral(3), work_cap=10) is None
+
+
+class TestFirstConstantLayer:
+    def test_partition_refinement_matches_map_layers(self):
+        members = [(q.label, q) for q in corpus.default_corpus(
+            corpus.CorpusSpec(exhaustive_up_to=5))]
+        members += _inputs.classify_workload_inputs() + _inputs.dihedral_powers_of_two(7)
+        verdicts = set()
+        for name, q in dict(members).items():
+            want = _oracles.first_constant_layer_by_maps(q.table)
+            assert classify._first_constant_layer(q) == want, name
+            verdicts.add(want is None)
+            for k in range(1, 5) if q.order <= 5 else ():
+                assert (classify._first_constant_layer(q, max_layer=k)
+                        == _oracles.first_constant_layer_by_maps(q.table, k)), (name, k)
+        assert verdicts == {True, False}
+
+    def test_dihedral_256_is_eight_reductive(self):
+        assert classify.classify(core.dihedral(256)).reductive_degree == 8
 
 
 class TestLocalReductivity:
@@ -430,3 +451,23 @@ class TestRouteAgreement:
         assert routes.checked == 1
         assert routes.witnesses == (
             "dihedral(4): chain=2 identity=2 inner-class=1 collapse=None",)
+
+
+class TestLargeInnerGroups:
+    """Inner groups far beyond the default closure cap, built as stabilizer chains."""
+
+    def test_seven_copies_of_dihedral_five(self):
+        q = core.disjoint_union(*[core.dihedral(5)] * 7)
+        report = classify.classify(q, closure_cap=10**8)
+        assert report.inn_order == 10**7
+        assert report.trans_order == 5 * 10**6
+
+    def test_ten_copies_of_dihedral_five(self):
+        q = core.disjoint_union(*[core.dihedral(5)] * 10)
+        assert classify.classify(q, closure_cap=10**11).inn_order == 10**10
+
+    def test_default_cap_still_binds(self):
+        assert permgroup.DEFAULT_CLOSURE_CAP == 10**6
+        q = core.disjoint_union(*[core.dihedral(5)] * 7)
+        with pytest.raises(CapExceeded):
+            classify.classify(q)

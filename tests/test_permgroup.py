@@ -1,7 +1,10 @@
 """Permutation arithmetic, closures, and structural group predicates."""
 
+import random
+
 import pytest
 
+import _inputs
 import _oracles
 from quandles import congruence, core, corpus, grouptables, permgroup
 from quandles.errors import CapExceeded
@@ -139,9 +142,12 @@ def test_derived_length_of_a5_is_absent():
 
 
 def test_derived_series_orders_match_oracle():
-    for gens in ([(1, 0, 2), (1, 2, 0)],
+    small = [gens for _, degree, gens in _oracle_generator_lists()
+             if gens and permgroup.closure(gens, degree).order <= 60]
+    assert len(small) > 20
+    for gens in [[(1, 0, 2), (1, 2, 0)],
                  [(1, 2, 3, 0), (1, 0, 3, 2)],
-                 [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]):
+                 [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]] + small:
         series = permgroup.derived_series(permgroup.closure(gens))
         assert [g.order for g in series] == _oracles.derived_chain_orders(gens)
 
@@ -159,6 +165,35 @@ def test_semiregular_groups():
     d3 = core.dihedral(3)
     assert permgroup.is_semiregular(congruence.trans(d3))
     assert not permgroup.is_semiregular(congruence.inn(d3))
+    # a 3-cycle moves 0, 1, 2 regularly and fixes 3
+    cycle = permgroup.closure([(1, 2, 0, 3)])
+    assert permgroup.is_semiregular(cycle, range(3))
+    assert not permgroup.is_semiregular(cycle)
+    assert not permgroup.is_semiregular(cycle, [3])
+
+
+def test_semiregular_matches_element_scan():
+    verdicts = {}
+    for q in corpus.default_corpus():
+        for group in (congruence.inn(q), congruence.trans(q)):
+            elements = list(group)
+            for domain in (range(q.order), range(q.order // 2)):
+                want = _oracles.is_semiregular_by_elements(elements, domain)
+                assert permgroup.is_semiregular(group, domain) == want, q.label
+                verdicts.setdefault(want, q.label)
+    assert set(verdicts) == {True, False}
+    d4d4 = corpus.builtin_quandle("d4-plus-d4")
+    assert not permgroup.is_semiregular(congruence.trans(d4d4))
+
+
+def test_equal_groups_from_different_generators():
+    d3 = core.dihedral(3)
+    assert permgroup.closure(d3.table) == permgroup.closure(d3.table[:2])
+    assert permgroup.closure(d3.table[:2]) == congruence.inn(d3)
+    # the two order-2 subgroups <(0 1)> and <(1 2)> of S3 differ
+    assert permgroup.closure([(1, 0, 2)]) != permgroup.closure([(0, 2, 1)])
+    assert permgroup.closure([(1, 2, 0)]) != permgroup.closure(d3.table)
+    assert permgroup.trivial_group(3) != permgroup.trivial_group(4)
 
 
 def test_cycle_type():
@@ -176,4 +211,40 @@ def test_is_abelian_matches_all_element_pairs():
         want = _oracles.is_abelian_by_elements(list(group.elements))
         assert group.is_abelian() == want, group
         verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _oracle_generator_lists():
+    """(label, degree, generators) of Inn and Trans of the default corpus and
+    of the classify-workload inputs, as given to closure()."""
+    members = corpus.default_corpus() + [q for _, q in _inputs.classify_workload_inputs()]
+    for q in members:
+        yield f"inn {q.label}", q.order, list(q.table)
+        yield (f"trans {q.label}", q.order, congruence.trans_rel_generators(
+            q, congruence.Congruence.one(q.order)))
+
+
+def test_chain_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    Permutation, PermutationGroup = combinatorics.Permutation, combinatorics.PermutationGroup
+    rng = random.Random(5)
+    verdicts = set()
+    for label, degree, given in _oracle_generator_lists():
+        ours = permgroup.closure(given, degree)
+        theirs = PermutationGroup([Permutation(list(g), size=degree) for g in given]
+                                  or [Permutation(list(range(degree)))])
+        assert ours.order == theirs.order(), label
+        assert ([h.order for h in permgroup.lower_central_series(ours)]
+                == [h.order() for h in theirs.lower_central_series()]), label
+        assert ([h.order for h in permgroup.derived_series(ours)]
+                == [h.order() for h in theirs.derived_series()]), label
+        for _ in range(10):
+            word = permgroup.identity(degree)
+            for g in rng.choices(given, k=6) if given else ():
+                word = permgroup.compose(g, word)
+            assert word in ours and theirs.contains(Permutation(list(word))), label
+            p = tuple(rng.sample(range(degree), degree))
+            want = theirs.contains(Permutation(list(p)))
+            assert (p in ours) == want, label
+            verdicts.add(want)
     assert verdicts == {True, False}
