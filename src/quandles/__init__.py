@@ -73,7 +73,6 @@ from .errors import (
     ParseError,
     QuandleError,
     UnknownName,
-    WorkCapExceeded,
 )
 from .orbitseries import (
     OrbitTreeNode,
@@ -103,7 +102,6 @@ __all__ = [
     "SeriesDegrees",
     "SuiteReport",
     "UnknownName",
-    "WorkCapExceeded",
     "affine",
     "all_congruences",
     "all_subquandles",

@@ -26,16 +26,12 @@ from typing import Callable, Iterable, Sequence
 
 from . import congruence, core, grouptables, orbitseries, permgroup
 from .core import Quandle
-from .errors import InconsistentCharacterizations, QuandleError, WorkCapExceeded
+from .errors import InconsistentCharacterizations, QuandleError
 from .grouptables import GroupTable
 from .permgroup import PermGroup
 
-#: Table-lookup budget for the folded-product reductivity check.
-DEFAULT_WORK_CAP = 10 ** 8
 
-
-def _first_constant_layer(q: Quandle, work_cap: int = DEFAULT_WORK_CAP,
-                          max_layer: int | None = None) -> int | None:
+def _first_constant_layer(q: Quandle, max_layer: int | None = None) -> int | None:
     """Minimal k such that every k-fold composite of right translations is constant.
 
     Layer k holds the maps a -> (((a > c_1) > c_2) ...) > c_k.  A quandle is
@@ -51,18 +47,15 @@ def _first_constant_layer(q: Quandle, work_cap: int = DEFAULT_WORK_CAP,
     function returns None.  With max_layer set, gives up (returns None)
     past that layer instead of iterating to the fixed point.
 
-    Every layer costs n^2 table lookups against work_cap; overdraft raises
-    WorkCapExceeded before a layer after the first is built.
+    Since the relations only coarsen and every step but the last merges a
+    class, there are at most n layers of n^2 table lookups each: O(n^3),
+    what core.validate already spends on every input.
     """
     size = q.order
     labels: Sequence[int] = range(size)
     classes = size
-    work = 0
     k = 0
     while True:
-        if k and work + size * size > work_cap:
-            raise WorkCapExceeded(work_cap)
-        work += size * size
         ids: dict[tuple[int, ...], int] = {}
         labels = [ids.setdefault(tuple([labels[x] for x in row]), len(ids))
                   for row in q.table]
@@ -74,24 +67,23 @@ def _first_constant_layer(q: Quandle, work_cap: int = DEFAULT_WORK_CAP,
         classes = len(ids)
 
 
-def is_n_reductive(q: Quandle, n: int, work_cap: int = DEFAULT_WORK_CAP) -> bool:
+def is_n_reductive(q: Quandle, n: int) -> bool:
     """Whether (a > c_1) > c_2 ... > c_n is independent of a for all choices of c.
 
-    Checked through the layer construction of _first_constant_layer rather
-    than by enumerating the |Q|^(n+1) folded products directly; the two are
-    the same identity, but deduplicating composite maps keeps the work
-    proportional to the number of distinct maps.  n = 0 asks a itself to be
+    Checked by the partition refinement of _first_constant_layer, stopped
+    after layer n, rather than by enumerating the |Q|^(n+1) folded products
+    directly; the two decide the same identity, but the refinement costs at
+    most min(n, |Q|) steps of |Q|^2 lookups.  n = 0 asks a itself to be
     independent of a, which only the one-element quandle satisfies.
     """
     if n < 0:
         raise ValueError(f"reductivity degree must be >= 0, got {n}")
     if n == 0:
         return q.order == 1
-    return _first_constant_layer(q, work_cap, max_layer=n) is not None
+    return _first_constant_layer(q, max_layer=n) is not None
 
 
-def _reductivity_routes(q: Quandle, inn_group: PermGroup, lr: int | None,
-                        cap: int, work_cap: int
+def _reductivity_routes(q: Quandle, inn_group: PermGroup, lr: int | None
                         ) -> tuple[congruence.OChain, int | None, int | None, int | None]:
     """The four reductivity routes, computed but not compared.
 
@@ -108,8 +100,8 @@ def _reductivity_routes(q: Quandle, inn_group: PermGroup, lr: int | None,
     elif lr is None:
         ident = None
     else:
-        ident = _first_constant_layer(q, work_cap)
-    cls = permgroup.nilpotency_class(inn_group, cap)
+        ident = _first_constant_layer(q)
+    cls = permgroup.nilpotency_class(inn_group)
     lam = congruence.l_chain(q)
     steps = len(lam) - 1 if lam[-1].order == 1 else None
     return chain, ident, cls, steps
@@ -131,8 +123,7 @@ def _check_routes(q: Quandle, deg: int | None, ident: int | None,
             f"collapse-steps={steps}")
 
 
-def reductive_degree(q: Quandle, cap: int = permgroup.DEFAULT_CLOSURE_CAP,
-                     work_cap: int = DEFAULT_WORK_CAP) -> int | None:
+def reductive_degree(q: Quandle) -> int | None:
     """Minimal n making the quandle n-reductive, or None when none exists.
 
     Four routes are computed and compared: the index of the first zero term
@@ -145,7 +136,7 @@ def reductive_degree(q: Quandle, cap: int = permgroup.DEFAULT_CLOSURE_CAP,
     finite quandles.
     """
     chain, ident, cls, steps = _reductivity_routes(
-        q, congruence.inn(q, cap), locally_reductive_degree(q), cap, work_cap)
+        q, congruence.inn(q), locally_reductive_degree(q))
     _check_routes(q, chain.degree, ident, cls, steps)
     return chain.degree
 
@@ -241,23 +232,20 @@ def is_faithful(q: Quandle) -> bool:
     return congruence.lambda_congruence(q).is_zero
 
 
-def is_abelian_quandle(q: Quandle,
-                       cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> bool:
+def is_abelian_quandle(q: Quandle) -> bool:
     """Whether the transvection group is abelian and semiregular."""
-    group = congruence.trans(q, cap)
+    group = congruence.trans(q)
     return group.is_abelian() and permgroup.is_semiregular(group)
 
 
-def is_nilpotent_quandle(q: Quandle,
-                         cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> bool:
+def is_nilpotent_quandle(q: Quandle) -> bool:
     """Whether the transvection group is nilpotent."""
-    return permgroup.nilpotency_class(congruence.trans(q, cap), cap) is not None
+    return permgroup.nilpotency_class(congruence.trans(q)) is not None
 
 
-def is_solvable_quandle(q: Quandle,
-                        cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> bool:
+def is_solvable_quandle(q: Quandle) -> bool:
     """Whether the transvection group is solvable."""
-    return permgroup.derived_length(congruence.trans(q, cap), cap) is not None
+    return permgroup.derived_length(congruence.trans(q)) is not None
 
 
 def conj_two_engel_check(table: GroupTable, subset: Sequence[int]) -> bool:
@@ -358,30 +346,27 @@ class QuandleFacts(ClassificationReport):
             f.name: getattr(self, f.name) for f in fields(ClassificationReport)})
 
 
-def gather_facts(q: Quandle, *,
-                 closure_cap: int = permgroup.DEFAULT_CLOSURE_CAP,
-                 work_cap: int = DEFAULT_WORK_CAP,
-                 ncs_max_order: int = 12) -> QuandleFacts:
+def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     """Every per-quandle quantity of the report and the suite, each built once.
 
     One pass builds the inner and transvection groups, the orbit tree, the
     O- and L-chains and the rest.  medial is whether the transvection
     group is abelian, O(n^3); is_medial() is left to the suite.  Never
-    raises on a route disagreement; cap errors propagate.
+    raises on a route disagreement.  Everything but the ncs scan is
+    polynomial in the order, so only ncs_max_order bounds the work.
     """
-    inn_group = congruence.inn(q, closure_cap)
-    trans_group = congruence.trans(q, closure_cap)
+    inn_group = congruence.inn(q)
+    trans_group = congruence.trans(q)
     inn_orbits = permgroup.orbits(inn_group)
     tree = orbitseries.orbit_tree(q)
     sd = orbitseries.SeriesDegrees.of_tree(tree)
-    dl = permgroup.derived_length(trans_group, closure_cap)
+    dl = permgroup.derived_length(trans_group)
     faithful = congruence.lambda_congruence(q).is_zero
     medial = trans_group.is_abelian()
     abelian = medial and permgroup.is_semiregular(trans_group)
-    nilpotent = permgroup.nilpotency_class(trans_group, closure_cap) is not None
+    nilpotent = permgroup.nilpotency_class(trans_group) is not None
     lr = locally_reductive_degree(q)
-    chain, ident, inn_cls, steps = _reductivity_routes(
-        q, inn_group, lr, closure_cap, work_cap)
+    chain, ident, inn_cls, steps = _reductivity_routes(q, inn_group, lr)
     return QuandleFacts(
         order=q.order,
         label=q.label,
@@ -411,20 +396,17 @@ def gather_facts(q: Quandle, *,
     )
 
 
-def classify(q: Quandle, *, closure_cap: int = permgroup.DEFAULT_CLOSURE_CAP,
-             work_cap: int = DEFAULT_WORK_CAP,
-             ncs_max_order: int = 12) -> ClassificationReport:
+def classify(q: Quandle, *, ncs_max_order: int = 12) -> ClassificationReport:
     """Aggregate every predicate and degree into one report.
 
-    The report is projected from gather_facts().  Cap parameters propagate
-    to the group closures and the folded-product check.  The exhaustive
-    subquandle scan behind ncs only runs when the order is at most
-    ncs_max_order; above that the field is None.  Raises
+    The report is projected from gather_facts().  The group closures and
+    the composite layers are polynomial in the order and run uncapped.  The
+    exhaustive subquandle scan behind ncs only runs when the order is at
+    most ncs_max_order; above that the field is None.  Raises
     InconsistentCharacterizations when the reductivity routes or the degree
     ordering disagree.
     """
-    facts = gather_facts(q, closure_cap=closure_cap, work_cap=work_cap,
-                         ncs_max_order=ncs_max_order)
+    facts = gather_facts(q, ncs_max_order=ncs_max_order)
     _check_routes(q, facts.reductive_degree, facts.ident,
                   facts.inn_nilpotency_class, facts.collapse_steps)
     report = facts.report()
@@ -580,8 +562,6 @@ _GROUP_FACTS = (
 
 def verify_suite(corpus: Iterable[Quandle],
                  groups: Iterable[tuple[str, GroupTable]] | None = None, *,
-                 closure_cap: int = permgroup.DEFAULT_CLOSURE_CAP,
-                 work_cap: int = DEFAULT_WORK_CAP,
                  congruence_max_order: int = 8,
                  subquandle_max_order: int = 10,
                  ncs_max_order: int = 12,
@@ -594,6 +574,9 @@ def verify_suite(corpus: Iterable[Quandle],
     parameter, since their cost grows exponentially; the checked counts in
     the report show how many instances each fact actually saw.  Group-level
     facts run only when group tables are supplied as (name, table) pairs.
+    A QuandleError while gathering a member's facts, or while computing the
+    reductive degree of a group's conjugation quandle, is recorded as a
+    failing fact with the error as its witness.
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -609,8 +592,7 @@ def verify_suite(corpus: Iterable[Quandle],
     lattices: list[tuple[congruence.Congruence, ...] | None] = []
     for q in quandles:
         try:
-            f = gather_facts(q, closure_cap=closure_cap, work_cap=work_cap,
-                             ncs_max_order=ncs_max_order)
+            f = gather_facts(q, ncs_max_order=ncs_max_order)
             lattice = (congruence.all_congruences(q)
                        if q.order <= congruence_max_order else None)
         except QuandleError as exc:
@@ -716,10 +698,15 @@ def verify_suite(corpus: Iterable[Quandle],
                 record("two-engel-conjugation-reductive-by-3", False,
                        f"{gname}: two-split check disagrees")
             elif two_engel:
-                red = reductive_degree(core.conj(table), closure_cap, work_cap)
-                record("two-engel-conjugation-reductive-by-3",
-                       red is not None and red <= 3,
-                       f"{gname}: 2-Engel but reductive degree {red}")
+                try:
+                    red = reductive_degree(core.conj(table))
+                except QuandleError as exc:
+                    record("two-engel-conjugation-reductive-by-3", False,
+                           f"{gname}: {exc}")
+                else:
+                    record("two-engel-conjugation-reductive-by-3",
+                           red is not None and red <= 3,
+                           f"{gname}: 2-Engel but reductive degree {red}")
             else:
                 record("two-engel-conjugation-reductive-by-3", True, gname)
 

@@ -5,7 +5,8 @@ Four subcommands: ``gen`` writes operation tables in the .qnd format,
 (indented text or DOT), and ``verify`` runs the fact suite over a corpus.
 
 Exit codes are stable for scripting: 0 success, 1 usage or bad parameters,
-2 malformed or axiom-violating input, 3 a resource cap was hit, 4 the verify
+2 malformed or axiom-violating input, 3 a cap on an exhaustive enumeration
+was hit (only the census has a flag, verify --cap-enumeration), 4 the verify
 suite found a failing fact.
 """
 
@@ -18,9 +19,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import classify, core, corpus, permgroup, qndfile
+from . import classify, core, corpus, qndfile
 from .core import Quandle
-from .errors import CapExceeded, QuandleError, WorkCapExceeded
+from .errors import CapExceeded, QuandleError
 from .orbitseries import OrbitTreeNode, orbit_tree
 
 EXIT_OK = 0
@@ -28,8 +29,6 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
-
-_BUDGET_ERRORS = (CapExceeded, WorkCapExceeded)
 
 
 class _UsageError(Exception):
@@ -125,7 +124,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     q = _load(args.path)
-    report = classify.classify(q, closure_cap=args.cap_closure, work_cap=args.cap_work)
+    report = classify.classify(q)
     if args.json:
         sys.stdout.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
         return EXIT_OK
@@ -178,21 +177,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         enumeration_cap=args.cap_enumeration,
     )
     members = corpus.default_corpus(spec)
-    report = classify.verify_suite(
-        members,
-        corpus.builtin_groups(),
-        closure_cap=args.cap_closure,
-        work_cap=args.cap_work,
-    )
+    report = classify.verify_suite(members, corpus.builtin_groups())
     sys.stdout.write(report.summary() + "\n")
     return EXIT_OK if report.ok else EXIT_VERIFY
-
-
-def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cap-closure", type=int, default=permgroup.DEFAULT_CLOSURE_CAP,
-                        metavar="N", help="permutation group closure budget")
-    parser.add_argument("--cap-work", type=int, default=classify.DEFAULT_WORK_CAP,
-                        metavar="N", help="table lookup budget for identity checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("path", help=".qnd file, or - for stdin")
     cls.add_argument("--json", action="store_true",
                      help="machine readable report; absent degrees are null")
-    _add_cap_flags(cls)
     cls.set_defaults(func=cmd_classify)
 
     tree = sub.add_parser("tree", help="render the orbit tree")
@@ -229,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cap-enumeration", type=int,
                         default=corpus.DEFAULT_ENUMERATION_CAP, metavar="N",
                         help="largest order the census generator accepts")
-    _add_cap_flags(verify)
     verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -249,7 +234,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _BUDGET_ERRORS as exc:
+    except CapExceeded as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except QuandleError as exc:

@@ -138,10 +138,13 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
     Fixed-point closure: merge the seed pairs, then repeatedly merge the
     one-sided images of every merged pair until a full pass stays clean.
     For a class pair (r, b) and every carrier element c, the instances
-    r>c ~ b>c, c>r ~ c>b and their left-division twins are unioned; the
-    two-sided instances a>c ~ b>d then follow by transitivity through b>c,
-    so the fixed point satisfies both congruence conditions in full.  Each
-    merge drops the class count, so at most n - 1 passes run.
+    r>c ~ b>c and c>r ~ c>b are unioned; the two-sided instances
+    a>c ~ b>d then follow by transitivity through b>c, so the fixed point
+    is compatible with the operation.  Left division needs no unions of its
+    own on a finite quandle, by the argument of core.congruence_witness:
+    L_c^{-1} is a power of L_c, so it maps classes into classes, and that
+    in turn relates the left quotients of related elements.  Each merge
+    drops the class count, so at most n - 1 passes run.
     """
     n = q.order
     table = q.table
@@ -161,11 +164,7 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
                 for c in range(n):
                     if union(table[base][c], table[b][c]):
                         dirty = True
-                    if union(q.ldiv(base, c), q.ldiv(b, c)):
-                        dirty = True
                     if union(table[c][base], table[c][b]):
-                        dirty = True
-                    if union(q.ldiv(c, base), q.ldiv(c, b)):
                         dirty = True
     return Congruence.from_class_of(tuple(find(x) for x in range(n)))
 
@@ -176,26 +175,28 @@ def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Cong
     Every congruence is the join of the principal congruences of its related
     pairs, so closing the principal ones under binary joins is exhaustive.
     Results are sorted finest first (descending class count breaks no
-    refinement order).  Raises CapExceeded if the lattice outgrows cap.
+    refinement order).  Raises CapExceeded exactly when the lattice has
+    more than cap members, before the first one past cap is kept.
     """
     n = q.order
-    found: set[Congruence] = {Congruence.zero(n)}
+    found: set[Congruence] = set()
     work: list[Congruence] = []
+
+    def add(cong: Congruence) -> None:
+        if cong not in found:
+            if len(found) >= cap:
+                raise CapExceeded("congruence enumeration", cap)
+            found.add(cong)
+            work.append(cong)
+
+    add(Congruence.zero(n))
     for a in range(n):
         for b in range(a + 1, n):
-            cong = congruence_generated(q, [(a, b)])
-            if cong not in found:
-                found.add(cong)
-                work.append(cong)
+            add(congruence_generated(q, [(a, b)]))
     while work:
         x = work.pop()
         for y in tuple(found):
-            j = join(x, y)
-            if j not in found:
-                if len(found) >= cap:
-                    raise CapExceeded("congruence enumeration", cap)
-                found.add(j)
-                work.append(j)
+            add(join(x, y))
     return tuple(sorted(found, key=lambda c: (-c.num_classes, c.class_of)))
 
 
@@ -233,14 +234,14 @@ def all_congruences_scan(q: Quandle, max_order: int = 8) -> tuple[Congruence, ..
     return tuple(sorted(out, key=lambda c: (-c.num_classes, c.class_of)))
 
 
-def inn(q: Quandle, cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> PermGroup:
+def inn(q: Quandle) -> PermGroup:
     """Inner group: closure of all left translations."""
-    return permgroup.closure(q.table, degree=q.order, cap=cap)
+    return permgroup.closure(q.table, degree=q.order)
 
 
-def trans(q: Quandle, cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> PermGroup:
+def trans(q: Quandle) -> PermGroup:
     """Transvection group: closure of all L_a L_b^{-1}."""
-    return trans_rel(q, Congruence.one(q.order), cap=cap)
+    return trans_rel(q, Congruence.one(q.order))
 
 
 def trans_rel_generators(q: Quandle, cong: Congruence) -> list[permgroup.Perm]:
@@ -258,10 +259,9 @@ def trans_rel_generators(q: Quandle, cong: Congruence) -> list[permgroup.Perm]:
     return gens
 
 
-def trans_rel(q: Quandle, cong: Congruence,
-              cap: int = permgroup.DEFAULT_CLOSURE_CAP) -> PermGroup:
+def trans_rel(q: Quandle, cong: Congruence) -> PermGroup:
     """Transvection group relative to a congruence: <L_a L_b^{-1} : a ~ b>."""
-    return permgroup.closure(trans_rel_generators(q, cong), degree=q.order, cap=cap)
+    return permgroup.closure(trans_rel_generators(q, cong), degree=q.order)
 
 
 def orbit_congruence(q: Quandle, group: PermGroup) -> Congruence:

@@ -25,12 +25,6 @@ class Quandle:
 
     table: Table
     label: str | None = field(default=None, compare=False)
-    _ldiv: Table = field(init=False, repr=False, compare=False, default=())
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_ldiv", tuple(permgroup.inverse(row) for row in self.table)
-        )
 
     @property
     def order(self) -> int:
@@ -39,10 +33,6 @@ class Quandle:
     def left(self, a: int, b: int) -> int:
         """a > b."""
         return self.table[a][b]
-
-    def ldiv(self, a: int, c: int) -> int:
-        """The unique x with a > x = c."""
-        return self._ldiv[a][c]
 
     def row(self, a: int) -> tuple[int, ...]:
         """The left translation L_a as an image tuple."""

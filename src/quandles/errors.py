@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every error raised on bad input or on an exhausted resource budget derives
-from QuandleError, so callers (and the command line front end) can catch one
-base class and still tell budget failures apart from validation failures.
+Every error raised on bad input or on an exhausted cap derives from
+QuandleError, so callers (and the command line front end) can catch one base
+class and still tell cap failures apart from validation failures.  Caps
+bound only the enumerations whose cost grows exponentially; CapExceeded is
+the one cap error.
 """
 
 from __future__ import annotations
@@ -71,20 +73,12 @@ class NotNormal(QuandleError):
 
 
 class CapExceeded(QuandleError):
-    """An enumeration (group closure, congruence lattice, subsets) outgrew its cap."""
+    """An exhaustive enumeration (congruence lattice, subsets, census order) outgrew its cap."""
 
     def __init__(self, what: str, cap: int):
         self.what = what
         self.cap = cap
         super().__init__(f"{what} exceeded cap {cap}")
-
-
-class WorkCapExceeded(QuandleError):
-    """An identity check used up its table-lookup budget."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"identity check exceeded work cap of {cap} lookups")
 
 
 class UnknownName(QuandleError):

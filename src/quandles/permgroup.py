@@ -22,11 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapExceeded
-
 Perm = tuple[int, ...]
-
-DEFAULT_CLOSURE_CAP = 10**6
 
 
 def identity(degree: int) -> Perm:
@@ -99,16 +95,14 @@ class PermGroup:
     Build one with closure() or normal_closure(); the constructor makes the
     trivial group.  generators are the kept given generators: each one that
     did not sift to the identity, so each lies outside the group generated
-    by those kept before it.  The order is exact once the builder returns;
-    while the chain grows it is a lower bound, which is what the cap is
-    checked against.  Elements are enumerated from the transversals on
-    demand, |G| of them, so iterate only over small groups.
+    by those kept before it.  The order is exact once the builder returns.
+    Elements are enumerated from the transversals on demand, |G| of them,
+    so iterate only over small groups.
     """
 
-    def __init__(self, degree: int, cap: int = DEFAULT_CLOSURE_CAP):
+    def __init__(self, degree: int):
         self.degree = degree
         self.generators: tuple[Perm, ...] = ()
-        self._cap = cap
         self._identity = identity(degree)
         self._levels: list[_Level] = []
         self._order = 1
@@ -195,7 +189,7 @@ class PermGroup:
         of them.  Pairs already tested stay tested, since transversals only
         grow.  The helpers are local: sift runs once per Schreier generator.
         """
-        levels, e, cap = self._levels, self._identity, self._cap
+        levels, e = self._levels, self._identity
 
         def sift(g: Perm, start: int) -> tuple[Perm, int]:
             # The residue, and the first level whose orbit misses the image
@@ -219,17 +213,12 @@ class PermGroup:
                 level.gens.append(h)
 
         def grow(level: _Level, y: int, rep_y: Perm) -> None:
-            # The product of the orbit lengths so far is a lower bound on
-            # |G| and equals it once the chain is complete: the cap check
-            # fires early and is exact.
             size = len(level.orbit)
             level.orbit.append(y)
             level.rep[y] = rep_y
             level.rep_inv[y] = inverse(rep_y)
             level.tested.append(0)
             self._order = self._order // size * (size + 1)
-            if self._order > cap:
-                raise CapExceeded("group closure", cap)
 
         def schreier_residue(i: int) -> tuple[Perm, int] | None:
             level = levels[i]
@@ -268,15 +257,13 @@ class PermGroup:
                     i = stop
 
 
-def closure(generators: Sequence[Perm], degree: int | None = None,
-            cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
+def closure(generators: Sequence[Perm], degree: int | None = None) -> PermGroup:
     """The group the generators generate, by Schreier-Sims.
 
     Generators are taken in order and each one that sifts to the identity
     is skipped: the result's generators are the kept ones, each outside the
-    group generated by those before it.  Raises CapExceeded exactly when
-    the group has more than cap elements, as soon as the chain built so far
-    proves it.
+    group generated by those before it.  The cost is polynomial in the
+    degree and the number of generators, whatever the group's order.
     """
     generators = list(generators)
     if degree is None:
@@ -285,7 +272,7 @@ def closure(generators: Sequence[Perm], degree: int | None = None,
         degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    group = PermGroup(degree, cap)
+    group = PermGroup(degree)
     group._extend(tuple(g) for g in generators)
     return group
 
@@ -294,8 +281,7 @@ def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree)
 
 
-def normal_closure(seed: Sequence[Perm], ambient: PermGroup,
-                   cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
+def normal_closure(seed: Sequence[Perm], ambient: PermGroup) -> PermGroup:
     """Smallest subgroup containing seed that ambient's generators normalize.
 
     One chain grows: the closure of seed, then each kept generator's
@@ -304,7 +290,7 @@ def normal_closure(seed: Sequence[Perm], ambient: PermGroup,
     finite, closure under conjugation by each ambient generator already
     gives closure under conjugation by inverses.
     """
-    group = closure(seed, ambient.degree, cap)
+    group = closure(seed, ambient.degree)
     done = 0
     while done < len(group.generators):
         s = group.generators[done]
@@ -313,8 +299,8 @@ def normal_closure(seed: Sequence[Perm], ambient: PermGroup,
     return group
 
 
-def _commutator_term(left: PermGroup, right: PermGroup, ambient: PermGroup,
-                     cap: int) -> PermGroup:
+def _commutator_term(left: PermGroup, right: PermGroup,
+                     ambient: PermGroup) -> PermGroup:
     """[left, right] as a subgroup, both arguments normal in ambient.
 
     Generated by commutators of generators, then closed under conjugation by
@@ -322,10 +308,10 @@ def _commutator_term(left: PermGroup, right: PermGroup, ambient: PermGroup,
     is exactly the commutator subgroup.
     """
     seed = [commutator(a, b) for a in left.generators for b in right.generators]
-    return normal_closure(seed, ambient, cap)
+    return normal_closure(seed, ambient)
 
 
-def lower_central_series(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[PermGroup, ...]:
+def lower_central_series(group: PermGroup) -> tuple[PermGroup, ...]:
     """G = gamma_1 >= gamma_2 >= ..., stopping at the first repeated term.
 
     The terms are nested, so a term of the same order as the one before it
@@ -333,36 +319,36 @@ def lower_central_series(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> tu
     """
     terms = [group]
     while True:
-        nxt = _commutator_term(terms[-1], group, group, cap)
+        nxt = _commutator_term(terms[-1], group, group)
         if nxt.order == terms[-1].order:
             break
         terms.append(nxt)
     return tuple(terms)
 
 
-def nilpotency_class(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> int | None:
+def nilpotency_class(group: PermGroup) -> int | None:
     """Nilpotency class, or None when the lower central series sticks above 1."""
-    series = lower_central_series(group, cap)
+    series = lower_central_series(group)
     if series[-1].is_trivial():
         return len(series) - 1
     return None
 
 
-def derived_series(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[PermGroup, ...]:
+def derived_series(group: PermGroup) -> tuple[PermGroup, ...]:
     """G >= G' >= G'' >= ..., stopping at the first term of unchanged order."""
     terms = [group]
     while True:
         prev = terms[-1]
-        nxt = _commutator_term(prev, prev, prev, cap)
+        nxt = _commutator_term(prev, prev, prev)
         if nxt.order == prev.order:
             break
         terms.append(nxt)
     return tuple(terms)
 
 
-def derived_length(group: PermGroup, cap: int = DEFAULT_CLOSURE_CAP) -> int | None:
+def derived_length(group: PermGroup) -> int | None:
     """Derived length, or None for a group whose derived series sticks above 1."""
-    series = derived_series(group, cap)
+    series = derived_series(group)
     if series[-1].is_trivial():
         return len(series) - 1
     return None

@@ -6,12 +6,7 @@ import _inputs
 import _oracles
 from quandles import classify, congruence, core, corpus, grouptables, permgroup
 from quandles.classify import ClassificationReport, CheckResult, SuiteReport
-from quandles.errors import (
-    CapExceeded,
-    InconsistentCharacterizations,
-    NotClosed,
-    WorkCapExceeded,
-)
+from quandles.errors import InconsistentCharacterizations, NotClosed
 
 
 def _builtin(name):
@@ -56,11 +51,6 @@ class TestIsNReductive:
                 expected = want is not None and n >= want
                 assert classify.is_n_reductive(q, n) == expected, (name, n)
 
-    def test_tiny_work_cap_raises(self):
-        with pytest.raises(WorkCapExceeded):
-            classify.is_n_reductive(_builtin("paper-example-16"), 4,
-                                    work_cap=10)
-
 
 class TestReductiveDegree:
     def test_singleton_has_degree_zero(self):
@@ -90,14 +80,15 @@ class TestReductiveDegree:
             assert (classify.reductive_degree(q)
                     == _oracles.reductive_degree_by_folds(q.table, 6)), name
 
-    def test_tiny_work_cap_raises(self):
-        with pytest.raises(WorkCapExceeded):
-            classify.reductive_degree(core.dihedral(8), work_cap=3)
-
-    def test_no_local_degree_settles_identity_route_without_layers(self):
+    def test_no_local_degree_settles_identity_route_without_layers(
+            self, monkeypatch):
         # dihedral(3) is connected, so no R_b^k is ever constant and no
-        # composite layer can be; a tiny work cap must not be consulted.
-        assert classify.reductive_degree(core.dihedral(3), work_cap=10) is None
+        # composite layer can be; the layers must not be built at all.
+        def refuse(*args, **kwargs):
+            raise AssertionError("composite layers built")
+
+        monkeypatch.setattr(classify, "_first_constant_layer", refuse)
+        assert classify.reductive_degree(core.dihedral(3)) is None
 
 
 class TestFirstConstantLayer:
@@ -399,6 +390,20 @@ class TestVerifySuite:
                                     corpus.builtin_groups())
         assert rep.ok, rep.summary()
 
+    def test_group_route_error_is_a_failing_fact(self, monkeypatch):
+        # Q8 is 2-Engel, so the suite asks for the reductive degree of its
+        # conjugation quandle; an error there is data, not an abort.
+        def disagree(q):
+            raise InconsistentCharacterizations("routes disagree")
+
+        monkeypatch.setattr(classify, "reductive_degree", disagree)
+        rep = classify.verify_suite([], [("q8-group", grouptables.quaternion_8())])
+        fact = next(r for r in rep.results
+                    if r.name == "two-engel-conjugation-reductive-by-3")
+        assert not fact.passed
+        assert fact.checked == 1
+        assert fact.witnesses == ("q8-group: routes disagree",)
+        assert not rep.ok
 
     def test_default_corpus_shape_is_pinned(self):
         rep = classify.verify_suite(corpus.default_corpus(),
@@ -454,20 +459,18 @@ class TestRouteAgreement:
 
 
 class TestLargeInnerGroups:
-    """Inner groups far beyond the default closure cap, built as stabilizer chains."""
+    """Inner groups of astronomical order, built as stabilizer chains, uncapped."""
 
     def test_seven_copies_of_dihedral_five(self):
         q = core.disjoint_union(*[core.dihedral(5)] * 7)
-        report = classify.classify(q, closure_cap=10**8)
+        report = classify.classify(q)
         assert report.inn_order == 10**7
         assert report.trans_order == 5 * 10**6
 
     def test_ten_copies_of_dihedral_five(self):
         q = core.disjoint_union(*[core.dihedral(5)] * 10)
-        assert classify.classify(q, closure_cap=10**11).inn_order == 10**10
+        assert classify.classify(q).inn_order == 10**10
 
-    def test_default_cap_still_binds(self):
-        assert permgroup.DEFAULT_CLOSURE_CAP == 10**6
-        q = core.disjoint_union(*[core.dihedral(5)] * 7)
-        with pytest.raises(CapExceeded):
-            classify.classify(q)
+    def test_twenty_copies_of_dihedral_five(self):
+        q = core.disjoint_union(*[core.dihedral(5)] * 20)
+        assert classify.classify(q).inn_order == 10**20

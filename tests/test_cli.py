@@ -143,14 +143,19 @@ class TestClassifyCommand:
         assert cli.main(["classify", str(path)]) == 2
         assert capsys.readouterr().err != ""
 
-    def test_closure_cap_exhaustion(self, tmp_path):
-        path = tmp_path / "aff73.qnd"
-        path.write_text(qndfile.serialize(core.affine(7, 3)))
-        assert cli.main(["classify", str(path), "--cap-closure", "10"]) == 3
+    def test_non_integer_cap_is_usage(self):
+        assert cli.main(["verify", "--cap-enumeration", "lots"]) == 1
 
-    def test_non_integer_cap_is_usage(self, d4_file):
-        assert cli.main(["classify", str(d4_file),
-                         "--cap-closure", "lots"]) == 1
+    def test_large_inner_group_is_not_capped(self, tmp_path, capsys):
+        path = tmp_path / "union.qnd"
+        path.write_text(qndfile.serialize(
+            core.disjoint_union(*[core.dihedral(5)] * 7)))
+        assert cli.main(["classify", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["inn_order"] == 10**7
+
+    @pytest.mark.parametrize("flag", ["--cap-closure", "--cap-work"])
+    def test_removed_cap_flags_are_unknown(self, d4_file, flag):
+        assert cli.main(["classify", str(d4_file), flag, "10"]) == 1
 
 
 class TestTreeCommand:
@@ -220,9 +225,6 @@ class TestVerifyCommand:
     def test_enumeration_cap_exits_three(self):
         assert cli.main(["verify", "--exhaustive", "--max-order", "4",
                          "--cap-enumeration", "3"]) == 3
-
-    def test_closure_cap_exits_three(self):
-        assert cli.main(["verify", "--cap-closure", "4"]) == 3
 
 
 class TestMainEntry:

@@ -5,7 +5,7 @@ import pytest
 import _oracles
 from quandles import congruence, core, corpus, grouptables, permgroup
 from quandles.congruence import Congruence
-from quandles.errors import NotNormal
+from quandles.errors import CapExceeded, NotNormal
 
 
 def classes_as_sets(cong):
@@ -75,6 +75,17 @@ def test_all_congruences_of_trivial_three():
     assert len(congruence.all_congruences(core.trivial(3))) == 5
 
 
+def test_all_congruences_cap_counts_every_member():
+    # The principal congruences count against the cap as much as the joins.
+    d3, t3 = core.dihedral(3), core.trivial(3)
+    with pytest.raises(CapExceeded):
+        congruence.all_congruences(d3, cap=1)
+    assert len(congruence.all_congruences(d3, cap=2)) == 2
+    assert len(congruence.all_congruences(t3, cap=5)) == 5
+    with pytest.raises(CapExceeded):
+        congruence.all_congruences(t3, cap=4)
+
+
 def test_all_congruences_match_partition_scan_oracle():
     for q in (core.trivial(3), core.dihedral(3), core.dihedral(4),
               core.dihedral(6), core.affine(5, 2),
@@ -91,9 +102,9 @@ def _census(max_order):
 
 def _is_violation(q, labels, witness):
     a, b, c, d, direction = witness
-    op = q.left if direction == 1 else q.ldiv
+    assert direction == 1
     return (labels[a] == labels[b] and labels[c] == labels[d]
-            and labels[op(a, c)] != labels[op(b, d)])
+            and labels[q.left(a, c)] != labels[q.left(b, d)])
 
 
 def test_all_congruences_match_package_scan():

@@ -1,11 +1,19 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and its surface is pinned.
 
 Test oracles such as sympy may be imported by tests, never by the package.
+The exports, the command line options and the parameters of the two
+entry points are written out here, so that adding or removing a knob or an
+export is a deliberate change of this file.
 """
 
+import argparse
 import ast
+import inspect
 import sys
 from pathlib import Path
+
+import quandles
+from quandles import classify, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quandles"
@@ -33,3 +41,50 @@ def test_package_imports_only_the_standard_library():
 def test_project_declares_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert [line for line in lines if line.startswith("dependencies")] == ["dependencies = []"]
+
+
+def test_exports_are_pinned():
+    assert quandles.__all__ == [
+        "AxiomViolation", "CapExceeded", "ClassificationReport", "Congruence",
+        "CorpusSpec", "NotACongruence", "NotAGroup", "NotAUnit", "NotClosed",
+        "NotNormal", "OrbitTreeNode", "ParseError", "Quandle", "QuandleError",
+        "SeriesDegrees", "SuiteReport", "UnknownName",
+        "affine", "all_congruences", "all_subquandles", "builtin",
+        "builtin_group", "builtin_quandle", "congruence_generated", "conj",
+        "conj_subset", "default_corpus", "degrees", "dihedral",
+        "direct_product", "disjoint_union", "enumerate_quandles",
+        "induced_subquandle", "inn", "is_connected", "is_isomorphic",
+        "is_medial", "is_n_locally_reductive", "is_n_reductive", "is_ncs",
+        "l_chain", "lambda_congruence", "locally_reductive_degree", "o_chain",
+        "orbit_congruence", "orbit_tree", "principal_series", "quotient",
+        "reductive_degree", "subquandle_closure", "trans", "trivial",
+        "validate",
+    ]
+    for name in quandles.__all__:
+        assert hasattr(quandles, name), name
+
+
+def test_command_line_options_are_pinned():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    options = {name: [opt for action in sub._actions
+                      for opt in action.option_strings if opt not in ("-h", "--help")]
+               for name, sub in commands.items()}
+    assert options == {
+        "gen": ["--out"],
+        "classify": ["--json"],
+        "tree": ["--dot"],
+        "verify": ["--max-order", "--exhaustive", "--cap-enumeration"],
+    }
+
+
+def test_entry_point_parameters_are_pinned():
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(classify.classify) == ["q", "ncs_max_order"]
+    assert params(classify.reductive_degree) == ["q"]
+    assert params(classify.verify_suite) == [
+        "corpus", "groups", "congruence_max_order", "subquandle_max_order",
+        "ncs_max_order", "product_max_order", "engel_max_n"]

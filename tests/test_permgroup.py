@@ -7,7 +7,6 @@ import pytest
 import _inputs
 import _oracles
 from quandles import congruence, core, corpus, grouptables, permgroup
-from quandles.errors import CapExceeded
 
 
 def test_compose_and_inverse():
@@ -45,21 +44,6 @@ def test_closure_contains_inverses_and_products():
         assert permgroup.inverse(x) in g
         for y in g.elements[:5]:
             assert permgroup.compose(x, y) in g
-
-
-def test_closure_cap():
-    with pytest.raises(CapExceeded):
-        permgroup.closure([(1, 2, 3, 4, 0)], cap=3)
-
-
-def test_closure_cap_is_the_group_order():
-    d5 = core.dihedral(5)
-    for q in (d5, core.disjoint_union(d5, d5)):
-        order = congruence.inn(q).order
-        assert order in (10, 100)
-        assert permgroup.closure(q.table, cap=order).order == order
-        with pytest.raises(CapExceeded):
-            permgroup.closure(q.table, cap=order - 1)
 
 
 def test_closure_keeps_only_generators_that_enlarge_the_group():
