@@ -1,7 +1,8 @@
 """Computational toolkit for finite quandles.
 
-Everything is table based: a quandle is a tuple of rows over 0..n-1, checked
-once by validate() and wrapped in the small Quandle dataclass. The submodules
+Everything is table based: a quandle is a tuple of rows over 0..n-1, wrapped
+in the small Quandle dataclass. A table from outside is checked once, by
+validate(); the constructors build quandles by construction. The submodules
 split along what they compute:
 
     core         constructors, validation, quotients, isomorphism

@@ -87,13 +87,6 @@ class Congruence:
         oc = other.class_of
         return all(oc[cls[0]] == oc[x] for cls in self.classes for x in cls)
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All related pairs (a, b) with a < b."""
-        for cls in self.classes:
-            for i, a in enumerate(cls):
-                for b in cls[i + 1:]:
-                    yield (a, b)
-
 
 def join(a: Congruence, b: Congruence) -> Congruence:
     """Smallest congruence containing both.

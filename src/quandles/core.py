@@ -1,10 +1,12 @@
 """Finite quandles as immutable left-translation tables.
 
 A quandle is stored as a square tuple-of-tuples: table[a][b] is a > b, so row
-a is the left translation L_a.  The three axioms (a > a = a, every L_a is a
-permutation, a > (b > c) = (a > b) > (a > c)) are enforced by validate(),
-which every constructor goes through.  Elements are 0-based indices; the
-file format used by the command line shifts to 1-based on the way out.
+a is the left translation L_a.  validate() checks the three axioms (a > a =
+a, every L_a is a permutation, a > (b > c) = (a > b) > (a > c)) on tables
+that come from outside the program.  The constructors and quotient() build
+quandles by construction, checking only their parameters, so each table is
+checked once, where it enters.  Elements are 0-based indices; the file
+format used by the command line shifts to 1-based on the way out.
 """
 
 from __future__ import annotations
@@ -21,7 +23,11 @@ Table = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Quandle:
-    """An immutable quandle; equality and hashing look at the table only."""
+    """An immutable quandle; equality and hashing look at the table only.
+
+    Quandle(table) itself checks nothing: use it for tables that are quandles
+    by construction, and validate() for tables from outside.
+    """
 
     table: Table
     label: str | None = field(default=None, compare=False)
@@ -33,10 +39,6 @@ class Quandle:
     def left(self, a: int, b: int) -> int:
         """a > b."""
         return self.table[a][b]
-
-    def row(self, a: int) -> tuple[int, ...]:
-        """The left translation L_a as an image tuple."""
-        return self.table[a]
 
     def relabel(self, label: str | None) -> "Quandle":
         return Quandle(self.table, label)
@@ -51,6 +53,8 @@ def validate(table: Sequence[Sequence[int]], label: str | None = None) -> Quandl
 
     Axioms are checked in order (idempotence, row bijectivity, left
     self-distributivity) and the first failure is reported with its witness.
+    This is the check for tables from outside the program (parsed files and
+    hand-written tables); the constructors below do not call it.
     """
     t = tuple(tuple(row) for row in table)
     n = len(t)
@@ -83,7 +87,7 @@ def trivial(n: int) -> Quandle:
     if n < 1:
         raise ValueError("order must be positive")
     row = tuple(range(n))
-    return validate(tuple(row for _ in range(n)), label=f"trivial({n})")
+    return Quandle(tuple(row for _ in range(n)), f"trivial({n})")
 
 
 def affine(n: int, t: int) -> Quandle:
@@ -96,7 +100,7 @@ def affine(n: int, t: int) -> Quandle:
     table = tuple(
         tuple((t * (b - a) + a) % n for b in range(n)) for a in range(n)
     )
-    return validate(table, label=f"affine({n},{t})")
+    return Quandle(table, f"affine({n},{t})")
 
 
 def dihedral(n: int) -> Quandle:
@@ -115,13 +119,15 @@ def conj(group: Sequence[Sequence[int]], exponent: int = 1,
         xk = grouptables.power(g, x, exponent)
         xki = inv[xk]
         table.append(tuple(g[g[xki][y]][xk] for y in range(m)))
-    return validate(tuple(table), label=label or f"conj(order {m}, k={exponent})")
+    return Quandle(tuple(table), label or f"conj(order {m}, k={exponent})")
 
 
 def conj_subset(group: Sequence[Sequence[int]], subset: Sequence[int],
                 exponent: int = 1, label: str | None = None) -> Quandle:
     """Conjugation quandle on a conjugation-closed subset of a group."""
     g = grouptables.validate_group(group)
+    if not subset or not all(0 <= x < len(g) for x in subset):
+        raise ValueError("subset must be a nonempty set of group elements")
     members = grouptables.check_conjugation_closed(g, subset, exponent)
     index = {x: i for i, x in enumerate(members)}
     inv = grouptables.inverses_of(g)
@@ -130,7 +136,7 @@ def conj_subset(group: Sequence[Sequence[int]], subset: Sequence[int],
         xk = grouptables.power(g, x, exponent)
         xki = inv[xk]
         table.append(tuple(index[g[g[xki][y]][xk]] for y in members))
-    return validate(tuple(table), label=label or f"conj-subset(order {len(members)})")
+    return Quandle(tuple(table), label or f"conj-subset(order {len(members)})")
 
 
 def disjoint_union(*quandles: Quandle) -> Quandle:
@@ -139,7 +145,6 @@ def disjoint_union(*quandles: Quandle) -> Quandle:
         raise ValueError("need at least one quandle")
     if len(quandles) == 1:
         return quandles[0]
-    n = sum(q.order for q in quandles)
     offsets = []
     acc = 0
     for q in quandles:
@@ -158,7 +163,7 @@ def disjoint_union(*quandles: Quandle) -> Quandle:
                     row.extend(range(oj, oj + r.order))
             table.append(tuple(row))
     label = " + ".join(q.label or "?" for q in quandles)
-    return validate(tuple(table), label=label)
+    return Quandle(tuple(table), label)
 
 
 def direct_product(*quandles: Quandle) -> Quandle:
@@ -175,8 +180,7 @@ def direct_product(*quandles: Quandle) -> Quandle:
             for a1 in range(n1) for a2 in range(n2)
         )
         result = Quandle(table)
-    label = " x ".join(q.label or "?" for q in quandles)
-    return validate(result.table, label=label)
+    return result.relabel(" x ".join(q.label or "?" for q in quandles))
 
 
 def subquandle_closure(q: Quandle, seed: Sequence[int]) -> tuple[int, ...]:
@@ -270,6 +274,8 @@ def quotient(q: Quandle, partition: Sequence[Sequence[int]],
 
     The partition is given as blocks; they are renumbered by smallest member.
     Raises NotACongruence if the partition fails either congruence condition.
+    That check is the only one: the quotient of a quandle by a congruence is
+    a quandle, so its table is not re-validated.
     """
     n = q.order
     blocks = sorted((tuple(sorted(cls)) for cls in partition), key=min)
@@ -281,7 +287,7 @@ def quotient(q: Quandle, partition: Sequence[Sequence[int]],
     table = tuple(
         tuple(class_of[q.table[a][b]] for b in reps) for a in reps
     )
-    return validate(table, label=label), tuple(class_of)
+    return Quandle(table, label), tuple(class_of)
 
 
 def _element_invariants(q: Quandle) -> list[tuple]:

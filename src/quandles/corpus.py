@@ -221,9 +221,11 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quand
     Rows are chosen top to bottom among the permutations fixing the
     diagonal entry, which settles idempotence and row bijectivity by
     construction; self-distributivity is enforced incrementally after each
-    row so dead prefixes are cut early.  Finished tables are compared
-    against the accepted list and kept only when new.  Isomorph rejection
-    is quadratic in the class count, fine for the default cap of 6.
+    row so dead prefixes are cut early.  By the last row every triple has
+    been checked, so a finished table is a quandle and is not re-validated.
+    Finished tables are compared against the accepted list and kept only
+    when new.  Isomorph rejection is quadratic in the class count, fine for
+    the default cap of 6.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -236,7 +238,7 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quand
 
     def extend(r: int) -> None:
         if r == n:
-            q = core.validate(tuple(rows))
+            q = Quandle(tuple(rows))
             if all(core.is_isomorphic(q, seen) is None for seen in accepted):
                 accepted.append(q.relabel(f"enum{n}-{len(accepted)}"))
             return

@@ -69,13 +69,12 @@ def inverses_of(table: GroupTable) -> tuple[int, ...]:
 
 
 def power(table: GroupTable, a: int, k: int) -> int:
-    """a**k, k may be negative."""
-    if k < 0:
-        return power(table, inverses_of(table)[a], -k)
-    acc = identity_of(table)
-    for _ in range(k):
-        acc = table[acc][a]
-    return acc
+    """a**k, k may be negative; at most ord(a) steps, whatever k is."""
+    e = identity_of(table)
+    cycle = [e]
+    while (x := table[cycle[-1]][a]) != e:
+        cycle.append(x)
+    return cycle[k % len(cycle)]
 
 
 def commutator(table: GroupTable, x: int, y: int,

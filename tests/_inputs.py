@@ -2,7 +2,9 @@
 
 The nine inputs of the benchmark's classify workload (big tables with small
 groups, and tiny tables with inner groups of 10^3 to 10^4 elements), built
-here without relabelling, and the dihedral quandles of order 2^k.
+here without relabelling, and the dihedral quandles of order 2^k.  Also a
+patch that makes core.validate raise, for the tests that check a builder
+returns a quandle without validating the table it built.
 """
 
 from quandles import core, grouptables
@@ -24,3 +26,11 @@ def classify_workload_inputs() -> list[tuple[str, core.Quandle]]:
 
 def dihedral_powers_of_two(max_k: int) -> list[tuple[str, core.Quandle]]:
     return [(f"dihedral-{2 ** k}", core.dihedral(2 ** k)) for k in range(1, max_k + 1)]
+
+
+def refuse_validate(monkeypatch):
+    """Make core.validate raise, so a builder that still calls it fails."""
+    def refuse(table, label=None):
+        raise AssertionError("validate called on a table built by construction")
+
+    monkeypatch.setattr(core, "validate", refuse)

@@ -405,6 +405,20 @@ class TestVerifySuite:
         assert fact.witnesses == ("q8-group: routes disagree",)
         assert not rep.ok
 
+    def test_two_engel_cross_check_error_is_a_failing_fact(self, monkeypatch):
+        # The bracket and orbit-tree verdicts disagreeing is data too.
+        def disagree(table, subset):
+            raise InconsistentCharacterizations("verdicts disagree")
+
+        monkeypatch.setattr(classify, "conj_two_engel_check", disagree)
+        rep = classify.verify_suite([], [("q8-group", grouptables.quaternion_8())])
+        fact = next(r for r in rep.results
+                    if r.name == "two-engel-conjugation-reductive-by-3")
+        assert not fact.passed
+        assert fact.checked == 1
+        assert fact.witnesses == ("q8-group: verdicts disagree",)
+        assert not rep.ok
+
     def test_default_corpus_shape_is_pinned(self):
         rep = classify.verify_suite(corpus.default_corpus(),
                                     corpus.builtin_groups())

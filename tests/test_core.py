@@ -1,8 +1,14 @@
 """Constructors, validation, quotients, and isomorphism search."""
 
+import math
+import time
+from itertools import combinations_with_replacement
+
 import pytest
 
-from quandles import congruence, core, grouptables, permgroup
+import _inputs
+import _oracles
+from quandles import congruence, core, corpus, grouptables, permgroup
 from quandles.errors import (
     AxiomViolation,
     NotACongruence,
@@ -166,6 +172,20 @@ def test_conj_subset_rejects_open_subsets():
         core.conj_subset(S3, mixed)
 
 
+def test_conj_subset_rejects_empty_and_foreign_subsets():
+    for subset in ((), (6,), (-1, 1)):
+        with pytest.raises(ValueError):
+            core.conj_subset(S3, subset)
+
+
+def test_conj_exponent_is_read_modulo_element_orders():
+    q8 = grouptables.quaternion_8()
+    start = time.perf_counter()
+    big = core.conj(q8, 10**12 + 1)
+    assert time.perf_counter() - start < 1.0
+    assert big.table == core.conj(q8, 1).table
+
+
 def test_disjoint_union_of_points():
     q = core.disjoint_union(core.trivial(1), core.trivial(1))
     assert q.table == core.trivial(2).table
@@ -292,3 +312,42 @@ def test_is_isomorphic_is_reflexive_and_symmetric():
             forward = core.is_isomorphic(q1, q2)
             backward = core.is_isomorphic(q2, q1)
             assert (forward is None) == (backward is None)
+
+
+class TestConstructorsBuildQuandles:
+    """Every constructor returns a quandle without calling validate.
+
+    Each table is pinned against the independent three-axiom scan instead.
+    """
+
+    def test_families(self, monkeypatch):
+        _inputs.refuse_validate(monkeypatch)
+        built = [core.trivial(n) for n in range(1, 7)]
+        built += [core.affine(n, t) for n in range(1, 13)
+                  for t in range(n) if math.gcd(t, n) == 1]
+        built += [core.dihedral(n) for n in range(1, 17)]
+        for q in built:
+            assert _oracles.is_quandle_table(q.table), q.label
+
+    def test_conjugation_quandles(self, monkeypatch):
+        _inputs.refuse_validate(monkeypatch)
+        for name, group in corpus.builtin_groups():
+            for k in range(-1, 4):
+                q = core.conj(group, k)
+                assert _oracles.is_quandle_table(q.table), (name, k)
+                for cls in grouptables.conjugacy_classes(group):
+                    q = core.conj_subset(group, cls, k)
+                    assert _oracles.is_quandle_table(q.table), (name, cls, k)
+
+    def test_unions_and_products(self, monkeypatch):
+        small = [q for q in map(corpus.builtin_quandle, corpus.builtin_quandle_names())
+                 if q.order <= 6]
+        _inputs.refuse_validate(monkeypatch)
+        for q1, q2 in combinations_with_replacement(small, 2):
+            for q in (core.disjoint_union(q1, q2), core.direct_product(q1, q2)):
+                assert _oracles.is_quandle_table(q.table), q.label
+
+    def test_the_patch_reaches_outside_tables(self, monkeypatch):
+        _inputs.refuse_validate(monkeypatch)
+        with pytest.raises(AssertionError):
+            corpus.builtin_quandle("paper-example-16")

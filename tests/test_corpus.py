@@ -2,8 +2,9 @@
 
 import pytest
 
+import _inputs
 import _oracles
-from quandles import core, corpus, grouptables, permgroup
+from quandles import congruence, core, corpus, grouptables, permgroup
 from quandles.core import Quandle
 from quandles.errors import CapExceeded, UnknownName
 
@@ -148,3 +149,29 @@ class TestEnumerateQuandles:
         assert len(corpus.enumerate_quandles(3, cap=3)) == 3
         with pytest.raises(CapExceeded):
             corpus.enumerate_quandles(4, cap=3)
+
+
+class TestBuiltByConstruction:
+    """Quotients and the census are quandles without calling validate.
+
+    Each table is pinned against the independent three-axiom scan, and each
+    quotient table is also one that validate accepts unchanged.
+    """
+
+    def test_quotients_by_every_congruence(self, monkeypatch):
+        members = corpus.default_corpus(corpus.CorpusSpec(exhaustive_up_to=5))
+        lattices = [(q, congruence.all_congruences(q))
+                    for q in members if q.order <= 8]
+        _inputs.refuse_validate(monkeypatch)
+        quotients = [core.quotient(q, cong.classes)[0]
+                     for q, lattice in lattices for cong in lattice]
+        assert all(_oracles.is_quandle_table(qq.table) for qq in quotients)
+        monkeypatch.undo()
+        for qq in quotients:
+            assert core.validate(qq.table).table == qq.table
+
+    def test_census(self, monkeypatch):
+        _inputs.refuse_validate(monkeypatch)
+        for n in range(1, 5):
+            for q in corpus.enumerate_quandles(n):
+                assert _oracles.is_quandle_table(q.table), q.label

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 import _oracles
-from quandles import grouptables, permgroup
+from quandles import corpus, grouptables, permgroup
 from quandles.errors import NotAGroup, NotClosed
 
 
@@ -46,6 +46,18 @@ def test_power():
     assert grouptables.power(c6, 1, 4) == 4
     assert grouptables.power(c6, 2, 3) == 0
     assert grouptables.power(c6, 1, -1) == 5
+
+
+def test_power_matches_the_naive_loop():
+    for name, table in corpus.builtin_groups():
+        e = grouptables.identity_of(table)
+        inv = grouptables.inverses_of(table)
+        for a in range(len(table)):
+            for k in range(-20, 21):
+                acc = e
+                for _ in range(abs(k)):
+                    acc = table[acc][a if k > 0 else inv[a]]
+                assert grouptables.power(table, a, k) == acc, (name, a, k)
 
 
 def test_commutator_in_abelian_groups_is_identity():

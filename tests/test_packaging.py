@@ -3,7 +3,9 @@
 Test oracles such as sympy may be imported by tests, never by the package.
 The exports, the command line options and the parameters of the two
 entry points are written out here, so that adding or removing a knob or an
-export is a deliberate change of this file.
+export is a deliberate change of this file.  So are the functions that call
+core.validate: tables are checked where they enter the program, and a
+builder that re-validates a table it built is a change of this file too.
 """
 
 import argparse
@@ -88,3 +90,25 @@ def test_entry_point_parameters_are_pinned():
     assert params(classify.verify_suite) == [
         "corpus", "groups", "congruence_max_order", "subquandle_max_order",
         "ncs_max_order", "product_max_order", "engel_max_n"]
+
+
+def _functions_calling(name: str) -> set[str]:
+    """Qualified name of each function (or module) in src that calls name."""
+    callers = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        elif isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            callers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return callers
+
+
+def test_only_outside_tables_are_validated():
+    assert _functions_calling("validate") == {"qndfile.parse", "corpus._sixteen"}
