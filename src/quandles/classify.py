@@ -227,27 +227,6 @@ def is_connected(q: Quandle) -> bool:
     return len(permgroup.orbits(q.table)) == 1
 
 
-def is_faithful(q: Quandle) -> bool:
-    """Whether distinct elements always have distinct translations."""
-    return congruence.lambda_congruence(q).is_zero
-
-
-def is_abelian_quandle(q: Quandle) -> bool:
-    """Whether the transvection group is abelian and semiregular."""
-    group = congruence.trans(q)
-    return group.is_abelian() and permgroup.is_semiregular(group)
-
-
-def is_nilpotent_quandle(q: Quandle) -> bool:
-    """Whether the transvection group is nilpotent."""
-    return permgroup.nilpotency_class(congruence.trans(q)) is not None
-
-
-def is_solvable_quandle(q: Quandle) -> bool:
-    """Whether the transvection group is solvable."""
-    return permgroup.derived_length(congruence.trans(q)) is not None
-
-
 def conj_two_engel_check(table: GroupTable, subset: Sequence[int]) -> bool:
     """Whether the conjugation quandle on the subset trivializes in two splits.
 
@@ -255,17 +234,19 @@ def conj_two_engel_check(table: GroupTable, subset: Sequence[int]) -> bool:
     2-Engel element of the subgroup the subset generates.  The verdict is
     cross-checked against the orbit-tree degrees of the class quandle built
     on the same subset; the two computations share nothing, so a mismatch
-    raises InconsistentCharacterizations.
+    raises InconsistentCharacterizations.  The class quandle is built
+    first, so a subset that is not conjugation-closed raises NotClosed.
     """
-    closed = grouptables.check_conjugation_closed(table, subset)
-    if not closed:
+    if not subset:
         raise ValueError("subset must be nonempty")
+    sd = orbitseries.degrees(core.conj_subset(table, subset))
+    closed = sorted(set(subset))
     hull = grouptables.subgroup_generated(table, closed)
     e = grouptables.identity_of(table)
+    inv = grouptables.inverses_of(table)
     by_bracket = all(
-        grouptables.engel_bracket(table, x, h, 2) == e
+        grouptables.engel_bracket(table, x, h, 2, inv) == e
         for x in closed for h in hull)
-    sd = orbitseries.degrees(core.conj_subset(table, closed))
     by_tree = sd.tos_degree is not None and sd.tos_degree <= 2
     if by_bracket != by_tree:
         raise InconsistentCharacterizations(
@@ -305,18 +286,25 @@ class ClassificationReport:
     inn_nilpotency_class: int | None
 
 
+def _degree_chain_fault(lr: int | None, tos: int | None,
+                        red: int | None) -> str | None:
+    """What breaks lr <= tos <= red with all three present or all absent, if anything."""
+    present = [d is not None for d in (lr, tos, red)]
+    if any(present) != all(present):
+        return "degree existence split"
+    if all(present) and not lr <= tos <= red:
+        return "degree ordering violated"
+    return None
+
+
 def _enforce_degree_chain(report: ClassificationReport) -> None:
-    degs = (report.locally_reductive_degree, report.tos_degree,
-            report.reductive_degree)
-    present = [d is not None for d in degs]
-    if any(present) and not all(present):
+    lr, tos, red = (report.locally_reductive_degree, report.tos_degree,
+                    report.reductive_degree)
+    fault = _degree_chain_fault(lr, tos, red)
+    if fault is not None:
         raise InconsistentCharacterizations(
-            f"degree existence split on {report.label or report.order}: "
-            f"lr={degs[0]} tos={degs[1]} red={degs[2]}")
-    if all(present) and not degs[0] <= degs[1] <= degs[2]:
-        raise InconsistentCharacterizations(
-            f"degree ordering violated on {report.label or report.order}: "
-            f"lr={degs[0]} tos={degs[1]} red={degs[2]}")
+            f"{fault} on {report.label or report.order}: "
+            f"lr={lr} tos={tos} red={red}")
 
 
 @dataclass(frozen=True)
@@ -615,13 +603,8 @@ def verify_suite(corpus: Iterable[Quandle],
             record("reductive-faithful-or-connected-is-trivial",
                    f.order == 1, f"{f.name}: reductive but order {f.order}")
         degs = f"{f.name}: lr={lr} tos={tos} red={red}"
-        present = [d is not None for d in (lr, tos, red)]
-        if any(present) != all(present):
-            record("degree-existence-and-ordering", False, degs)
-        elif all(present):
-            record("degree-existence-and-ordering", lr <= tos <= red, degs)
-        else:
-            record("degree-existence-and-ordering", True, f.name)
+        record("degree-existence-and-ordering",
+               _degree_chain_fault(lr, tos, red) is None, degs)
         if f.medial and red is not None:
             record("medial-degrees-equal", lr == tos == red, degs)
         identity_medial = is_medial(f.q)
@@ -675,32 +658,30 @@ def verify_suite(corpus: Iterable[Quandle],
                    f"{fa.name} x {fb.name}: product tos {pt} "
                    f"!= max({ta},{tb})")
 
-    if groups is not None:
-        named = list(groups)
-        for gname, table in named:
-            subsets = [tuple(range(len(table)))]
-            subsets.extend(grouptables.conjugacy_classes(table))
-            for subset in subsets:
-                quandle = core.conj_subset(table, subset)
-                for n in range(1, engel_max_n + 1):
-                    lhs = is_n_locally_reductive(quandle, n)
-                    rhs = grouptables.is_n_engel_subset(table, subset, n)
-                    record("conjugation-engel-subset-bridge", lhs == rhs,
-                           f"{gname}, subset {subset}, n={n}: "
-                           f"local reductivity {lhs} vs bracket {rhs}")
-        for gname, table in named:
-            if len(table) > 32:
-                continue
-            try:
-                two_engel = conj_two_engel_check(table, tuple(range(len(table))))
-                red = reductive_degree(core.conj(table)) if two_engel else None
-            except QuandleError as exc:
-                record("two-engel-conjugation-reductive-by-3", False,
-                       f"{gname}: {exc}")
-            else:
-                record("two-engel-conjugation-reductive-by-3",
-                       not two_engel or (red is not None and red <= 3),
-                       f"{gname}: 2-Engel but reductive degree {red}")
+    for gname, table in groups or ():
+        whole = core.conj(table)
+        subsets = [(tuple(range(len(table))), whole)]
+        subsets.extend((cls, core.conj_subset(table, cls))
+                       for cls in grouptables.conjugacy_classes(table))
+        for subset, quandle in subsets:
+            for n in range(1, engel_max_n + 1):
+                lhs = is_n_locally_reductive(quandle, n)
+                rhs = grouptables.is_n_engel_subset(table, subset, n)
+                record("conjugation-engel-subset-bridge", lhs == rhs,
+                       f"{gname}, subset {subset}, n={n}: "
+                       f"local reductivity {lhs} vs bracket {rhs}")
+        if len(table) > 32:
+            continue
+        try:
+            two_engel = conj_two_engel_check(table, tuple(range(len(table))))
+            red = reductive_degree(whole) if two_engel else None
+        except QuandleError as exc:
+            record("two-engel-conjugation-reductive-by-3", False,
+                   f"{gname}: {exc}")
+        else:
+            record("two-engel-conjugation-reductive-by-3",
+                   not two_engel or (red is not None and red <= 3),
+                   f"{gname}: 2-Engel but reductive degree {red}")
 
     return SuiteReport(tuple(
         CheckResult(name, not failed[name], tuple(failed[name]), checked[name])

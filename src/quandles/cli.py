@@ -228,21 +228,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, OSError, QuandleError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except QuandleError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, CapExceeded):
+            return EXIT_CAP
+        return EXIT_INVALID if isinstance(exc, QuandleError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

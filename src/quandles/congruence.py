@@ -12,7 +12,7 @@ chains derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import core, permgroup
 from .core import Quandle
@@ -163,10 +163,12 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
 
 
 def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Congruence, ...]:
-    """The whole congruence lattice, via join closure of principal congruences.
+    """The whole congruence lattice, by joins with principal congruences.
 
     Every congruence is the join of the principal congruences of its related
-    pairs, so closing the principal ones under binary joins is exhaustive.
+    pairs, so starting from the zero congruence and joining each new member
+    with each distinct principal congruence reaches every member: L*P joins
+    for a lattice of L members and P distinct principal congruences.
     Results are sorted finest first (descending class count breaks no
     refinement order).  Raises CapExceeded exactly when the lattice has
     more than cap members, before the first one past cap is kept.
@@ -186,45 +188,12 @@ def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Cong
     for a in range(n):
         for b in range(a + 1, n):
             add(congruence_generated(q, [(a, b)]))
+    principal = work[1:]
     while work:
         x = work.pop()
-        for y in tuple(found):
-            add(join(x, y))
+        for p in principal:
+            add(join(x, p))
     return tuple(sorted(found, key=lambda c: (-c.num_classes, c.class_of)))
-
-
-def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of 0..n-1 as restricted growth strings."""
-    labels = [0] * n
-
-    def grow(i: int, top: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(labels)
-            return
-        for lab in range(top + 2):
-            labels[i] = lab
-            yield from grow(i + 1, max(top, lab))
-
-    if n == 0:
-        yield ()
-    else:
-        yield from grow(1, 0)
-
-
-def all_congruences_scan(q: Quandle, max_order: int = 8) -> tuple[Congruence, ...]:
-    """Independent oracle: test every set partition of the carrier.
-
-    Bell numbers explode, so this refuses orders above max_order; it exists
-    to cross-validate the join-closure enumeration on small quandles.
-    """
-    n = q.order
-    if n > max_order:
-        raise CapExceeded("partition scan", max_order)
-    out = []
-    for labels in _set_partitions(n):
-        if core.congruence_witness(q, labels) is None:
-            out.append(Congruence.from_class_of(labels))
-    return tuple(sorted(out, key=lambda c: (-c.num_classes, c.class_of)))
 
 
 def inn(q: Quandle) -> PermGroup:

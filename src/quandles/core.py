@@ -110,32 +110,39 @@ def dihedral(n: int) -> Quandle:
 
 def conj(group: Sequence[Sequence[int]], exponent: int = 1,
          label: str | None = None) -> Quandle:
-    """Conjugation quandle x > y = x^{-k} y x^k on a whole group."""
-    g = grouptables.validate_group(group)
-    m = len(g)
-    inv = grouptables.inverses_of(g)
-    table = []
-    for x in range(m):
-        xk = grouptables.power(g, x, exponent)
-        xki = inv[xk]
-        table.append(tuple(g[g[xki][y]][xk] for y in range(m)))
-    return Quandle(tuple(table), label or f"conj(order {m}, k={exponent})")
+    """Conjugation quandle x > y = x^{-k} y x^k on a whole group.
+
+    This is conj_subset over every element, so the rows are built in one
+    place.
+    """
+    return conj_subset(group, range(len(group)), exponent,
+                       label or f"conj(order {len(group)}, k={exponent})")
 
 
 def conj_subset(group: Sequence[Sequence[int]], subset: Sequence[int],
                 exponent: int = 1, label: str | None = None) -> Quandle:
-    """Conjugation quandle on a conjugation-closed subset of a group."""
+    """Conjugation quandle x > y = x^{-k} y x^k on a conjugation-closed subset.
+
+    Elements are the members of the subset in increasing order.  Closure
+    is checked while the rows are built: the first pair (x, y) in that
+    order whose conjugate leaves the subset raises NotClosed with (x, y)
+    as witness.
+    """
     g = grouptables.validate_group(group)
     if not subset or not all(0 <= x < len(g) for x in subset):
         raise ValueError("subset must be a nonempty set of group elements")
-    members = grouptables.check_conjugation_closed(g, subset, exponent)
+    members = sorted(set(subset))
     index = {x: i for i, x in enumerate(members)}
     inv = grouptables.inverses_of(g)
     table = []
     for x in members:
         xk = grouptables.power(g, x, exponent)
         xki = inv[xk]
-        table.append(tuple(index[g[g[xki][y]][xk]] for y in members))
+        row = tuple(index.get(g[g[xki][y]][xk], -1) for y in members)
+        if -1 in row:
+            y = members[row.index(-1)]
+            raise NotClosed((x, y), f"conjugate of {y} by element {x} leaves the subset")
+        table.append(row)
     return Quandle(tuple(table), label or f"conj-subset(order {len(members)})")
 
 

@@ -160,36 +160,19 @@ def builtin_groups() -> list[tuple[str, GroupTable]]:
 class CorpusSpec:
     """Recipe for assembling a verification corpus.
 
-    families lists extra parametric members as (family name, parameter
-    tuples); exhaustive_up_to adds the complete census of every order up to
-    the bound.  The default spec is just the builtin registry.
+    The corpus is the builtin quandle registry, followed by the complete
+    census of every order up to exhaustive_up_to (none by default), each
+    order enumerated under enumeration_cap.
     """
 
-    include_builtins: bool = True
     exhaustive_up_to: int = 0
-    families: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...] = ()
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-
-
-_FAMILY_BUILDERS: dict[str, Callable[..., Quandle]] = {
-    "trivial": core.trivial,
-    "dihedral": core.dihedral,
-    "affine": core.affine,
-}
 
 
 def default_corpus(spec: CorpusSpec | None = None) -> list[Quandle]:
     """Materialize a corpus from a spec (builtins only when spec is None)."""
     spec = spec or CorpusSpec()
-    members: list[Quandle] = []
-    if spec.include_builtins:
-        members.extend(builtin_quandle(name) for name in builtin_quandle_names())
-    for family, parameter_tuples in spec.families:
-        try:
-            builder = _FAMILY_BUILDERS[family]
-        except KeyError:
-            raise UnknownName(family, tuple(_FAMILY_BUILDERS)) from None
-        members.extend(builder(*params) for params in parameter_tuples)
+    members = [builtin_quandle(name) for name in builtin_quandle_names()]
     for n in range(1, spec.exhaustive_up_to + 1):
         members.extend(enumerate_quandles(n, spec.enumeration_cap))
     return members

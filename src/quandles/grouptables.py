@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import permgroup
-from .errors import NotAGroup, NotClosed
+from .errors import NotAGroup
 
 GroupTable = tuple[tuple[int, ...], ...]
 
@@ -85,9 +85,15 @@ def commutator(table: GroupTable, x: int, y: int,
     return table[table[table[inv[x]][inv[y]]][x]][y]
 
 
-def engel_bracket(table: GroupTable, a: int, b: int, n: int) -> int:
-    """[b,_n a] with [b,_0 a] = a and [b,_{k+1} a] = [b, [b,_k a]]."""
-    inv = inverses_of(table)
+def engel_bracket(table: GroupTable, a: int, b: int, n: int,
+                  inv: tuple[int, ...] | None = None) -> int:
+    """[b,_n a] with [b,_0 a] = a and [b,_{k+1} a] = [b, [b,_k a]].
+
+    Callers that bracket many pairs pass inv (inverses_of(table)) so it is
+    computed once, as for commutator.
+    """
+    if inv is None:
+        inv = inverses_of(table)
     c = a
     for _ in range(n):
         c = commutator(table, b, c, inv)
@@ -98,14 +104,8 @@ def is_n_engel_subset(table: GroupTable, subset: Sequence[int], n: int) -> bool:
     """Whether [b,_n a] = 1 for all a, b in the subset (brackets in the group)."""
     e = identity_of(table)
     inv = inverses_of(table)
-    for a in subset:
-        for b in subset:
-            c = a
-            for _ in range(n):
-                c = commutator(table, b, c, inv)
-            if c != e:
-                return False
-    return True
+    return all(engel_bracket(table, a, b, n, inv) == e
+               for a in subset for b in subset)
 
 
 def conjugacy_classes(table: GroupTable) -> tuple[tuple[int, ...], ...]:
@@ -163,24 +163,6 @@ def nilpotency_class(table: GroupTable) -> int | None:
 
 def derived_length(table: GroupTable) -> int | None:
     return permgroup.derived_length(regular_representation(table))
-
-
-def check_conjugation_closed(table: GroupTable, subset: Sequence[int],
-                             exponent: int = 1) -> tuple[int, ...]:
-    """Verify a^{-k} b a^k stays in the subset for a, b in it; return it sorted.
-
-    Raises NotClosed with the first escaping pair as witness.
-    """
-    members = sorted(set(subset))
-    member_set = set(members)
-    inv = inverses_of(table)
-    for a in members:
-        ak = power(table, a, exponent)
-        for b in members:
-            c = table[table[inv[ak]][b]][ak]
-            if c not in member_set:
-                raise NotClosed((a, b), f"conjugate of {b} by element {a} leaves the subset")
-    return tuple(members)
 
 
 # Builders for the small groups used throughout the test corpus.

@@ -194,29 +194,29 @@ class TestStructureFlags:
         assert not classify.is_connected(_builtin("conj-s3"))
 
     def test_faithful_values(self):
-        assert classify.is_faithful(core.dihedral(3))
-        assert classify.is_faithful(core.dihedral(5))
-        assert not classify.is_faithful(core.trivial(2))
-        assert not classify.is_faithful(core.dihedral(4))
+        assert classify.classify(core.dihedral(3)).faithful
+        assert classify.classify(core.dihedral(5)).faithful
+        assert not classify.classify(core.trivial(2)).faithful
+        assert not classify.classify(core.dihedral(4)).faithful
 
     def test_abelian_quandle_values(self):
-        assert classify.is_abelian_quandle(core.trivial(4))
-        assert classify.is_abelian_quandle(core.dihedral(3))
-        assert not classify.is_abelian_quandle(_builtin("conj-q8"))
-        assert not classify.is_abelian_quandle(_builtin("conj-s3"))
+        assert classify.classify(core.trivial(4)).abelian
+        assert classify.classify(core.dihedral(3)).abelian
+        assert not classify.classify(_builtin("conj-q8")).abelian
+        assert not classify.classify(_builtin("conj-s3")).abelian
 
     def test_nilpotent_and_solvable_values(self):
-        d3 = core.dihedral(3)
-        assert classify.is_nilpotent_quandle(d3)
-        assert classify.is_solvable_quandle(d3)
-        cs3 = _builtin("conj-s3")
-        assert not classify.is_nilpotent_quandle(cs3)
-        assert classify.is_solvable_quandle(cs3)
+        d3 = classify.classify(core.dihedral(3))
+        assert d3.nilpotent_quandle
+        assert d3.solvable_quandle
+        cs3 = classify.classify(_builtin("conj-s3"))
+        assert not cs3.nilpotent_quandle
+        assert cs3.solvable_quandle
 
     def test_nilpotent_matches_transvection_group(self):
         for q in corpus.default_corpus():
             group = congruence.trans(q)
-            assert (classify.is_nilpotent_quandle(q)
+            assert (classify.classify(q).nilpotent_quandle
                     == (permgroup.nilpotency_class(group) is not None)), q.label
 
 
@@ -470,6 +470,23 @@ class TestRouteAgreement:
         assert routes.checked == 1
         assert routes.witnesses == (
             "dihedral(4): chain=2 identity=2 inner-class=1 collapse=None",)
+
+    @pytest.mark.parametrize("q, lr, fault", [
+        (core.dihedral(4), 99, "degree ordering violated"),
+        (core.dihedral(3), 1, "degree existence split"),
+    ])
+    def test_injected_degree_chain_fault_caught_by_classify_and_suite(
+            self, monkeypatch, q, lr, fault):
+        # The reductive and tos degrees stay as they are; only lr is wrong.
+        monkeypatch.setattr(classify, "locally_reductive_degree", lambda q: lr)
+        with pytest.raises(InconsistentCharacterizations, match=fault):
+            classify.classify(q)
+        rep = classify.verify_suite([q])
+        chain = next(r for r in rep.results
+                     if r.name == "degree-existence-and-ordering")
+        assert not chain.passed
+        assert chain.checked == 1
+        assert chain.witnesses[0].startswith(f"{q.label}: lr={lr} ")
 
 
 class TestLargeInnerGroups:

@@ -80,6 +80,10 @@ class TestGen:
         assert cli.main(["gen", "dihedral", "x"]) == 1
         assert "not an integer" in capsys.readouterr().err
 
+    def test_bad_parameter_value_is_a_usage_error(self, capsys):
+        assert cli.main(["gen", "dihedral", "0"]) == 1
+        assert "order must be positive" in capsys.readouterr().err
+
     def test_unknown_family_is_a_usage_error(self):
         assert cli.main(["gen", "octonion", "3"]) == 1
 

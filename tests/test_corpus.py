@@ -87,28 +87,16 @@ class TestDefaultCorpus:
         members = corpus.default_corpus()
         assert [q.label for q in members] == list(corpus.builtin_quandle_names())
 
-    def test_family_rows_are_appended(self):
-        spec = corpus.CorpusSpec(
-            include_builtins=False,
-            families=(("dihedral", ((3,), (5,))), ("trivial", ((2,),))))
-        members = corpus.default_corpus(spec)
-        assert [q.order for q in members] == [3, 5, 2]
-
-    def test_unknown_family_rejected(self):
-        spec = corpus.CorpusSpec(families=(("octonion", ((3,),)),))
-        with pytest.raises(UnknownName):
-            corpus.default_corpus(spec)
-
     def test_exhaustive_block_appends_census(self):
-        spec = corpus.CorpusSpec(include_builtins=False, exhaustive_up_to=3)
+        spec = corpus.CorpusSpec(exhaustive_up_to=3)
         members = corpus.default_corpus(spec)
-        assert [q.order for q in members] == [1, 2, 3, 3, 3]
+        builtins = len(corpus.builtin_quandle_names())
+        assert [q.label for q in members[:builtins]] == list(corpus.builtin_quandle_names())
+        assert [q.order for q in members[builtins:]] == [1, 2, 3, 3, 3]
 
     def test_spec_defaults(self):
         spec = corpus.CorpusSpec()
-        assert spec.include_builtins
         assert spec.exhaustive_up_to == 0
-        assert spec.families == ()
         assert spec.enumeration_cap == corpus.DEFAULT_ENUMERATION_CAP
 
 

@@ -1,11 +1,12 @@
 """Finite group tables: validation, structure constants, and presets."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
 import _oracles
-from quandles import corpus, grouptables, permgroup
+from quandles import core, corpus, grouptables, permgroup
 from quandles.errors import NotAGroup, NotClosed
 
 
@@ -72,11 +73,13 @@ def test_engel_bracket_matches_direct_recomputation():
     for table in (grouptables.symmetric_group(3), grouptables.quaternion_8(),
                   grouptables.dihedral_group(8)):
         size = len(table)
+        inv = grouptables.inverses_of(table)
         for a in range(size):
             for b in range(0, size, 3):
                 for n in (0, 1, 2, 3):
-                    assert grouptables.engel_bracket(table, a, b, n) == \
-                        _oracles.engel_bracket_direct(table, a, b, n)
+                    want = _oracles.engel_bracket_direct(table, a, b, n)
+                    assert grouptables.engel_bracket(table, a, b, n) == want
+                    assert grouptables.engel_bracket(table, a, b, n, inv) == want
 
 
 def test_engel_bracket_depth_zero_returns_first_argument():
@@ -170,11 +173,35 @@ def test_derived_length_values():
         assert grouptables.derived_length(table) == expected
 
 
-def test_check_conjugation_closed():
+def _first_escaping_pair(table, subset):
+    m = len(table)
+    e = next(x for x in range(m) if all(table[x][y] == y for y in range(m)))
+    inv = {a: b for a in range(m) for b in range(m) if table[a][b] == e}
+    members = sorted(subset)
+    for a in members:
+        for b in members:
+            if table[table[inv[a]][b]][a] not in subset:
+                return (a, b)
+    return None
+
+
+def test_conj_subset_not_closed_witness_is_first_escaping_pair():
     s3 = grouptables.symmetric_group(3)
-    assert grouptables.check_conjugation_closed(s3, (1, 3, 4), 1) == (1, 3, 4)
-    with pytest.raises(NotClosed):
-        grouptables.check_conjugation_closed(s3, (1, 2), 1)
+    assert core.conj_subset(s3, (1, 3, 4)).order == 3
+    with pytest.raises(NotClosed) as info:
+        core.conj_subset(s3, (1, 2))
+    assert info.value.witness == _first_escaping_pair(s3, {1, 2})
+    # per non-abelian group, the first triple whose escaping pair is not
+    # simply its two smallest members
+    for name in ("s3-group", "d8-group", "q8-group", "a4-group", "d12-group"):
+        table = corpus.builtin_group(name)
+        subset = next(set(s) for s in combinations(range(len(table)), 3)
+                      if _first_escaping_pair(table, set(s)) not in (None, s[:2]))
+        with pytest.raises(NotClosed) as info:
+            core.conj_subset(table, subset)
+        a, b = info.value.witness
+        assert (a, b) == _first_escaping_pair(table, subset), name
+        assert str(info.value) == f"conjugate of {b} by element {a} leaves the subset"
 
 
 def test_from_perm_generators_roundtrip():

@@ -6,16 +6,19 @@ entry points are written out here, so that adding or removing a knob or an
 export is a deliberate change of this file.  So are the functions that call
 core.validate: tables are checked where they enter the program, and a
 builder that re-validates a table it built is a change of this file too.
+So are the callers of engel_bracket, so that a second bracket loop is one
+as well.
 """
 
 import argparse
 import ast
 import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import quandles
-from quandles import classify, cli
+from quandles import classify, cli, corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quandles"
@@ -90,6 +93,8 @@ def test_entry_point_parameters_are_pinned():
     assert params(classify.verify_suite) == [
         "corpus", "groups", "congruence_max_order", "subquandle_max_order",
         "ncs_max_order", "product_max_order", "engel_max_n"]
+    assert [f.name for f in fields(corpus.CorpusSpec)] == [
+        "exhaustive_up_to", "enumeration_cap"]
 
 
 def _functions_calling(name: str) -> set[str]:
@@ -112,3 +117,8 @@ def _functions_calling(name: str) -> set[str]:
 
 def test_only_outside_tables_are_validated():
     assert _functions_calling("validate") == {"qndfile.parse", "corpus._sixteen"}
+
+
+def test_one_engel_bracket_loop():
+    assert _functions_calling("engel_bracket") == {
+        "grouptables.is_n_engel_subset", "classify.conj_two_engel_check"}
