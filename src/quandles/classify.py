@@ -346,12 +346,14 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     inn_group = congruence.inn(q)
     trans_group = congruence.trans(q)
     inn_orbits = permgroup.orbits(inn_group)
+    trans_orbits = permgroup.orbits(trans_group)
     tree = orbitseries.orbit_tree(q)
     sd = orbitseries.SeriesDegrees.of_tree(tree)
     dl = permgroup.derived_length(trans_group)
     faithful = congruence.lambda_congruence(q).is_zero
     medial = trans_group.is_abelian()
-    abelian = medial and permgroup.is_semiregular(trans_group)
+    # Abelian: medial with Trans(Q) semiregular, every orbit of |Trans| points.
+    abelian = medial and all(len(o) == trans_group.order for o in trans_orbits)
     nilpotent = permgroup.nilpotency_class(trans_group) is not None
     lr = locally_reductive_degree(q)
     chain, ident, inn_cls, steps = _reductivity_routes(q, inn_group, lr)
@@ -376,7 +378,7 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
         inn_nilpotency_class=inn_cls,
         q=q,
         inn_orbits=inn_orbits,
-        trans_orbits=permgroup.orbits(trans_group),
+        trans_orbits=trans_orbits,
         tree=tree,
         chain=chain,
         ident=ident,
@@ -661,7 +663,7 @@ def verify_suite(corpus: Iterable[Quandle],
     for gname, table in groups or ():
         whole = core.conj(table)
         subsets = [(tuple(range(len(table))), whole)]
-        subsets.extend((cls, core.conj_subset(table, cls))
+        subsets.extend((cls, core.induced_subquandle(whole, cls))
                        for cls in grouptables.conjugacy_classes(table))
         for subset, quandle in subsets:
             for n in range(1, engel_max_n + 1):

@@ -105,26 +105,6 @@ def join(a: Congruence, b: Congruence) -> Congruence:
     return Congruence.from_class_of(tuple(find(x) for x in range(a.n)))
 
 
-def is_congruence(q: Quandle, partition) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Check both compatibility conditions; returns (ok, witness).
-
-    The witness is (a, b, c, d, 1) as produced by core.congruence_witness:
-    a ~ b and c ~ d, but a>c and b>d lie in different classes.  Left
-    division needs no check of its own on a finite quandle.
-    """
-    cong = _coerce(q.order, partition)
-    witness = core.congruence_witness(q, cong.class_of)
-    return (witness is None, witness)
-
-
-def _coerce(n: int, partition) -> Congruence:
-    if isinstance(partition, Congruence):
-        if partition.n != n:
-            raise ValueError("partition size differs from quandle order")
-        return partition
-    return Congruence.from_classes(n, partition)
-
-
 def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the given pairs.
 
@@ -137,12 +117,15 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
     own on a finite quandle, by the argument of core.congruence_witness:
     L_c^{-1} is a power of L_c, so it maps classes into classes, and that
     in turn relates the left quotients of related elements.  Each merge
-    drops the class count, so at most n - 1 passes run.
+    drops the class count, so at most n - 1 passes run.  Raises ValueError
+    when a pair holds an element outside the carrier.
     """
     n = q.order
     table = q.table
     find, union = permgroup.union_find(n)
     for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError("pair contains elements outside the carrier")
         union(a, b)
     dirty = True
     while dirty:
@@ -167,8 +150,9 @@ def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Cong
 
     Every congruence is the join of the principal congruences of its related
     pairs, so starting from the zero congruence and joining each new member
-    with each distinct principal congruence reaches every member: L*P joins
-    for a lattice of L members and P distinct principal congruences.
+    with each distinct principal congruence reaches every member, in at most
+    L*P joins for L members and P principal congruences; a principal
+    congruence that refines the member joins to the member and is skipped.
     Results are sorted finest first (descending class count breaks no
     refinement order).  Raises CapExceeded exactly when the lattice has
     more than cap members, before the first one past cap is kept.
@@ -192,7 +176,8 @@ def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Cong
     while work:
         x = work.pop()
         for p in principal:
-            add(join(x, p))
+            if not p.refines(x):
+                add(join(x, p))
     return tuple(sorted(found, key=lambda c: (-c.num_classes, c.class_of)))
 
 
@@ -239,8 +224,7 @@ def orbit_congruence(q: Quandle, group: PermGroup) -> Congruence:
         for gen in group.generators:
             if permgroup.conjugate(gen, row) not in group:
                 raise NotNormal((gen, row))
-    parts = permgroup.orbits(group, range(q.order))
-    cong = Congruence.from_classes(q.order, parts)
+    cong = Congruence.from_classes(q.order, permgroup.orbits(group))
     witness = core.congruence_witness(q, cong.class_of)
     if witness is not None:
         raise NotACongruence(witness)

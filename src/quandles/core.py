@@ -217,8 +217,14 @@ def subquandle_closure(q: Quandle, seed: Sequence[int]) -> tuple[int, ...]:
 
 
 def induced_subquandle(q: Quandle, subset: Sequence[int]) -> Quandle:
-    """The quandle structure on a closed subset, reindexed along sorted order."""
+    """The quandle structure on a closed subset, reindexed along sorted order.
+
+    Raises ValueError unless the subset is a nonempty set of carrier
+    elements, and NotClosed with the first pair whose product leaves it.
+    """
     members = tuple(sorted(set(subset)))
+    if not members or members[0] < 0 or members[-1] >= q.order:
+        raise ValueError("subset must be a nonempty set of carrier elements")
     index = {x: i for i, x in enumerate(members)}
     table = []
     for a in members:

@@ -3,8 +3,8 @@
 A group table is a square tuple-of-tuples over 0..m-1 with table[a][b] the
 product a*b.  Nothing here assumes which element is the identity; validation
 finds it.  Tables double as their own left regular permutation representation
-(row a is the permutation x -> a*x), which is how the nilpotency and derived
-computations below reuse the permutation-group machinery.
+(row a is the permutation x -> a*x), so permgroup.closure(table) is the group
+as a permutation group, with its nilpotency class and derived length.
 """
 
 from __future__ import annotations
@@ -140,29 +140,6 @@ def subgroup_generated(table: GroupTable, subset: Sequence[int]) -> tuple[int, .
                 members.add(y)
                 frontier.append(y)
     return tuple(sorted(members))
-
-
-def center(table: GroupTable) -> tuple[int, ...]:
-    m = len(table)
-    return tuple(a for a in range(m)
-                 if all(table[a][b] == table[b][a] for b in range(m)))
-
-
-def is_abelian(table: GroupTable) -> bool:
-    return len(center(table)) == len(table)
-
-
-def regular_representation(table: GroupTable) -> permgroup.PermGroup:
-    """The left regular representation, generated by the table's rows."""
-    return permgroup.closure(table, len(table))
-
-
-def nilpotency_class(table: GroupTable) -> int | None:
-    return permgroup.nilpotency_class(regular_representation(table))
-
-
-def derived_length(table: GroupTable) -> int | None:
-    return permgroup.derived_length(regular_representation(table))
 
 
 # Builders for the small groups used throughout the test corpus.

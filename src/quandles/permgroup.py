@@ -277,10 +277,6 @@ def closure(generators: Sequence[Perm], degree: int | None = None) -> PermGroup:
     return group
 
 
-def trivial_group(degree: int) -> PermGroup:
-    return PermGroup(degree)
-
-
 def normal_closure(seed: Sequence[Perm], ambient: PermGroup) -> PermGroup:
     """Smallest subgroup containing seed that ambient's generators normalize.
 
@@ -311,47 +307,44 @@ def _commutator_term(left: PermGroup, right: PermGroup,
     return normal_closure(seed, ambient)
 
 
-def lower_central_series(group: PermGroup) -> tuple[PermGroup, ...]:
-    """G = gamma_1 >= gamma_2 >= ..., stopping at the first repeated term.
+def _commutator_series(group: PermGroup,
+                       step: Callable[[PermGroup], PermGroup]) -> tuple[PermGroup, ...]:
+    """group, step(group), ..., stopping at the first term of unchanged order.
 
     The terms are nested, so a term of the same order as the one before it
     is the same group.
     """
     terms = [group]
     while True:
-        nxt = _commutator_term(terms[-1], group, group)
+        nxt = step(terms[-1])
         if nxt.order == terms[-1].order:
-            break
+            return tuple(terms)
         terms.append(nxt)
-    return tuple(terms)
+
+
+def _steps_to_trivial(series: tuple[PermGroup, ...]) -> int | None:
+    """Steps from the first term to the last, or None when it is not trivial."""
+    return len(series) - 1 if series[-1].is_trivial() else None
+
+
+def lower_central_series(group: PermGroup) -> tuple[PermGroup, ...]:
+    """G = gamma_1 >= gamma_2 >= ..., gamma_{i+1} = [gamma_i, G]."""
+    return _commutator_series(group, lambda term: _commutator_term(term, group, group))
 
 
 def nilpotency_class(group: PermGroup) -> int | None:
     """Nilpotency class, or None when the lower central series sticks above 1."""
-    series = lower_central_series(group)
-    if series[-1].is_trivial():
-        return len(series) - 1
-    return None
+    return _steps_to_trivial(lower_central_series(group))
 
 
 def derived_series(group: PermGroup) -> tuple[PermGroup, ...]:
-    """G >= G' >= G'' >= ..., stopping at the first term of unchanged order."""
-    terms = [group]
-    while True:
-        prev = terms[-1]
-        nxt = _commutator_term(prev, prev, prev)
-        if nxt.order == prev.order:
-            break
-        terms.append(nxt)
-    return tuple(terms)
+    """G >= G' >= G'' >= ..., each term the commutator subgroup of the last."""
+    return _commutator_series(group, lambda term: _commutator_term(term, term, term))
 
 
 def derived_length(group: PermGroup) -> int | None:
     """Derived length, or None for a group whose derived series sticks above 1."""
-    series = derived_series(group)
-    if series[-1].is_trivial():
-        return len(series) - 1
-    return None
+    return _steps_to_trivial(derived_series(group))
 
 
 def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:
@@ -382,8 +375,8 @@ def orbits(group_or_gens: PermGroup | Sequence[Perm],
            domain: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
     """Orbit partition via union-find on generator images; no closure needed.
 
-    Images outside the domain are ignored, so for a domain the generators
-    map into itself this is the orbit partition of the restricted action.
+    The generators must map the domain (default: every point) into itself;
+    the result is then the orbit partition of the restricted action.
     Orbits are returned as sorted tuples, ordered by smallest member.
     """
     if isinstance(group_or_gens, PermGroup):
@@ -396,26 +389,13 @@ def orbits(group_or_gens: PermGroup | Sequence[Perm],
         degree = len(gens[0])
     if domain is None:
         domain = range(degree)
-    inside = set(domain)
     find, union = union_find(degree)
     for g in gens:
         for x in domain:
             y = g[x]
-            if y != x and y in inside:
+            if y != x:
                 union(x, y)
     buckets: dict[int, list[int]] = {}
     for x in domain:
         buckets.setdefault(find(x), []).append(x)
     return tuple(tuple(sorted(b)) for b in sorted(buckets.values(), key=min))
-
-
-def is_semiregular(group: PermGroup, domain: Sequence[int] | None = None) -> bool:
-    """True when no element except the identity fixes a point of the domain.
-
-    By orbit-stabilizer, x has a trivial stabilizer exactly when its orbit
-    has |G| points.
-    """
-    if domain is None:
-        domain = range(group.degree)
-    size = {x: len(orbit) for orbit in orbits(group) for x in orbit}
-    return all(size[x] == group.order for x in domain)

@@ -159,7 +159,7 @@ def test_criterion_08_conjugation_engel_bridge():
         if len(table) > 16:
             continue
         checked += 1
-        cls = grouptables.nilpotency_class(table)
+        cls = permgroup.nilpotency_class(permgroup.closure(table))
         red = classify.reductive_degree(core.conj(table))
         assert (cls is None) == (red is None), name
         if cls is not None:

@@ -12,24 +12,30 @@ def classes_as_sets(cong):
     return frozenset(frozenset(c) for c in cong.classes)
 
 
+def _witness(q, classes):
+    return core.congruence_witness(q, Congruence.from_classes(q.order, classes).class_of)
+
+
 def test_is_congruence_accepts_bounds():
     q = core.dihedral(3)
-    ok, witness = congruence.is_congruence(q, [[0], [1], [2]])
-    assert ok and witness is None
-    ok, witness = congruence.is_congruence(q, [[0, 1, 2]])
-    assert ok and witness is None
+    assert _witness(q, [[0], [1], [2]]) is None
+    assert _witness(q, [[0, 1, 2]]) is None
 
 
 def test_is_congruence_rejects_with_witness():
     q = core.dihedral(3)
-    ok, witness = congruence.is_congruence(q, [[0, 1], [2]])
-    assert not ok
-    assert witness is not None
+    assert _witness(q, [[0, 1], [2]]) is not None
 
 
 def test_congruence_generated_by_nothing():
     q = core.dihedral(4)
     assert congruence.congruence_generated(q, []).is_zero
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (3, 0)])
+def test_congruence_generated_rejects_foreign_elements(pair):
+    with pytest.raises(ValueError):
+        congruence.congruence_generated(core.trivial(3), [pair])
 
 
 def test_congruence_generated_in_dihedral_four():
@@ -190,7 +196,7 @@ def test_orbit_congruence_of_transvections():
 
 def test_orbit_congruence_of_trivial_group():
     q = core.dihedral(4)
-    cong = congruence.orbit_congruence(q, permgroup.trivial_group(4))
+    cong = congruence.orbit_congruence(q, permgroup.PermGroup(4))
     assert cong.is_zero
 
 

@@ -178,6 +178,12 @@ def test_conj_subset_rejects_empty_and_foreign_subsets():
             core.conj_subset(S3, subset)
 
 
+@pytest.mark.parametrize("subset", [[-1, 1], [2], []])
+def test_induced_subquandle_rejects_empty_and_foreign_subsets(subset):
+    with pytest.raises(ValueError):
+        core.induced_subquandle(core.trivial(2), subset)
+
+
 def test_conj_exponent_is_read_modulo_element_orders():
     q8 = grouptables.quaternion_8()
     start = time.perf_counter()

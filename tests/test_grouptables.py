@@ -125,23 +125,13 @@ def test_subgroup_generated():
     assert grouptables.subgroup_generated(s3, ()) == (grouptables.identity_of(s3),)
 
 
-def test_center_sizes():
-    assert len(grouptables.center(grouptables.quaternion_8())) == 2
-    assert len(grouptables.center(grouptables.symmetric_group(3))) == 1
-    assert len(grouptables.center(grouptables.cyclic(6))) == 6
-
-
-def test_is_abelian():
-    assert grouptables.is_abelian(grouptables.cyclic(8))
-    assert not grouptables.is_abelian(grouptables.symmetric_group(3))
-
-
 def test_regular_representation_is_faithful_and_regular():
     table = grouptables.dihedral_group(6)
-    rep = grouptables.regular_representation(table)
+    rep = permgroup.closure(table)
     group = permgroup.closure(rep.generators)
     assert group.order == 12
-    assert permgroup.is_semiregular(group)
+    # transitive of order equal to the degree: every point's stabilizer is 1
+    assert permgroup.orbits(group) == (tuple(range(12)),)
 
 
 def test_nilpotency_class_values():
@@ -157,7 +147,7 @@ def test_nilpotency_class_values():
         (grouptables.alternating_group_4(), None),
     ]
     for table, expected in cases:
-        assert grouptables.nilpotency_class(table) == expected
+        assert permgroup.nilpotency_class(permgroup.closure(table)) == expected
 
 
 def test_derived_length_values():
@@ -170,7 +160,7 @@ def test_derived_length_values():
         (grouptables.symmetric_group(4), 3),
     ]
     for table, expected in cases:
-        assert grouptables.derived_length(table) == expected
+        assert permgroup.derived_length(permgroup.closure(table)) == expected
 
 
 def _first_escaping_pair(table, subset):
@@ -204,12 +194,21 @@ def test_conj_subset_not_closed_witness_is_first_escaping_pair():
         assert str(info.value) == f"conjugate of {b} by element {a} leaves the subset"
 
 
+def test_class_quandles_are_induced_from_the_whole_group():
+    # verify_suite takes each conjugacy class quandle from conj(table)
+    for name, table in corpus.builtin_groups():
+        whole = core.conj(table)
+        for cls in grouptables.conjugacy_classes(table):
+            assert (core.induced_subquandle(whole, cls).table
+                    == core.conj_subset(table, cls).table), (name, cls)
+
+
 def test_from_perm_generators_roundtrip():
     table = grouptables.quaternion_8()
-    rep = grouptables.regular_representation(table)
+    rep = permgroup.closure(table)
     rebuilt = grouptables.from_perm_generators(rep.generators)
     assert len(rebuilt) == 8
-    assert grouptables.nilpotency_class(rebuilt) == 2
+    assert permgroup.nilpotency_class(permgroup.closure(rebuilt)) == 2
 
 
 # Element labels of the builtin permutation-generated groups.  Quandles built

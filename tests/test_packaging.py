@@ -119,6 +119,10 @@ def test_only_outside_tables_are_validated():
     assert _functions_calling("validate") == {"qndfile.parse", "corpus._sixteen"}
 
 
+def test_group_tables_are_validated_in_one_place():
+    assert _functions_calling("validate_group") == {"core.conj_subset"}
+
+
 def test_one_engel_bracket_loop():
     assert _functions_calling("engel_bracket") == {
         "grouptables.is_n_engel_subset", "classify.conj_two_engel_check"}

@@ -6,7 +6,7 @@ import pytest
 
 import _inputs
 import _oracles
-from quandles import congruence, core, corpus, grouptables, permgroup
+from quandles import classify, congruence, core, corpus, grouptables, permgroup
 
 
 def test_compose_and_inverse():
@@ -63,7 +63,7 @@ def test_closure_keeps_only_generators_that_enlarge_the_group():
 
 
 def test_orbits_of_trivial_group():
-    g = permgroup.trivial_group(3)
+    g = permgroup.PermGroup(3)
     assert permgroup.orbits(g) == ((0,), (1,), (2,))
 
 
@@ -96,7 +96,7 @@ def test_orbits_from_generators_match_group_action():
 
 
 def test_nilpotency_class_of_trivial_group():
-    assert permgroup.nilpotency_class(permgroup.trivial_group(2)) == 0
+    assert permgroup.nilpotency_class(permgroup.PermGroup(2)) == 0
 
 
 def test_nilpotency_class_of_s3_is_absent():
@@ -106,12 +106,12 @@ def test_nilpotency_class_of_s3_is_absent():
 
 
 def test_nilpotency_class_of_q8_regular_representation():
-    g = grouptables.regular_representation(grouptables.quaternion_8())
+    g = permgroup.closure(grouptables.quaternion_8())
     assert permgroup.nilpotency_class(g) == 2
 
 
 def test_derived_length_of_trivial_group():
-    assert permgroup.derived_length(permgroup.trivial_group(1)) == 0
+    assert permgroup.derived_length(permgroup.PermGroup(1)) == 0
 
 
 def test_derived_length_of_s3():
@@ -137,37 +137,47 @@ def test_derived_series_orders_match_oracle():
 
 
 def test_nilpotent_implies_solvable_with_smaller_length():
-    g = grouptables.regular_representation(grouptables.dihedral_group(4))
+    g = permgroup.closure(grouptables.dihedral_group(4))
     cls = permgroup.nilpotency_class(g)
     length = permgroup.derived_length(g)
     assert cls == 2
     assert length is not None and length <= cls
 
 
+def _orbits_have_group_order(group):
+    # Semiregularity by orbit-stabilizer, as gather_facts reads it for the
+    # abelian field: every orbit has |G| points.
+    return all(len(orbit) == group.order for orbit in permgroup.orbits(group))
+
+
 def test_semiregular_groups():
-    assert permgroup.is_semiregular(permgroup.trivial_group(5))
     d3 = core.dihedral(3)
-    assert permgroup.is_semiregular(congruence.trans(d3))
-    assert not permgroup.is_semiregular(congruence.inn(d3))
     # a 3-cycle moves 0, 1, 2 regularly and fixes 3
     cycle = permgroup.closure([(1, 2, 0, 3)])
-    assert permgroup.is_semiregular(cycle, range(3))
-    assert not permgroup.is_semiregular(cycle)
-    assert not permgroup.is_semiregular(cycle, [3])
+    for group, want in ((permgroup.PermGroup(5), True),
+                        (congruence.trans(d3), True),
+                        (congruence.inn(d3), False),
+                        (cycle, False)):
+        assert _orbits_have_group_order(group) == want, group
+        assert _oracles.is_semiregular_by_elements(
+            list(group), range(group.degree)) == want, group
 
 
 def test_semiregular_matches_element_scan():
+    # abelian is medial with a semiregular transvection group
     verdicts = {}
     for q in corpus.default_corpus():
-        for group in (congruence.inn(q), congruence.trans(q)):
-            elements = list(group)
-            for domain in (range(q.order), range(q.order // 2)):
-                want = _oracles.is_semiregular_by_elements(elements, domain)
-                assert permgroup.is_semiregular(group, domain) == want, q.label
-                verdicts.setdefault(want, q.label)
+        report = classify.classify(q)
+        gens = congruence.trans_rel_generators(q, congruence.Congruence.one(q.order))
+        elements = _oracles.closure_elements(gens or [permgroup.identity(q.order)])
+        want = report.medial and _oracles.is_semiregular_by_elements(
+            list(elements), range(q.order))
+        assert report.abelian == want, q.label
+        if report.medial:
+            verdicts.setdefault(want, q.label)
     assert set(verdicts) == {True, False}
-    d4d4 = corpus.builtin_quandle("d4-plus-d4")
-    assert not permgroup.is_semiregular(congruence.trans(d4d4))
+    d4d4 = classify.classify(corpus.builtin_quandle("d4-plus-d4"))
+    assert d4d4.medial and not d4d4.abelian
 
 
 def test_equal_groups_from_different_generators():
@@ -177,7 +187,7 @@ def test_equal_groups_from_different_generators():
     # the two order-2 subgroups <(0 1)> and <(1 2)> of S3 differ
     assert permgroup.closure([(1, 0, 2)]) != permgroup.closure([(0, 2, 1)])
     assert permgroup.closure([(1, 2, 0)]) != permgroup.closure(d3.table)
-    assert permgroup.trivial_group(3) != permgroup.trivial_group(4)
+    assert permgroup.PermGroup(3) != permgroup.PermGroup(4)
 
 
 def test_cycle_type():
