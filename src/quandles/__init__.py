@@ -9,7 +9,7 @@ split along what they compute:
     permgroup    permutation groups, closures, derived and central series
     grouptables  finite group multiplication tables and Engel brackets
     congruence   congruence lattice, lambda, orbit congruences, O-chain
-    orbitseries  orbit trees, principal series, subquandle scans
+    orbitseries  orbit trees, principal series, subquandle enumeration
     classify     degrees, predicates, the classification report, fact suite
     corpus       builtin registry and exhaustive small-order census
     qndfile      the .qnd text format

@@ -235,11 +235,16 @@ def conj_two_engel_check(table: GroupTable, subset: Sequence[int]) -> bool:
     cross-checked against the orbit-tree degrees of the class quandle built
     on the same subset; the two computations share nothing, so a mismatch
     raises InconsistentCharacterizations.  The class quandle is built
-    first, so a subset that is not conjugation-closed raises NotClosed.
+    first, so an empty subset raises ValueError and a subset that is not
+    conjugation-closed raises NotClosed.
     """
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    sd = orbitseries.degrees(core.conj_subset(table, subset))
+    return _two_engel_verdict(table, subset, core.conj_subset(table, subset))
+
+
+def _two_engel_verdict(table: GroupTable, subset: Sequence[int],
+                       class_quandle: Quandle) -> bool:
+    """conj_two_engel_check on a class quandle the caller already built."""
+    sd = orbitseries.degrees(class_quandle)
     closed = sorted(set(subset))
     hull = grouptables.subgroup_generated(table, closed)
     e = grouptables.identity_of(table)
@@ -262,7 +267,7 @@ class ClassificationReport:
     Absent degrees are None: for finite quandles the three degree fields are
     always either all present or all absent, and when present they satisfy
     locally_reductive_degree <= tos_degree <= reductive_degree.  ncs is None
-    when the quandle was too large for the exhaustive subquandle scan, not a
+    when the quandle was too large for the exhaustive subquandle search, not a
     verdict.
     """
 
@@ -391,7 +396,7 @@ def classify(q: Quandle, *, ncs_max_order: int = 12) -> ClassificationReport:
 
     The report is projected from gather_facts().  The group closures and
     the composite layers are polynomial in the order and run uncapped.  The
-    exhaustive subquandle scan behind ncs only runs when the order is at
+    exhaustive subquandle search behind ncs only runs when the order is at
     most ncs_max_order; above that the field is None.  Raises
     InconsistentCharacterizations when the reductivity routes or the degree
     ordering disagree.
@@ -672,10 +677,8 @@ def verify_suite(corpus: Iterable[Quandle],
                 record("conjugation-engel-subset-bridge", lhs == rhs,
                        f"{gname}, subset {subset}, n={n}: "
                        f"local reductivity {lhs} vs bracket {rhs}")
-        if len(table) > 32:
-            continue
         try:
-            two_engel = conj_two_engel_check(table, tuple(range(len(table))))
+            two_engel = _two_engel_verdict(table, range(len(table)), whole)
             red = reductive_degree(whole) if two_engel else None
         except QuandleError as exc:
             record("two-engel-conjugation-reductive-by-3", False,

@@ -146,38 +146,22 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
 
 
 def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Congruence, ...]:
-    """The whole congruence lattice, by joins with principal congruences.
+    """The whole congruence lattice, as joins of principal congruences.
 
-    Every congruence is the join of the principal congruences of its related
-    pairs, so starting from the zero congruence and joining each new member
-    with each distinct principal congruence reaches every member, in at most
-    L*P joins for L members and P principal congruences; a principal
-    congruence that refines the member joins to the member and is skipped.
-    Results are sorted finest first (descending class count breaks no
-    refinement order).  Raises CapExceeded exactly when the lattice has
-    more than cap members, before the first one past cap is kept.
+    Every congruence is the join of the principal congruences of its
+    related pairs.  Step k joins every member found so far with the k-th
+    distinct principal congruence p, unless p refines it, so after k steps
+    found holds the joins of every subset of the first k.  Sorted finest
+    first (descending class count breaks no refinement order).  Raises
+    CapExceeded exactly when the lattice has more than cap members.
     """
     n = q.order
-    found: set[Congruence] = set()
-    work: list[Congruence] = []
-
-    def add(cong: Congruence) -> None:
-        if cong not in found:
-            if len(found) >= cap:
-                raise CapExceeded("congruence enumeration", cap)
-            found.add(cong)
-            work.append(cong)
-
-    add(Congruence.zero(n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            add(congruence_generated(q, [(a, b)]))
-    principal = work[1:]
-    while work:
-        x = work.pop()
-        for p in principal:
-            if not p.refines(x):
-                add(join(x, p))
+    found = {Congruence.zero(n)}
+    for p in dict.fromkeys(congruence_generated(q, [(a, b)])
+                           for a in range(n) for b in range(a + 1, n)):
+        found |= {join(x, p) for x in found if not p.refines(x)}
+        if len(found) > cap:
+            raise CapExceeded("congruence enumeration", cap)
     return tuple(sorted(found, key=lambda c: (-c.num_classes, c.class_of)))
 
 

@@ -206,9 +206,9 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quand
     construction; self-distributivity is enforced incrementally after each
     row so dead prefixes are cut early.  By the last row every triple has
     been checked, so a finished table is a quandle and is not re-validated.
-    Finished tables are compared against the accepted list and kept only
-    when new.  Isomorph rejection is quadratic in the class count, fine for
-    the default cap of 6.
+    A finished table is compared only with the accepted classes of equal
+    sorted element invariants, since no other is isomorphic to it, and is
+    kept when new.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -217,13 +217,17 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quand
     candidates = [
         [p for p in permutations(range(n)) if p[a] == a] for a in range(n)]
     accepted: list[Quandle] = []
+    by_invariants: dict[tuple, list[Quandle]] = {}
     rows: list[tuple[int, ...]] = []
 
     def extend(r: int) -> None:
         if r == n:
             q = Quandle(tuple(rows))
-            if all(core.is_isomorphic(q, seen) is None for seen in accepted):
+            alike = by_invariants.setdefault(
+                tuple(sorted(core._element_invariants(q))), [])
+            if all(core.is_isomorphic(q, seen) is None for seen in alike):
                 accepted.append(q.relabel(f"enum{n}-{len(accepted)}"))
+                alike.append(accepted[-1])
             return
         for p in candidates[r]:
             rows.append(p)

@@ -73,7 +73,7 @@ class NotNormal(QuandleError):
 
 
 class CapExceeded(QuandleError):
-    """An exhaustive enumeration (congruence lattice, subsets, census order) outgrew its cap."""
+    """A count of congruences or subquandles found, or a census order, outgrew its cap."""
 
     def __init__(self, what: str, cap: int):
         self.what = what

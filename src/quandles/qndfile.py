@@ -14,11 +14,16 @@ round-trip contract the tests pin down.
 
 from __future__ import annotations
 
+import re
+
 from . import core
 from .core import Quandle
 from .errors import ParseError
 
 __all__ = ["parse", "serialize"]
+
+#: ASCII decimal integers only; int() also takes "+1", "1_0" and other digits.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _data_lines(text: str):
@@ -33,8 +38,9 @@ def _data_lines(text: str):
 def parse(text: str, label: str | None = None) -> Quandle:
     """Parse a .qnd document and validate the table it contains.
 
-    Structural problems (bad order line, wrong row width, entries outside
-    1..n, trailing content) raise ParseError with the offending line number.
+    Structural problems (bad order line, wrong row width, entries that are
+    not ASCII decimal integers or lie outside 1..n, trailing content) raise
+    ParseError with the offending line number.
     A well-formed document whose table breaks a quandle axiom raises
     AxiomViolation from the validator instead.
     """
@@ -43,10 +49,9 @@ def parse(text: str, label: str | None = None) -> Quandle:
         number, head = next(lines)
     except StopIteration:
         raise ParseError("no data lines; expected the order on the first one") from None
-    try:
-        n = int(head)
-    except ValueError:
-        raise ParseError(f"line {number}: order must be an integer, got {head!r}") from None
+    if not _INTEGER.fullmatch(head):
+        raise ParseError(f"line {number}: order must be an integer, got {head!r}")
+    n = int(head)
     if n < 1:
         raise ParseError(f"line {number}: order must be positive, got {n}")
 
@@ -61,10 +66,9 @@ def parse(text: str, label: str | None = None) -> Quandle:
             raise ParseError(f"line {number}: expected {n} entries, found {len(tokens)}")
         row = []
         for token in tokens:
-            try:
-                value = int(token)
-            except ValueError:
-                raise ParseError(f"line {number}: entry {token!r} is not an integer") from None
+            if not _INTEGER.fullmatch(token):
+                raise ParseError(f"line {number}: entry {token!r} is not an integer")
+            value = int(token)
             if not 1 <= value <= n:
                 raise ParseError(f"line {number}: entry {value} outside 1..{n}")
             row.append(value - 1)

@@ -161,6 +161,23 @@ def _orbit_partition(table: Table, subset: frozenset[int]) -> list[frozenset[int
     return sorted(parts, key=min)
 
 
+def closed_subsets_by_mask(table: Table) -> list[tuple[int, ...]]:
+    """Nonempty closed subsets by increasing bitmask value, testing all 2**n masks."""
+    n = len(table)
+    found = []
+    for mask in range(1, 1 << n):
+        members = tuple(i for i in range(n) if mask >> i & 1)
+        if all(mask >> table[a][b] & 1 for a in members for b in members):
+            found.append(members)
+    return found
+
+
+def is_ncs_by_mask(table: Table) -> bool:
+    """No closed subset of two or more elements is a single orbit."""
+    return not any(len(s) >= 2 and len(_orbit_partition(table, frozenset(s))) == 1
+                   for s in closed_subsets_by_mask(table))
+
+
 def series_degrees_recursive(table: Table) -> tuple[int, int | None]:
     """(os, tos) by direct recursion over orbit decompositions.
 

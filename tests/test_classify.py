@@ -407,10 +407,10 @@ class TestVerifySuite:
 
     def test_two_engel_cross_check_error_is_a_failing_fact(self, monkeypatch):
         # The bracket and orbit-tree verdicts disagreeing is data too.
-        def disagree(table, subset):
+        def disagree(table, subset, class_quandle):
             raise InconsistentCharacterizations("verdicts disagree")
 
-        monkeypatch.setattr(classify, "conj_two_engel_check", disagree)
+        monkeypatch.setattr(classify, "_two_engel_verdict", disagree)
         rep = classify.verify_suite([], [("q8-group", grouptables.quaternion_8())])
         fact = next(r for r in rep.results
                     if r.name == "two-engel-conjugation-reductive-by-3")
@@ -418,6 +418,12 @@ class TestVerifySuite:
         assert fact.checked == 1
         assert fact.witnesses == ("q8-group: verdicts disagree",)
         assert not rep.ok
+
+    def test_two_engel_fact_checks_groups_of_every_order(self):
+        rep = classify.verify_suite([], [("d34", grouptables.dihedral_group(17))])
+        fact = next(r for r in rep.results
+                    if r.name == "two-engel-conjugation-reductive-by-3")
+        assert (fact.checked, fact.passed) == (1, True)
 
     def test_default_corpus_shape_is_pinned(self):
         rep = classify.verify_suite(corpus.default_corpus(),

@@ -114,6 +114,18 @@ class TestEnumerateQuandles:
                           for t in _oracles.all_quandle_tables(n)}
             assert canon == everything, n
 
+    def test_census_keeps_the_first_table_of_each_class(self):
+        # Rows are tried in the order all_quandle_tables uses, so each class
+        # is represented by its first table, and classes come in that order.
+        for n in range(1, 5):
+            first: dict = {}
+            for table in _oracles.all_quandle_tables(n):
+                first.setdefault(_oracles.canonical_form(table), table)
+            found = corpus.enumerate_quandles(n)
+            assert [q.table for q in found] == list(first.values()), n
+            assert [q.label for q in found] == [
+                f"enum{n}-{i}" for i in range(len(found))], n
+
     def test_order_three_classes_include_the_familiar_pair(self):
         found = corpus.enumerate_quandles(3)
         assert any(core.is_isomorphic(q, core.trivial(3)) is not None

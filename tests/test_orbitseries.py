@@ -1,4 +1,4 @@
-"""Orbit trees, principal series, degree extraction, and subquandle scans."""
+"""Orbit trees, principal series, degree extraction, and subquandle enumeration."""
 
 import pytest
 
@@ -128,8 +128,46 @@ def test_all_subquandles_of_dihedral_three():
 
 
 def test_all_subquandles_cap():
+    # Every nonempty subset of a trivial quandle is closed: 2**6 - 1 of them.
     with pytest.raises(CapExceeded):
-        orbitseries.all_subquandles(core.dihedral(6), cap=32)
+        orbitseries.all_subquandles(core.trivial(6), cap=62)
+    assert len(orbitseries.all_subquandles(core.trivial(6), cap=63)) == 63
+
+
+def _mask_scan_inputs():
+    members = [q for q in corpus.default_corpus() if q.order <= 12]
+    members += [q for n in range(1, 6) for q in corpus.enumerate_quandles(n)]
+    d3, d4, d5 = core.dihedral(3), core.dihedral(4), core.dihedral(5)
+    members += [core.disjoint_union(d3, core.trivial(2), d4),
+                core.disjoint_union(core.affine(5, 2), d5),
+                core.direct_product(d3, core.trivial(3)),
+                core.direct_product(core.trivial(2), d5),
+                core.direct_product(d4, core.trivial(3))]
+    return members
+
+
+def test_subquandles_match_mask_scan_oracle():
+    for q in _mask_scan_inputs():
+        assert orbitseries.all_subquandles(q) == \
+            _oracles.closed_subsets_by_mask(q.table), q.label
+        assert orbitseries.is_ncs(q) == _oracles.is_ncs_by_mask(q.table), q.label
+
+
+def test_subquandles_past_the_old_mask_cap_are_exact():
+    # The subquandles of dihedral(2**k) are the cosets of its subgroups,
+    # 2**k + 2**(k - 1) + ... + 1 of them; affine(43, 3) has its points
+    # and itself.
+    assert len(orbitseries.all_subquandles(core.dihedral(16))) == 31
+    assert len(orbitseries.all_subquandles(core.dihedral(64))) == 127
+    assert len(orbitseries.all_subquandles(core.affine(43, 3))) == 44
+    assert not orbitseries.is_ncs(core.affine(43, 3))
+    assert not orbitseries.is_ncs(core.conj(grouptables.symmetric_group(4)))
+
+
+def test_is_ncs_stops_at_the_first_connected_subquandle():
+    # {0, 1} generates the connected dihedral(3) block, the third set found.
+    q = core.disjoint_union(core.dihedral(3), core.trivial(17))
+    assert not orbitseries.is_ncs(q, cap=10)
 
 
 def test_is_ncs_values():

@@ -125,4 +125,4 @@ def test_group_tables_are_validated_in_one_place():
 
 def test_one_engel_bracket_loop():
     assert _functions_calling("engel_bracket") == {
-        "grouptables.is_n_engel_subset", "classify.conj_two_engel_check"}
+        "grouptables.is_n_engel_subset", "classify._two_engel_verdict"}

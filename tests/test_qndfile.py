@@ -1,5 +1,7 @@
 """Tests for the plain-text table format."""
 
+import re
+
 import pytest
 
 from quandles import core, corpus, qndfile
@@ -57,6 +59,17 @@ class TestParse:
     def test_non_integer_entry(self):
         with pytest.raises(ParseError, match="line 3: entry 'x'"):
             qndfile.parse("2\n1 1\n2 x\n")
+
+    # int() reads each of these as 3, which would make the documents below
+    # a valid dihedral(3) table.
+    @pytest.mark.parametrize("token", ["+3", "0_3", "\uff13", "\u0663"])
+    def test_only_ascii_decimal_integers(self, token):
+        with pytest.raises(ParseError, match=re.escape(
+                f"line 1: order must be an integer, got {token!r}")):
+            qndfile.parse(f"{token}\n1 3 2\n3 2 1\n2 1 3\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"line 3: entry {token!r} is not an integer")):
+            qndfile.parse(f"3\n1 3 2\n{token} 2 1\n2 1 3\n")
 
     def test_entry_out_of_range(self):
         with pytest.raises(ParseError, match="line 2: entry 3 outside 1..2"):
