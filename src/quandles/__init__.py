@@ -8,7 +8,7 @@ split along what they compute:
     core         constructors, validation, quotients, isomorphism
     permgroup    permutation groups, closures, derived and central series
     grouptables  finite group multiplication tables and Engel brackets
-    congruence   congruence lattice, lambda, orbit congruences, O-chain
+    congruence   congruence lattice, Inn and Trans, lambda, the two chains
     orbitseries  orbit trees, principal series, subquandle enumeration
     classify     degrees, predicates, the classification report, fact suite
     corpus       builtin registry and exhaustive small-order census
@@ -37,7 +37,6 @@ from .congruence import (
     l_chain,
     lambda_congruence,
     o_chain,
-    orbit_congruence,
     trans,
 )
 from .core import (
@@ -57,7 +56,6 @@ from .core import (
 )
 from .corpus import (
     CorpusSpec,
-    builtin,
     builtin_group,
     builtin_quandle,
     default_corpus,
@@ -70,7 +68,6 @@ from .errors import (
     NotAGroup,
     NotAUnit,
     NotClosed,
-    NotNormal,
     ParseError,
     QuandleError,
     UnknownName,
@@ -95,7 +92,6 @@ __all__ = [
     "NotAGroup",
     "NotAUnit",
     "NotClosed",
-    "NotNormal",
     "OrbitTreeNode",
     "ParseError",
     "Quandle",
@@ -106,7 +102,6 @@ __all__ = [
     "affine",
     "all_congruences",
     "all_subquandles",
-    "builtin",
     "builtin_group",
     "builtin_quandle",
     "congruence_generated",
@@ -130,7 +125,6 @@ __all__ = [
     "lambda_congruence",
     "locally_reductive_degree",
     "o_chain",
-    "orbit_congruence",
     "orbit_tree",
     "principal_series",
     "quotient",

@@ -227,23 +227,17 @@ def is_connected(q: Quandle) -> bool:
     return len(permgroup.orbits(q.table)) == 1
 
 
-def conj_two_engel_check(table: GroupTable, subset: Sequence[int]) -> bool:
+def _two_engel_verdict(table: GroupTable, subset: Sequence[int],
+                       class_quandle: Quandle) -> bool:
     """Whether the conjugation quandle on the subset trivializes in two splits.
 
     Decided by the bracket identity: every member of the subset must be a
     2-Engel element of the subgroup the subset generates.  The verdict is
-    cross-checked against the orbit-tree degrees of the class quandle built
-    on the same subset; the two computations share nothing, so a mismatch
-    raises InconsistentCharacterizations.  The class quandle is built
-    first, so an empty subset raises ValueError and a subset that is not
-    conjugation-closed raises NotClosed.
+    cross-checked against the orbit-tree degrees of class_quandle, the
+    class quandle the caller built on the same subset with
+    core.conj_subset; the two computations share nothing, so a mismatch
+    raises InconsistentCharacterizations.
     """
-    return _two_engel_verdict(table, subset, core.conj_subset(table, subset))
-
-
-def _two_engel_verdict(table: GroupTable, subset: Sequence[int],
-                       class_quandle: Quandle) -> bool:
-    """conj_two_engel_check on a class quandle the caller already built."""
     sd = orbitseries.degrees(class_quandle)
     closed = sorted(set(subset))
     hull = grouptables.subgroup_generated(table, closed)
@@ -267,8 +261,7 @@ class ClassificationReport:
     Absent degrees are None: for finite quandles the three degree fields are
     always either all present or all absent, and when present they satisfy
     locally_reductive_degree <= tos_degree <= reductive_degree.  ncs is None
-    when the quandle was too large for the exhaustive subquandle search, not a
-    verdict.
+    above ncs_max_order, which is not a verdict.
     """
 
     order: int
@@ -343,10 +336,13 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     """Every per-quandle quantity of the report and the suite, each built once.
 
     One pass builds the inner and transvection groups, the orbit tree, the
-    O- and L-chains and the rest.  medial is whether the transvection
-    group is abelian, O(n^3); is_medial() is left to the suite.  Never
-    raises on a route disagreement.  Everything but the ncs scan is
-    polynomial in the order, so only ncs_max_order bounds the work.
+    O- and L-chains and the rest, all polynomial in the order.  medial is
+    whether the transvection group is abelian, O(n^3), and ncs whether
+    tos_degree exists; is_medial() and is_ncs() are left to the suite.
+    Every leaf of the orbit tree is a connected subquandle, and a connected
+    subquandle lies in one orbit of each node containing it, hence in a
+    leaf: so ncs holds exactly when every leaf is a singleton.  ncs is None
+    above ncs_max_order.  Never raises on a route disagreement.
     """
     inn_group = congruence.inn(q)
     trans_group = congruence.trans(q)
@@ -377,7 +373,7 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
         locally_reductive_degree=lr,
         os_degree=sd.os_degree,
         tos_degree=sd.tos_degree,
-        ncs=orbitseries.is_ncs(q) if q.order <= ncs_max_order else None,
+        ncs=sd.tos_degree is not None if q.order <= ncs_max_order else None,
         inn_order=inn_group.order,
         trans_order=trans_group.order,
         inn_nilpotency_class=inn_cls,
@@ -394,12 +390,10 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
 def classify(q: Quandle, *, ncs_max_order: int = 12) -> ClassificationReport:
     """Aggregate every predicate and degree into one report.
 
-    The report is projected from gather_facts().  The group closures and
-    the composite layers are polynomial in the order and run uncapped.  The
-    exhaustive subquandle search behind ncs only runs when the order is at
-    most ncs_max_order; above that the field is None.  Raises
-    InconsistentCharacterizations when the reductivity routes or the degree
-    ordering disagree.
+    The report is projected from gather_facts(), whose every stage is
+    polynomial in the order and runs uncapped; ncs is None above
+    ncs_max_order.  Raises InconsistentCharacterizations when the
+    reductivity routes or the degree ordering disagree.
     """
     facts = gather_facts(q, ncs_max_order=ncs_max_order)
     _check_routes(q, facts.reductive_degree, facts.ident,
@@ -569,9 +563,10 @@ def verify_suite(corpus: Iterable[Quandle],
     parameter, since their cost grows exponentially; the checked counts in
     the report show how many instances each fact actually saw.  Group-level
     facts run only when group tables are supplied as (name, table) pairs.
-    A QuandleError while gathering a member's facts, or while deciding the
-    2-Engel verdict or the reductive degree of a group's conjugation
-    quandle, is recorded as a failing fact with the error as its witness.
+    A QuandleError while gathering a member's facts or its ncs scan, or
+    while deciding the 2-Engel verdict or the reductive degree of a group's
+    conjugation quandle, is recorded as a failing fact with the error as
+    its witness.
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -584,10 +579,12 @@ def verify_suite(corpus: Iterable[Quandle],
             failed[name].append(witness)
 
     facts: list[QuandleFacts] = []
+    scans: list[bool | None] = []
     lattices: list[tuple[congruence.Congruence, ...] | None] = []
     for q in quandles:
         try:
             f = gather_facts(q, ncs_max_order=ncs_max_order)
+            ncs = orbitseries.is_ncs(q) if q.order <= ncs_max_order else None
             lattice = (congruence.all_congruences(q)
                        if q.order <= congruence_max_order else None)
         except QuandleError as exc:
@@ -595,10 +592,11 @@ def verify_suite(corpus: Iterable[Quandle],
                 f"{q.label or q.order}: {exc}")
         else:
             facts.append(f)
+            scans.append(ncs)
             lattices.append(lattice)
     checked["classification-completes"] = len(quandles)
 
-    for f in facts:
+    for f, ncs in zip(facts, scans):
         red, lr, tos = (f.reductive_degree, f.locally_reductive_degree,
                         f.tos_degree)
         dl, cls = f.trans_derived_length, f.inn_nilpotency_class
@@ -622,9 +620,9 @@ def verify_suite(corpus: Iterable[Quandle],
         record("orbits-inner-equal-transvection",
                f.inn_orbits == f.trans_orbits,
                f"{f.name}: inner and transvection orbits differ")
-        if f.ncs is not None:
-            record("tos-existence-iff-ncs", (tos is not None) == f.ncs,
-                   f"{f.name}: tos={tos} ncs={f.ncs}")
+        if ncs is not None:
+            record("tos-existence-iff-ncs", (tos is not None) == ncs,
+                   f"{f.name}: tos={tos} ncs={ncs}")
         # The trivial transvection group counts as derived length one here:
         # the bound multiplies by the solvable length of the quandle, and a
         # quandle with abelian (possibly trivial) transvections has length 1.

@@ -4,9 +4,8 @@ A congruence is an equivalence relation compatible with the operation in
 both directions: related arguments give related products, and related
 products with related left factors force related right factors.  Quotients
 by congruences are again quandles (see core.quotient).  This module also
-builds the inner and transvection groups, the orbit congruence of a normal
-subgroup, the congruence identifying equal rows, and the two descending
-chains derived from them.
+builds the inner and transvection groups, the congruence identifying equal
+rows, and the two descending chains derived from them.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import core, permgroup
 from .core import Quandle
-from .errors import CapExceeded, NotACongruence, NotNormal
+from .errors import CapExceeded
 from .permgroup import PermGroup
 
 DEFAULT_CONGRUENCE_CAP = 100_000
@@ -172,13 +171,15 @@ def inn(q: Quandle) -> PermGroup:
 
 def trans(q: Quandle) -> PermGroup:
     """Transvection group: closure of all L_a L_b^{-1}."""
-    return trans_rel(q, Congruence.one(q.order))
+    return permgroup.closure(trans_rel_generators(q, Congruence.one(q.order)),
+                             degree=q.order)
 
 
 def trans_rel_generators(q: Quandle, cong: Congruence) -> list[permgroup.Perm]:
-    """Generators L_a L_e^{-1} of trans_rel, e the first member of a's class.
+    """Generators of <L_a L_b^{-1} : a ~ b>, the transvections relative to cong.
 
-    They suffice, since L_a L_b^{-1} = (L_a L_e^{-1})(L_b L_e^{-1})^{-1}.
+    They are L_a L_e^{-1}, e the first member of a's class, which suffice
+    since L_a L_b^{-1} = (L_a L_e^{-1})(L_b L_e^{-1})^{-1}.
     """
     if cong.n != q.order:
         raise ValueError("congruence size differs from quandle order")
@@ -188,31 +189,6 @@ def trans_rel_generators(q: Quandle, cong: Congruence) -> list[permgroup.Perm]:
         for a in cls[1:]:
             gens.append(permgroup.compose(q.table[a], base_inv))
     return gens
-
-
-def trans_rel(q: Quandle, cong: Congruence) -> PermGroup:
-    """Transvection group relative to a congruence: <L_a L_b^{-1} : a ~ b>."""
-    return permgroup.closure(trans_rel_generators(q, cong), degree=q.order)
-
-
-def orbit_congruence(q: Quandle, group: PermGroup) -> Congruence:
-    """Orbit partition of a caller-supplied subgroup normal in the inner group.
-
-    Normality (conjugates of the generators by the rows of q stay in the
-    group) and the orbit partition being a congruence are both checked.
-    o_chain needs neither check: both hold for relative transvection groups.
-    """
-    if group.degree != q.order:
-        raise ValueError("group degree differs from quandle order")
-    for row in q.table:
-        for gen in group.generators:
-            if permgroup.conjugate(gen, row) not in group:
-                raise NotNormal((gen, row))
-    cong = Congruence.from_classes(q.order, permgroup.orbits(group))
-    witness = core.congruence_witness(q, cong.class_of)
-    if witness is not None:
-        raise NotACongruence(witness)
-    return cong
 
 
 def lambda_congruence(q: Quandle) -> Congruence:
@@ -280,9 +256,9 @@ class OChain:
 def o_chain(q: Quandle) -> OChain:
     """Compute the O-chain of q, stopping at the first repeated term.
 
-    Each term is the orbit partition of the previous term's trans_rel
-    generators; no group is closed.  The identity partition, which has no
-    generators, ends the chain.
+    Each term is the orbit partition of the previous term's
+    trans_rel_generators; no group is closed.  The identity partition,
+    which has no generators, ends the chain.
     """
     terms = [Congruence.one(q.order)]
     while not terms[-1].is_zero:

@@ -190,6 +190,31 @@ def direct_product(*quandles: Quandle) -> Quandle:
     return result.relabel(" x ".join(q.label or "?" for q in quandles))
 
 
+def _close(table: Table, members: list[int], done: int) -> list[int]:
+    """Extend distinct members, the first done of them closed, to a closed set.
+
+    Each later member is multiplied both ways with every member listed
+    before it, and new products are appended, so each pair is multiplied once.
+    """
+    seen = set(members)
+    i = done
+    while i < len(members):
+        x = members[i]
+        row = table[x]
+        for j in range(i):
+            y = members[j]
+            v = row[y]
+            if v not in seen:
+                seen.add(v)
+                members.append(v)
+            v = table[y][x]
+            if v not in seen:
+                seen.add(v)
+                members.append(v)
+        i += 1
+    return members
+
+
 def subquandle_closure(q: Quandle, seed: Sequence[int]) -> tuple[int, ...]:
     """Smallest subset containing the seed closed under >, returned sorted.
 
@@ -202,18 +227,7 @@ def subquandle_closure(q: Quandle, seed: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("seed must be nonempty")
     if not all(0 <= x < q.order for x in members):
         raise ValueError("seed contains elements outside the carrier")
-    table = q.table
-    grew = True
-    while grew:
-        grew = False
-        for a in tuple(members):
-            row = table[a]
-            for b in tuple(members):
-                v = row[b]
-                if v not in members:
-                    members.add(v)
-                    grew = True
-    return tuple(sorted(members))
+    return tuple(sorted(_close(q.table, list(members), 0)))
 
 
 def induced_subquandle(q: Quandle, subset: Sequence[int]) -> Quandle:
@@ -364,18 +378,25 @@ def is_isomorphic(q1: Quandle, q2: Quandle) -> Optional[tuple[int, ...]]:
                 return False
         return True
 
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
+    # Depth-first as a loop, so the recursion limit does not bound n;
+    # tried[k] counts the candidates already tried at position k.
+    tried = [0] * n
+    k = 0
+    while 0 <= k < n:
         a = order[k]
-        for b in candidates[a]:
-            if not used[b] and consistent(a, b):
-                image[a] = b
-                used[b] = True
-                if extend(k + 1):
-                    return True
-                image[a] = -1
-                used[b] = False
-        return False
-
-    return tuple(image) if extend(0) else None
+        if image[a] != -1:
+            used[image[a]] = False
+            image[a] = -1
+        cands = candidates[a]
+        i = tried[k]
+        while i < len(cands) and (used[cands[i]] or not consistent(a, cands[i])):
+            i += 1
+        if i == len(cands):
+            tried[k] = 0
+            k -= 1
+        else:
+            image[a] = cands[i]
+            used[cands[i]] = True
+            tried[k] = i + 1
+            k += 1
+    return tuple(image) if k == n else None

@@ -116,11 +116,6 @@ def builtin_group_names() -> tuple[str, ...]:
     return tuple(_GROUP_BUILDERS)
 
 
-def builtin_names() -> tuple[str, ...]:
-    """Every name builtin() accepts: quandles first, then group tables."""
-    return builtin_quandle_names() + builtin_group_names()
-
-
 def builtin_quandle(name: str) -> Quandle:
     try:
         builder = _QUANDLE_BUILDERS[name]
@@ -135,20 +130,6 @@ def builtin_group(name: str) -> GroupTable:
     except KeyError:
         raise UnknownName(name, builtin_group_names()) from None
     return builder()
-
-
-def builtin(name: str) -> Quandle | GroupTable:
-    """Look up a built-in structure by name.
-
-    Quandle names resolve to Quandle objects; names with the -group suffix
-    resolve to raw multiplication tables, useful as arguments to conj() and
-    friends.  Unknown names raise UnknownName listing what exists.
-    """
-    if name in _QUANDLE_BUILDERS:
-        return builtin_quandle(name)
-    if name in _GROUP_BUILDERS:
-        return builtin_group(name)
-    raise UnknownName(name, builtin_names())
 
 
 def builtin_groups() -> list[tuple[str, GroupTable]]:

@@ -64,14 +64,6 @@ class NotACongruence(QuandleError):
         super().__init__(f"partition is not a congruence{detail}")
 
 
-class NotNormal(QuandleError):
-    """A subgroup handed to orbit_congruence is not normal in Inn(Q)."""
-
-    def __init__(self, witness: tuple[tuple[int, ...], tuple[int, ...]]):
-        self.witness = witness
-        super().__init__("subgroup is not normalized by the inner group")
-
-
 class CapExceeded(QuandleError):
     """A count of congruences or subquandles found, or a census order, outgrew its cap."""
 

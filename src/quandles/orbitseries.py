@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Quandle, subquandle_closure
+from .core import Quandle, _close
 from .errors import CapExceeded
 from .permgroup import orbits
 
@@ -178,7 +178,7 @@ def _subquandles(q: Quandle, cap: int) -> Iterator[tuple[int, ...]]:
     found: set[tuple[int, ...]] = set()
     for a in range(q.order):
         for s in [()] + [s for s in found if a not in s]:
-            new = subquandle_closure(q, s + (a,))
+            new = tuple(sorted(_close(q.table, [*s, a], len(s))))
             if new not in found:
                 if len(found) >= cap:
                     raise CapExceeded("number of subquandles found", cap)
@@ -200,8 +200,8 @@ def is_ncs(q: Quandle, cap: int = DEFAULT_SUBSET_CAP) -> bool:
 
     Stops at the first connected subquandle found, independently of the
     orbit tree; for finite quandles this holds exactly when the tree's
-    descent trivializes, which the test suite checks.  Raises CapExceeded
-    when more than cap subquandles are found first.
+    descent trivializes, which verify_suite checks with this scan.  Raises
+    CapExceeded when more than cap subquandles are found first.
     """
     for members in _subquandles(q, cap):
         if len(members) >= 2 and len(_orbits_within(q.table, members)) == 1:

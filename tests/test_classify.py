@@ -4,9 +4,10 @@ import pytest
 
 import _inputs
 import _oracles
-from quandles import classify, congruence, core, corpus, grouptables, permgroup
+from quandles import (
+    classify, congruence, core, corpus, grouptables, orbitseries, permgroup)
 from quandles.classify import ClassificationReport, CheckResult, SuiteReport
-from quandles.errors import InconsistentCharacterizations, NotClosed
+from quandles.errors import CapExceeded, InconsistentCharacterizations, NotClosed
 
 
 def _builtin(name):
@@ -187,6 +188,15 @@ class TestStructureFlags:
         for q in (core.dihedral(16), core.affine(7, 3), _builtin("conj-s3")):
             assert classify.classify(q).order == q.order
 
+    def test_classify_reads_ncs_off_the_orbit_tree(self, monkeypatch):
+        def refuse(q, cap=None):
+            raise AssertionError("classify ran the subquandle scan")
+
+        monkeypatch.setattr(orbitseries, "is_ncs", refuse)
+        for q in corpus.default_corpus():
+            rep = classify.classify(q, ncs_max_order=16)
+            assert rep.ncs == (rep.tos_degree is not None), q.label
+
     def test_connected_values(self):
         assert classify.is_connected(core.dihedral(3))
         assert classify.is_connected(core.affine(5, 2))
@@ -220,31 +230,35 @@ class TestStructureFlags:
                     == (permgroup.nilpotency_class(group) is not None)), q.label
 
 
+def _two_engel(table, subset):
+    return classify._two_engel_verdict(table, subset,
+                                       core.conj_subset(table, subset))
+
+
 class TestConjTwoEngelCheck:
     def test_identity_only_subset_passes(self):
         s3 = grouptables.symmetric_group(3)
-        assert classify.conj_two_engel_check(s3, (0,))
+        assert _two_engel(s3, (0,))
 
     def test_whole_quaternion_group_passes(self):
         q8 = grouptables.quaternion_8()
-        assert classify.conj_two_engel_check(q8, tuple(range(8)))
+        assert _two_engel(q8, tuple(range(8)))
 
     def test_transpositions_fail(self):
         s3 = grouptables.symmetric_group(3)
-        assert not classify.conj_two_engel_check(s3, (1, 3, 4))
+        assert not _two_engel(s3, (1, 3, 4))
 
     def test_three_cycles_pass(self):
         s3 = grouptables.symmetric_group(3)
-        assert classify.conj_two_engel_check(s3, (2, 5))
+        assert _two_engel(s3, (2, 5))
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
-            classify.conj_two_engel_check(grouptables.symmetric_group(3), ())
+            _two_engel(grouptables.symmetric_group(3), ())
 
     def test_unclosed_subset_rejected(self):
         with pytest.raises(NotClosed):
-            classify.conj_two_engel_check(grouptables.symmetric_group(3),
-                                          (1, 2))
+            _two_engel(grouptables.symmetric_group(3), (1, 2))
 
 
 class TestClassifyReports:
@@ -418,6 +432,29 @@ class TestVerifySuite:
         assert fact.checked == 1
         assert fact.witnesses == ("q8-group: verdicts disagree",)
         assert not rep.ok
+
+    def test_negated_ncs_scan_fails_on_every_checked_member(
+            self, monkeypatch):
+        # The fact compares the subquandle scan with the orbit tree, so a
+        # wrong scan shows on each member it runs on.
+        scan = orbitseries.is_ncs
+        monkeypatch.setattr(orbitseries, "is_ncs", lambda q: not scan(q))
+        rep = classify.verify_suite(corpus.default_corpus())
+        fact = next(r for r in rep.results
+                    if r.name == "tos-existence-iff-ncs")
+        assert not fact.passed
+        assert fact.checked == 20
+        assert len(fact.witnesses) == 20
+
+    def test_ncs_scan_cap_is_a_failing_completion(self, monkeypatch):
+        def cap(q):
+            raise CapExceeded("number of subquandles found", 1)
+
+        monkeypatch.setattr(orbitseries, "is_ncs", cap)
+        rep = classify.verify_suite([core.dihedral(3)])
+        assert rep.results[0] == CheckResult(
+            "classification-completes", False,
+            ("dihedral(3): number of subquandles found exceeded cap 1",), 1)
 
     def test_two_engel_fact_checks_groups_of_every_order(self):
         rep = classify.verify_suite([], [("d34", grouptables.dihedral_group(17))])

@@ -1,11 +1,11 @@
-"""Congruence lattice, lambda, orbit congruences, and the two chains."""
+"""Congruence lattice, Inn and Trans, lambda, and the two chains."""
 
 import pytest
 
 import _oracles
 from quandles import congruence, core, corpus, grouptables, permgroup
 from quandles.congruence import Congruence
-from quandles.errors import CapExceeded, NotNormal
+from quandles.errors import CapExceeded
 
 
 def classes_as_sets(cong):
@@ -171,9 +171,14 @@ def test_inner_and_transvection_orders_of_dihedral_three():
     assert congruence.trans(q).order == 3
 
 
+def _trans_rel(q, cong):
+    return permgroup.closure(congruence.trans_rel_generators(q, cong),
+                             degree=q.order)
+
+
 def test_trans_rel_at_zero_is_trivial():
     q = core.dihedral(6)
-    assert congruence.trans_rel(q, Congruence.zero(6)).order == 1
+    assert _trans_rel(q, Congruence.zero(6)).order == 1
 
 
 def test_trans_rel_trivial_iff_inside_lambda():
@@ -182,29 +187,10 @@ def test_trans_rel_trivial_iff_inside_lambda():
     lam = congruence.lambda_congruence(q)
     seen = set()
     for cong in congruence.all_congruences(q):
-        rel = congruence.trans_rel(q, cong)
+        rel = _trans_rel(q, cong)
         assert rel.is_trivial() == cong.refines(lam)
         seen.add(rel.is_trivial())
     assert seen == {True, False}
-
-
-def test_orbit_congruence_of_transvections():
-    q = core.dihedral(4)
-    cong = congruence.orbit_congruence(q, congruence.trans(q))
-    assert classes_as_sets(cong) == {frozenset({0, 2}), frozenset({1, 3})}
-
-
-def test_orbit_congruence_of_trivial_group():
-    q = core.dihedral(4)
-    cong = congruence.orbit_congruence(q, permgroup.PermGroup(4))
-    assert cong.is_zero
-
-
-def test_orbit_congruence_rejects_non_normal_subgroups():
-    q = core.dihedral(3)
-    reflection = permgroup.closure([q.table[0]])
-    with pytest.raises(NotNormal):
-        congruence.orbit_congruence(q, reflection)
 
 
 def test_lambda_of_trivial_is_full():
@@ -268,13 +254,18 @@ def test_o_chain_degree_of_the_point_is_zero():
 
 
 def test_o_chain_matches_checked_orbit_congruences():
-    # the chain skips the normality and congruence checks of
-    # orbit_congruence, which raises if either ever fails
+    # the chain closes no group and checks neither that each relative
+    # transvection group is normal in Inn(Q) nor that its orbit partition
+    # is a congruence; both are checked here on the closed groups
     for q in corpus.default_corpus() + _census(5):
         terms = [Congruence.one(q.order)]
         while True:
-            nxt = congruence.orbit_congruence(
-                q, congruence.trans_rel(q, terms[-1]))
+            group = _trans_rel(q, terms[-1])
+            for row in q.table:
+                for gen in group.generators:
+                    assert permgroup.conjugate(gen, row) in group, q.label
+            nxt = Congruence.from_classes(q.order, permgroup.orbits(group))
+            assert core.congruence_witness(q, nxt.class_of) is None, q.label
             if nxt == terms[-1]:
                 break
             terms.append(nxt)

@@ -1,6 +1,8 @@
 """Constructors, validation, quotients, and isomorphism search."""
 
+import inspect
 import math
+import sys
 import time
 from itertools import combinations_with_replacement
 
@@ -318,6 +320,18 @@ def test_is_isomorphic_is_reflexive_and_symmetric():
             forward = core.is_isomorphic(q1, q2)
             backward = core.is_isomorphic(q2, q1)
             assert (forward is None) == (backward is None)
+
+
+def test_is_isomorphic_depth_is_not_bounded_by_recursion():
+    # 128 positions to fill, 50 frames to spare
+    q = core.dihedral(128)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        mapping = core.is_isomorphic(q, q)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mapping is not None
 
 
 class TestConstructorsBuildQuandles:

@@ -5,7 +5,6 @@ import pytest
 import _inputs
 import _oracles
 from quandles import congruence, core, corpus, grouptables, permgroup
-from quandles.core import Quandle
 from quandles.errors import CapExceeded, UnknownName
 
 
@@ -26,25 +25,13 @@ class TestBuiltinRegistry:
         for expected in ["s3-group", "q8-group", "h27-group", "s4-group"]:
             assert expected in names
 
-    def test_combined_listing_keeps_order(self):
-        assert (corpus.builtin_names()
-                == corpus.builtin_quandle_names() + corpus.builtin_group_names())
-
-    def test_lookup_dispatches_on_kind(self):
-        q = corpus.builtin("d4")
-        assert isinstance(q, Quandle) and q.order == 4
-        table = corpus.builtin("q8-group")
-        assert not isinstance(table, Quandle)
-        assert grouptables.validate_group(table) == table
-        assert len(table) == 8
-
     def test_labels_match_registry_names(self):
         for name in corpus.builtin_quandle_names():
             assert corpus.builtin_quandle(name).label == name
 
     def test_unknown_names_rejected_with_listing(self):
         with pytest.raises(UnknownName) as info:
-            corpus.builtin("not-a-thing")
+            corpus.builtin_quandle("not-a-thing")
         message = str(info.value)
         assert "not-a-thing" in message
         assert "d3" in message
