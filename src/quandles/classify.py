@@ -227,29 +227,20 @@ def is_connected(q: Quandle) -> bool:
     return len(permgroup.orbits(q.table)) == 1
 
 
-def _two_engel_verdict(table: GroupTable, subset: Sequence[int],
-                       class_quandle: Quandle) -> bool:
-    """Whether the conjugation quandle on the subset trivializes in two splits.
+def _two_engel_verdict(table: GroupTable, whole: Quandle) -> bool:
+    """Whether the conjugation quandle of the group trivializes in two splits.
 
-    Decided by the bracket identity: every member of the subset must be a
-    2-Engel element of the subgroup the subset generates.  The verdict is
-    cross-checked against the orbit-tree degrees of class_quandle, the
-    class quandle the caller built on the same subset with
-    core.conj_subset; the two computations share nothing, so a mismatch
-    raises InconsistentCharacterizations.
+    Decided by the bracket identity, is_n_engel_subset over the whole group
+    with n = 2, and cross-checked against the orbit-tree degrees of whole,
+    the caller's core.conj(table); the two computations share nothing, so
+    a mismatch raises InconsistentCharacterizations.
     """
-    sd = orbitseries.degrees(class_quandle)
-    closed = sorted(set(subset))
-    hull = grouptables.subgroup_generated(table, closed)
-    e = grouptables.identity_of(table)
-    inv = grouptables.inverses_of(table)
-    by_bracket = all(
-        grouptables.engel_bracket(table, x, h, 2, inv) == e
-        for x in closed for h in hull)
+    sd = orbitseries.degrees(whole)
+    by_bracket = grouptables.is_n_engel_subset(table, range(len(table)), 2)
     by_tree = sd.tos_degree is not None and sd.tos_degree <= 2
     if by_bracket != by_tree:
         raise InconsistentCharacterizations(
-            f"two-split verdicts disagree on a subset of size {len(closed)}: "
+            f"two-split verdicts disagree on a group of order {len(table)}: "
             f"bracket={by_bracket} tree={by_tree}")
     return by_bracket
 
@@ -318,6 +309,7 @@ class QuandleFacts(ClassificationReport):
     q: Quandle
     inn_orbits: tuple[tuple[int, ...], ...]
     trans_orbits: tuple[tuple[int, ...], ...]
+    lam: congruence.Congruence
     tree: orbitseries.OrbitTreeNode
     chain: congruence.OChain
     ident: int | None
@@ -336,34 +328,37 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     """Every per-quandle quantity of the report and the suite, each built once.
 
     One pass builds the inner and transvection groups, the orbit tree, the
-    O- and L-chains and the rest, all polynomial in the order.  medial is
-    whether the transvection group is abelian, O(n^3), and ncs whether
-    tos_degree exists; is_medial() and is_ncs() are left to the suite.
-    Every leaf of the orbit tree is a connected subquandle, and a connected
-    subquandle lies in one orbit of each node containing it, hence in a
-    leaf: so ncs holds exactly when every leaf is a singleton.  ncs is None
-    above ncs_max_order.  Never raises on a route disagreement.
+    O- and L-chains and the rest, all polynomial in the order.  The Inn
+    orbits are the tree root's children (the root if it is a leaf); the
+    Trans orbits are O^1, or O^0 when the chain stops there (Q connected or
+    of order 1).  medial is whether the transvection group is abelian,
+    O(n^3), and ncs whether tos_degree exists; is_medial() and is_ncs() are
+    left to the suite.  Every leaf of the orbit tree is a connected
+    subquandle, and a connected subquandle lies in one orbit of each node
+    containing it, hence in a leaf: so ncs holds exactly when every leaf is
+    a singleton.  ncs is None above ncs_max_order.  Never raises on a route
+    disagreement.
     """
     inn_group = congruence.inn(q)
     trans_group = congruence.trans(q)
-    inn_orbits = permgroup.orbits(inn_group)
-    trans_orbits = permgroup.orbits(trans_group)
     tree = orbitseries.orbit_tree(q)
+    inn_orbits = tuple(c.subset for c in tree.children) or (tree.subset,)
     sd = orbitseries.SeriesDegrees.of_tree(tree)
     dl = permgroup.derived_length(trans_group)
-    faithful = congruence.lambda_congruence(q).is_zero
+    lam = congruence.lambda_congruence(q)
     medial = trans_group.is_abelian()
-    # Abelian: medial with Trans(Q) semiregular, every orbit of |Trans| points.
-    abelian = medial and all(len(o) == trans_group.order for o in trans_orbits)
     nilpotent = permgroup.nilpotency_class(trans_group) is not None
     lr = locally_reductive_degree(q)
     chain, ident, inn_cls, steps = _reductivity_routes(q, inn_group, lr)
+    trans_orbits = chain[min(1, len(chain) - 1)].classes
+    # Abelian: medial with Trans(Q) semiregular, every orbit of |Trans| points.
+    abelian = medial and all(len(o) == trans_group.order for o in trans_orbits)
     return QuandleFacts(
         order=q.order,
         label=q.label,
         orbit_sizes=tuple(sorted((len(o) for o in inn_orbits), reverse=True)),
         connected=len(inn_orbits) == 1,
-        faithful=faithful,
+        faithful=lam.is_zero,
         medial=medial,
         abelian=abelian,
         nilpotent_quandle=nilpotent,
@@ -380,6 +375,7 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
         q=q,
         inn_orbits=inn_orbits,
         trans_orbits=trans_orbits,
+        lam=lam,
         tree=tree,
         chain=chain,
         ident=ident,
@@ -479,7 +475,6 @@ def _series_and_congruence_facts(f: QuandleFacts,
                f"the principal series of its members")
     if lattice is None:
         return
-    lam = congruence.lambda_congruence(q)
     e = permgroup.identity(q.order)
     for cong in lattice:
         for cls in cong.classes:
@@ -489,7 +484,7 @@ def _series_and_congruence_facts(f: QuandleFacts,
                    f"{f.name}: class {cls} is not closed")
         trivial = all(g == e for g in congruence.trans_rel_generators(q, cong))
         record("relative-transvections-trivial-iff-kernel",
-               trivial == cong.refines(lam),
+               trivial == cong.refines(f.lam),
                f"{f.name}: relative transvection triviality "
                f"disagrees with translation-kernel refinement")
         quot, proj = core.quotient(q, cong.classes)
@@ -639,7 +634,10 @@ def verify_suite(corpus: Iterable[Quandle],
                f"{f.name}: chain of {len(chain)} terms not descending")
 
     for f, lattice in zip(facts, lattices):
-        _series_and_congruence_facts(f, lattice, record)
+        try:
+            _series_and_congruence_facts(f, lattice, record)
+        except QuandleError as exc:
+            failed["classification-completes"].append(f"{f.name}: {exc}")
 
     for f in facts:
         tos = f.tos_degree
@@ -676,7 +674,7 @@ def verify_suite(corpus: Iterable[Quandle],
                        f"{gname}, subset {subset}, n={n}: "
                        f"local reductivity {lhs} vs bracket {rhs}")
         try:
-            two_engel = _two_engel_verdict(table, range(len(table)), whole)
+            two_engel = _two_engel_verdict(table, whole)
             red = reductive_degree(whole) if two_engel else None
         except QuandleError as exc:
             record("two-engel-conjugation-reductive-by-3", False,

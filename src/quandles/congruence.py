@@ -11,7 +11,7 @@ rows, and the two descending chains derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from . import core, permgroup
 from .core import Quandle
@@ -34,9 +34,9 @@ class Congruence:
     classes: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_class_of(labels: Sequence[int]) -> "Congruence":
+    def from_class_of(labels: Sequence[Hashable]) -> "Congruence":
         n = len(labels)
-        first_seen: dict[int, int] = {}
+        first_seen: dict[Hashable, int] = {}
         buckets: list[list[int]] = []
         for x, lab in enumerate(labels):
             if lab not in first_seen:
@@ -194,15 +194,9 @@ def trans_rel_generators(q: Quandle, cong: Congruence) -> list[permgroup.Perm]:
 def lambda_congruence(q: Quandle) -> Congruence:
     """The congruence relating elements whose rows coincide.
 
-    Q is faithful exactly when this is the identity partition.
+    Rows are the labels; Q is faithful exactly when every class is a point.
     """
-    seen: dict[tuple[int, ...], int] = {}
-    labels = []
-    for row in q.table:
-        if row not in seen:
-            seen[row] = len(seen)
-        labels.append(seen[row])
-    return Congruence.from_class_of(tuple(labels))
+    return Congruence.from_class_of(q.table)
 
 
 def l_chain(q: Quandle) -> list[Quandle]:

@@ -11,6 +11,7 @@ format used by the command line shifts to 1-based on the way out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -174,20 +175,12 @@ def disjoint_union(*quandles: Quandle) -> Quandle:
 
 
 def direct_product(*quandles: Quandle) -> Quandle:
-    """Componentwise product; pairs are flattened in row-major order."""
+    """Componentwise product: grouptables.direct_product folded, row-major."""
     if not quandles:
         raise ValueError("need at least one quandle")
-    result = quandles[0]
-    for q in quandles[1:]:
-        n1, n2 = result.order, q.order
-        t1, t2 = result.table, q.table
-        table = tuple(
-            tuple(t1[a1][b1] * n2 + t2[a2][b2]
-                  for b1 in range(n1) for b2 in range(n2))
-            for a1 in range(n1) for a2 in range(n2)
-        )
-        result = Quandle(table)
-    return result.relabel(" x ".join(q.label or "?" for q in quandles))
+    table = functools.reduce(grouptables.direct_product,
+                             (q.table for q in quandles))
+    return Quandle(table, " x ".join(q.label or "?" for q in quandles))
 
 
 def _close(table: Table, members: list[int], done: int) -> list[int]:

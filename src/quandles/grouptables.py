@@ -126,22 +126,6 @@ def conjugacy_classes(table: GroupTable) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(classes, key=min))
 
 
-def subgroup_generated(table: GroupTable, subset: Sequence[int]) -> tuple[int, ...]:
-    """Elements of the subgroup generated by the subset, sorted."""
-    e = identity_of(table)
-    members = {e}
-    frontier = [e]
-    gens = sorted(set(subset))
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = table[x][g]
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return tuple(sorted(members))
-
-
 # Builders for the small groups used throughout the test corpus.
 
 def from_perm_generators(gens: Sequence[permgroup.Perm]) -> GroupTable:

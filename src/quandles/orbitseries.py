@@ -8,10 +8,10 @@ survives, and whether every leaf is a singleton decides whether the descent
 trivializes.  Both numbers are read off the tree here; classify turns them
 into membership predicates.
 
-Nodes are occurrences, not deduplicated subsets: the same subset reached
-along two different branches appears twice, once per path, so branch depth
-statements stay directly computable.  The set of distinct subsets is
-recoverable by collecting ``node.subset`` over ``nodes()``.
+No subset appears at two nodes.  The children of a node partition its
+subset into disjoint orbits, each strictly smaller, so two nodes on one
+branch differ in size, and two nodes off a common branch lie inside
+disjoint children of the node where their branches part.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _orbits_within(table: tuple[tuple[int, ...], ...],
 
 @dataclass(frozen=True)
 class OrbitTreeNode:
-    """One occurrence of a closed subset along a splitting path.
+    """One closed subset along a splitting path.
 
     children holds one node per orbit of the induced quandle when there are
     at least two orbits; a node whose induced quandle is connected keeps no

@@ -371,22 +371,18 @@ def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]
     return find, union
 
 
-def orbits(group_or_gens: PermGroup | Sequence[Perm],
+def orbits(gens: Sequence[Perm],
            domain: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
     """Orbit partition via union-find on generator images; no closure needed.
 
-    The generators must map the domain (default: every point) into itself;
-    the result is then the orbit partition of the restricted action.
-    Orbits are returned as sorted tuples, ordered by smallest member.
+    Takes at least one permutation.  They must map the domain (default:
+    every point) into itself; the result is then the orbit partition of the
+    restricted action of the group they generate.  Orbits are returned as
+    sorted tuples, ordered by smallest member.
     """
-    if isinstance(group_or_gens, PermGroup):
-        gens = group_or_gens.generators
-        degree = group_or_gens.degree
-    else:
-        gens = list(group_or_gens)
-        if not gens:
-            raise ValueError("need at least one permutation or a PermGroup")
-        degree = len(gens[0])
+    if not gens:
+        raise ValueError("need at least one permutation")
+    degree = len(gens[0])
     if domain is None:
         domain = range(degree)
     find, union = union_find(degree)

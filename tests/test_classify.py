@@ -7,7 +7,7 @@ import _oracles
 from quandles import (
     classify, congruence, core, corpus, grouptables, orbitseries, permgroup)
 from quandles.classify import ClassificationReport, CheckResult, SuiteReport
-from quandles.errors import CapExceeded, InconsistentCharacterizations, NotClosed
+from quandles.errors import CapExceeded, InconsistentCharacterizations
 
 
 def _builtin(name):
@@ -197,6 +197,27 @@ class TestStructureFlags:
             rep = classify.classify(q, ncs_max_order=16)
             assert rep.ncs == (rep.tos_degree is not None), q.label
 
+    def test_orbit_fields_match_the_closed_groups(self):
+        # gather_facts reads the Inn orbits off the orbit tree and the Trans
+        # orbits off O^1; here both come from generators of the closed
+        # groups.  A trivial group has no generators: its orbits are points.
+        def group_orbits(group):
+            if not group.generators:
+                return tuple((x,) for x in range(group.degree))
+            return permgroup.orbits(group.generators)
+
+        members = [(q.label, q) for q in corpus.default_corpus()]
+        for name, q in members + _inputs.classify_workload_inputs():
+            inn, trans = congruence.inn(q), congruence.trans(q)
+            inn_orbits, trans_orbits = group_orbits(inn), group_orbits(trans)
+            facts = classify.gather_facts(q)
+            assert facts.inn_orbits == inn_orbits, name
+            assert facts.trans_orbits == trans_orbits, name
+            assert facts.orbit_sizes == tuple(
+                sorted(map(len, inn_orbits), reverse=True)), name
+            assert facts.abelian == (trans.is_abelian() and all(
+                len(o) == trans.order for o in trans_orbits)), name
+
     def test_connected_values(self):
         assert classify.is_connected(core.dihedral(3))
         assert classify.is_connected(core.affine(5, 2))
@@ -230,35 +251,33 @@ class TestStructureFlags:
                     == (permgroup.nilpotency_class(group) is not None)), q.label
 
 
-def _two_engel(table, subset):
-    return classify._two_engel_verdict(table, subset,
-                                       core.conj_subset(table, subset))
+def _two_engel(table):
+    return classify._two_engel_verdict(table, core.conj(table))
 
 
 class TestConjTwoEngelCheck:
+    # The verdict is on whole groups; the subset cases are restated on the
+    # subgroup each subset generates.
     def test_identity_only_subset_passes(self):
-        s3 = grouptables.symmetric_group(3)
-        assert _two_engel(s3, (0,))
+        assert _two_engel(grouptables.cyclic(1))
 
     def test_whole_quaternion_group_passes(self):
         q8 = grouptables.quaternion_8()
-        assert _two_engel(q8, tuple(range(8)))
+        assert _two_engel(q8)
 
     def test_transpositions_fail(self):
-        s3 = grouptables.symmetric_group(3)
-        assert not _two_engel(s3, (1, 3, 4))
+        # the transpositions of S3 generate S3
+        assert not _two_engel(grouptables.symmetric_group(3))
 
     def test_three_cycles_pass(self):
-        s3 = grouptables.symmetric_group(3)
-        assert _two_engel(s3, (2, 5))
+        # the 3-cycles of S3 generate a cyclic group of order 3
+        assert _two_engel(grouptables.cyclic(3))
 
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            _two_engel(grouptables.symmetric_group(3), ())
-
-    def test_unclosed_subset_rejected(self):
-        with pytest.raises(NotClosed):
-            _two_engel(grouptables.symmetric_group(3), (1, 2))
+    @pytest.mark.parametrize("name, verdict", [
+        ("h27-group", True), ("d8-group", True),
+        ("d16-group", False), ("a4-group", False)])
+    def test_builtin_group_verdicts(self, name, verdict):
+        assert _two_engel(corpus.builtin_group(name)) == verdict
 
 
 class TestClassifyReports:
@@ -421,7 +440,7 @@ class TestVerifySuite:
 
     def test_two_engel_cross_check_error_is_a_failing_fact(self, monkeypatch):
         # The bracket and orbit-tree verdicts disagreeing is data too.
-        def disagree(table, subset, class_quandle):
+        def disagree(table, whole):
             raise InconsistentCharacterizations("verdicts disagree")
 
         monkeypatch.setattr(classify, "_two_engel_verdict", disagree)
@@ -455,6 +474,26 @@ class TestVerifySuite:
         assert rep.results[0] == CheckResult(
             "classification-completes", False,
             ("dihedral(3): number of subquandles found exceeded cap 1",), 1)
+
+    def test_defective_lattice_is_a_failing_completion(self, monkeypatch):
+        # A partition that is not a congruence makes core.quotient raise
+        # inside the per-congruence facts; the suite records the error.
+        lattice = congruence.all_congruences
+
+        def with_non_congruence(q):
+            bad = congruence.Congruence.from_classes(
+                q.order, [(0, 1)] + [(x,) for x in range(2, q.order)])
+            return lattice(q) + (bad,)
+
+        monkeypatch.setattr(congruence, "all_congruences", with_non_congruence)
+        rep = classify.verify_suite([core.dihedral(3)])
+        assert not rep.ok
+        assert rep.results[0] == CheckResult(
+            "classification-completes", False,
+            ("dihedral(3): partition is not a congruence, "
+             "witness (0, 1, 0, 0, 1)",), 1)
+        assert {r.name for r in rep.results if not r.passed} == {
+            "classification-completes", "congruence-classes-are-subquandles"}
 
     def test_two_engel_fact_checks_groups_of_every_order(self):
         rep = classify.verify_suite([], [("d34", grouptables.dihedral_group(17))])

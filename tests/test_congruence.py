@@ -264,7 +264,8 @@ def test_o_chain_matches_checked_orbit_congruences():
             for row in q.table:
                 for gen in group.generators:
                     assert permgroup.conjugate(gen, row) in group, q.label
-            nxt = Congruence.from_classes(q.order, permgroup.orbits(group))
+            nxt = Congruence.from_classes(q.order,
+                                          permgroup.orbits(group.elements))
             assert core.congruence_witness(q, nxt.class_of) is None, q.label
             if nxt == terms[-1]:
                 break

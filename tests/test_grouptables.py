@@ -116,22 +116,13 @@ def test_conjugacy_class_sizes_of_q8():
     assert sizes == [1, 1, 2, 2, 2]
 
 
-def test_subgroup_generated():
-    s3 = grouptables.symmetric_group(3)
-    transpositions = (1, 3, 4)
-    assert len(grouptables.subgroup_generated(s3, transpositions)) == 6
-    cycle = next(c for c in grouptables.conjugacy_classes(s3) if len(c) == 2)[0]
-    assert len(grouptables.subgroup_generated(s3, (cycle,))) == 3
-    assert grouptables.subgroup_generated(s3, ()) == (grouptables.identity_of(s3),)
-
-
 def test_regular_representation_is_faithful_and_regular():
     table = grouptables.dihedral_group(6)
     rep = permgroup.closure(table)
     group = permgroup.closure(rep.generators)
     assert group.order == 12
     # transitive of order equal to the degree: every point's stabilizer is 1
-    assert permgroup.orbits(group) == (tuple(range(12)),)
+    assert permgroup.orbits(group.generators) == (tuple(range(12)),)
 
 
 def test_nilpotency_class_values():

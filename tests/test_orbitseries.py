@@ -85,6 +85,19 @@ def test_degrees_are_isomorphism_invariant():
     assert orbitseries.degrees(q) == orbitseries.degrees(other)
 
 
+def test_tree_nodes_are_distinct_and_children_partition_their_parent():
+    census = [q for n in range(1, 6) for q in corpus.enumerate_quandles(n)]
+    for q in corpus.default_corpus() + census:
+        nodes = list(orbitseries.orbit_tree(q).nodes())
+        assert len({node.subset for node in nodes}) == len(nodes), q.label
+        for node in nodes:
+            if node.children:
+                parts = [x for child in node.children for x in child.subset]
+                assert sorted(parts) == list(node.subset), q.label
+                assert all(child.size < node.size
+                           for child in node.children), q.label
+
+
 def test_principal_series_in_trivial():
     assert orbitseries.principal_series(core.trivial(3), 1) == [(0, 1, 2), (1,)]
 

@@ -125,8 +125,15 @@ def test_group_tables_are_validated_in_one_place():
 
 
 def test_one_engel_bracket_loop():
-    assert _functions_calling("engel_bracket") == {
-        "grouptables.is_n_engel_subset", "classify._two_engel_verdict"}
+    assert _functions_calling("engel_bracket") == {"grouptables.is_n_engel_subset"}
+
+
+def test_orbit_partitions_are_not_recomputed():
+    # gather_facts reads the Inn orbits off the orbit tree and the Trans
+    # orbits off the O-chain instead of running orbits again.
+    assert _functions_calling("orbits") == {
+        "classify.is_connected", "congruence.o_chain",
+        "core._element_invariants", "orbitseries._orbits_within"}
 
 
 def test_only_the_suite_scans_for_connected_subquandles():
