@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import classify, core, corpus, qndfile
 from .core import Quandle
-from .errors import CapExceeded, QuandleError
+from .errors import CapExceeded, ParseError, QuandleError
 from .orbitseries import OrbitTreeNode, orbit_tree
 
 EXIT_OK = 0
@@ -107,9 +107,17 @@ def _generate(family: str, params: Sequence[str]) -> Quandle:
 
 
 def _load(path: str) -> Quandle:
-    if path == "-":
-        return qndfile.parse(sys.stdin.read(), label="stdin")
-    return qndfile.parse(Path(path).read_text(), label=Path(path).stem)
+    """Parse a .qnd file, or standard input for "-".
+
+    Bytes that do not decode are malformed input (ParseError, exit 2), not a
+    usage error, although UnicodeDecodeError is a ValueError.
+    """
+    stdin = path == "-"
+    try:
+        text = sys.stdin.read() if stdin else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return qndfile.parse(text, label="stdin" if stdin else Path(path).stem)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

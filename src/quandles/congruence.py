@@ -251,12 +251,15 @@ def o_chain(q: Quandle) -> OChain:
     """Compute the O-chain of q, stopping at the first repeated term.
 
     Each term is the orbit partition of the previous term's
-    trans_rel_generators; no group is closed.  The identity partition,
-    which has no generators, ends the chain.
+    trans_rel_generators; no group is closed.  Repeats among them are
+    dropped first: the distinct ones generate the same group, so the orbits
+    are the same (on dihedral(n), L_a L_e^{-1} is translation by 2(a - e),
+    so a and a + n/2 give one generator).  The identity partition, which
+    has no generators, ends the chain.
     """
     terms = [Congruence.one(q.order)]
     while not terms[-1].is_zero:
-        gens = trans_rel_generators(q, terms[-1])
+        gens = list(dict.fromkeys(trans_rel_generators(q, terms[-1])))
         nxt = Congruence.from_classes(q.order, permgroup.orbits(gens))
         if nxt == terms[-1]:
             break

@@ -20,6 +20,7 @@ The commutator convention is [x, y] = x^{-1} y^{-1} x y throughout.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -30,8 +31,15 @@ def identity(degree: int) -> Perm:
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """Product p*q acting as p after q: (p*q)(i) = p[q[i]]."""
-    return tuple(p[x] for x in q)
+    """Product p*q acting as p after q: (p*q)(i) = p[q[i]].
+
+    The images are gathered by one itemgetter call.  Below degree 2 that
+    would return a scalar (degree 1) or raise (degree 0), so those take
+    the plain loop.
+    """
+    if len(q) < 2:
+        return tuple(p[x] for x in q)
+    return itemgetter(*q)(p)
 
 
 def inverse(p: Perm) -> Perm:
@@ -373,25 +381,37 @@ def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]
 
 def orbits(gens: Sequence[Perm],
            domain: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition via union-find on generator images; no closure needed.
+    """Orbit partition of the group the permutations generate; no closure needed.
 
     Takes at least one permutation.  They must map the domain (default:
     every point) into itself; the result is then the orbit partition of the
     restricted action of the group they generate.  Orbits are returned as
     sorted tuples, ordered by smallest member.
+
+    Each orbit is a search from its first point: a popped point y adds the
+    images g[y] the orbit lacks, gathered for all generators at once.  The
+    search stops early once the orbit holds every point not yet placed.
+    The orbit, the stack and the seen set are the only extra memory,
+    O(|domain|); no |gens| x |domain| image table is built.
     """
     if not gens:
         raise ValueError("need at least one permutation")
-    degree = len(gens[0])
     if domain is None:
-        domain = range(degree)
-    find, union = union_find(degree)
-    for g in gens:
-        for x in domain:
-            y = g[x]
-            if y != x:
-                union(x, y)
-    buckets: dict[int, list[int]] = {}
+        domain = range(len(gens[0]))
+    seen: set[int] = set()
+    unplaced = len(domain)
+    found = []
     for x in domain:
-        buckets.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(b)) for b in sorted(buckets.values(), key=min))
+        if x in seen:
+            continue
+        orbit, stack = {x}, [x]
+        while stack and len(orbit) < unplaced:
+            new = set(map(itemgetter(stack.pop()), gens))
+            new -= orbit
+            orbit |= new
+            stack.extend(new)
+        seen |= orbit
+        unplaced -= len(orbit)
+        found.append(tuple(sorted(orbit)))
+    found.sort()
+    return tuple(found)

@@ -136,29 +136,36 @@ def locally_reductive_degree_direct(table: Table, max_n: int | None = None) -> i
     return None
 
 
-def _orbit_fixpoint(table: Table, subset: frozenset[int], start: int) -> frozenset[int]:
-    """Orbit of start under translations by subset members, by naive sweeps."""
+def _orbit_fixpoint(perms: list[tuple[int, ...]], start: int) -> frozenset[int]:
+    """Orbit of start under perms, by naive sweeps to a fixed point."""
     members = {start}
     changed = True
     while changed:
         changed = False
-        for s in subset:
+        for p in perms:
             for m in list(members):
-                image = table[s][m]
+                image = p[m]
                 if image not in members:
                     members.add(image)
                     changed = True
     return frozenset(members)
 
 
-def _orbit_partition(table: Table, subset: frozenset[int]) -> list[frozenset[int]]:
-    remaining = set(subset)
+def orbits_by_sweeps(perms: list[tuple[int, ...]],
+                     points: frozenset[int]) -> list[frozenset[int]]:
+    """Orbit partition of points, which perms map into themselves, by min member."""
+    remaining = set(points)
     parts = []
     while remaining:
-        orbit = _orbit_fixpoint(table, subset, min(remaining))
+        orbit = _orbit_fixpoint(perms, min(remaining))
         parts.append(orbit)
         remaining -= orbit
     return sorted(parts, key=min)
+
+
+def _orbit_partition(table: Table, subset: frozenset[int]) -> list[frozenset[int]]:
+    """Orbits of a closed subset under translation by its own members."""
+    return orbits_by_sweeps([table[s] for s in subset], subset)
 
 
 def closed_subsets_by_mask(table: Table) -> list[tuple[int, ...]]:
@@ -218,6 +225,13 @@ def closure_elements(perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
         if not fresh:
             return elements
         elements |= fresh
+
+
+def orbits_by_closure(perms: list[tuple[int, ...]],
+                      points: frozenset[int]) -> list[frozenset[int]]:
+    """Orbit partition of points, each orbit read off the closed element set."""
+    elements = closure_elements(perms)
+    return sorted({frozenset(p[x] for p in elements) for x in points}, key=min)
 
 
 def closure_order(perms: list[tuple[int, ...]]) -> int:

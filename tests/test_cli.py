@@ -141,6 +141,18 @@ class TestClassifyCommand:
         path.write_text("not a table\n")
         assert cli.main(["classify", str(path)]) == 2
 
+    def test_undecodable_file_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "bad.qnd"
+        path.write_bytes(b"\xff\xfe2\n1 1\n")
+        assert cli.main(["classify", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_stdin_is_malformed(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfe2\n1 1\n"), encoding="utf-8"))
+        assert cli.main(["classify", "-"]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_axiom_violating_file(self, tmp_path, capsys):
         path = tmp_path / "broken.qnd"
         path.write_text("2\n2 1\n1 2\n")

@@ -2,6 +2,7 @@
 
 import pytest
 
+import _inputs
 import _oracles
 from quandles import congruence, core, corpus, grouptables, permgroup
 from quandles.congruence import Congruence
@@ -271,3 +272,19 @@ def test_o_chain_matches_checked_orbit_congruences():
                 break
             terms.append(nxt)
         assert congruence.o_chain(q).terms == tuple(terms), q.label
+
+
+def test_o_chain_without_repeated_generators_is_the_full_generator_chain():
+    # o_chain drops repeats among the relative transvections; a chain fed
+    # every one of them, orbits by the oracle's sweeps, must agree
+    inputs = [(q.label, q) for q in corpus.default_corpus()]
+    for label, q in inputs + _inputs.classify_workload_inputs():
+        terms = [Congruence.one(q.order)]
+        while not terms[-1].is_zero:
+            gens = congruence.trans_rel_generators(q, terms[-1])
+            orbits = _oracles.orbits_by_sweeps(gens, frozenset(range(q.order)))
+            nxt = Congruence.from_classes(q.order, [sorted(o) for o in orbits])
+            if nxt == terms[-1]:
+                break
+            terms.append(nxt)
+        assert congruence.o_chain(q).terms == tuple(terms), label

@@ -40,6 +40,15 @@ def test_leaf_iff_one_orbit():
             assert node.is_leaf == one_orbit
 
 
+def test_orbits_within_every_tree_node_match_the_sweep_oracle():
+    census = [q for n in range(1, 6) for q in corpus.enumerate_quandles(n)]
+    for q in corpus.default_corpus() + census:
+        for node in orbitseries.orbit_tree(q).nodes():
+            want = _oracles._orbit_partition(q.table, frozenset(node.subset))
+            assert (orbitseries._orbits_within(q.table, node.subset)
+                    == tuple(tuple(sorted(o)) for o in want)), (q.label, node.subset)
+
+
 def test_degrees_of_dihedral_powers_of_two():
     for k in range(5):
         sd = orbitseries.degrees(core.dihedral(2 ** k))

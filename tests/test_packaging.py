@@ -136,5 +136,12 @@ def test_orbit_partitions_are_not_recomputed():
         "core._element_invariants", "orbitseries._orbits_within"}
 
 
+def test_union_find_serves_only_congruences():
+    # orbits search generator images; a union per (generator, point) edge
+    # must not come back into the orbit kernel
+    assert _functions_calling("union_find") == {
+        "congruence.join", "congruence.congruence_generated"}
+
+
 def test_only_the_suite_scans_for_connected_subquandles():
     assert _functions_calling("is_ncs") == {"classify.verify_suite"}

@@ -17,6 +17,86 @@ def test_compose_and_inverse():
     assert permgroup.inverse((2, 0, 1)) == (1, 2, 0)
 
 
+def test_compose_is_the_plain_loop_at_every_degree():
+    # itemgetter returns a scalar for one index and raises for none, so
+    # degrees 0 and 1 must still come back as tuples
+    pairs = [((), ()), ((0,), (0,)), ((0, 1), (0, 1)), ((1, 0), (1, 0)),
+             ((1, 0), (0, 1))]
+    rng = random.Random(13)
+    for degree in [3, 4, 5, 8, 20, 33, 64] * 3:
+        p, q = list(range(degree)), list(range(degree))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        pairs.append((tuple(p), tuple(q)))
+    for p, q in pairs:
+        out = permgroup.compose(p, q)
+        assert type(out) is tuple
+        assert out == tuple(p[x] for x in q)
+
+
+def _rotations_on_blocks(rng, degree):
+    """Blocks of a random partition of the points, each listed in a random order.
+
+    A permutation that rotates every block along its listed order maps each
+    block into itself, and such permutations generate an abelian group of
+    order at most the product of the block sizes, which the closure oracle
+    can afford at degree 12.
+    """
+    points = list(range(degree))
+    rng.shuffle(points)
+    blocks = []
+    while points:
+        size = rng.randint(1, len(points))
+        blocks.append(points[:size])
+        points = points[size:]
+    return blocks
+
+
+def _rotation(blocks, degree, shifts):
+    image = [0] * degree
+    for block, shift in zip(blocks, shifts):
+        for i, x in enumerate(block):
+            image[x] = block[(i + shift) % len(block)]
+    return tuple(image)
+
+
+def test_orbits_match_the_closure_oracle_on_random_generator_sets():
+    # 1-5 generators, identities and duplicates among them: fully random
+    # permutations up to degree 5, block rotations up to degree 12, with the
+    # domain cut to a union of blocks, listed out of order
+    rng = random.Random(2023)
+    for case in range(300):
+        degree = rng.randint(1, 12)
+        blocks = _rotations_on_blocks(rng, degree)
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            roll = rng.random()
+            if roll < 0.15:
+                gens.append(permgroup.identity(degree))
+            elif roll < 0.3 and gens:
+                gens.append(rng.choice(gens))
+            elif degree <= 5:
+                p = list(range(degree))
+                rng.shuffle(p)
+                gens.append(tuple(p))
+            else:
+                gens.append(_rotation(blocks, degree,
+                                      [rng.randrange(len(b)) for b in blocks]))
+        if degree <= 5:
+            domain = tuple(range(degree))
+        else:
+            kept = [b for b in blocks if rng.random() < 0.7] or blocks
+            domain = tuple(x for b in kept for x in b)
+        want = _oracles.orbits_by_closure(gens, frozenset(domain))
+        got = permgroup.orbits(gens, domain)
+        assert got == tuple(tuple(sorted(o)) for o in want), (case, gens, domain)
+
+
+def test_orbits_need_a_permutation():
+    with pytest.raises(ValueError):
+        permgroup.orbits([])
+
+
 def test_closure_without_generators():
     g = permgroup.closure([], degree=4)
     assert g.order == 1
@@ -81,7 +161,7 @@ def test_inner_and_transvection_orbits_coincide():
 
 
 def test_orbits_from_generators_match_group_action():
-    # union-find over generator edges against the full closure action
+    # the search over generator images against the full closure action
     q = core.conj(grouptables.quaternion_8())
     gens = list(q.table)
     by_gens = permgroup.orbits(gens)
