@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import congruence, core, grouptables, orbitseries, permgroup
 from .core import Quandle
@@ -57,7 +58,7 @@ def _first_constant_layer(q: Quandle, max_layer: int | None = None) -> int | Non
     k = 0
     while True:
         ids: dict[tuple[int, ...], int] = {}
-        labels = [ids.setdefault(tuple([labels[x] for x in row]), len(ids))
+        labels = [ids.setdefault(permgroup.compose(labels, row), len(ids))
                   for row in q.table]
         k += 1
         if len(ids) == 1:
@@ -83,15 +84,42 @@ def is_n_reductive(q: Quandle, n: int) -> bool:
     return _first_constant_layer(q, max_layer=n) is not None
 
 
-def _reductivity_routes(q: Quandle, inn_group: PermGroup, lr: int | None
+class _Groups(NamedTuple):
+    """Trans(Q), its derived subgroup, Inn(Q) and its derived subgroup."""
+
+    trans: PermGroup
+    trans_derived: PermGroup
+    inn: PermGroup
+    inn_derived: PermGroup
+
+
+def _groups(q: Quandle) -> _Groups:
+    """The four groups the report reads, each built once, each from the last.
+
+    Inn(Q) = Trans(Q) <L_e> (Joyce 1982) extends a copy of Trans(Q)'s
+    chain.  T' = [Trans, Trans] is built once; it is the second term of
+    both the lower central and the derived series of Trans(Q).  T' is
+    characteristic in Trans(Q), which is normal in Inn(Q), so T' is normal
+    in Inn(Q) and [Inn, Inn] = <T' u {[t, L_e]}>^Inn over the generators t
+    of Trans(Q): it grows from a copy of T''s chain.
+    """
+    trans_group = congruence.trans(q)
+    inn_group = congruence.inn(q, trans_group)
+    trans_derived = permgroup.derived_subgroup(trans_group)
+    return _Groups(trans_group, trans_derived, inn_group,
+                   permgroup.derived_subgroup(inn_group, trans_group, trans_derived))
+
+
+def _reductivity_routes(q: Quandle, groups: _Groups, lr: int | None
                         ) -> tuple[congruence.OChain, int | None, int | None, int | None]:
     """The four reductivity routes, computed but not compared.
 
     Returns the O-chain (its degree is the chain route), the first
-    all-constant composite layer, the nilpotency class of the inner group,
-    and the number of stabilizer-collapse steps down to the one-element
-    quandle.  When the locally reductive degree lr is None the identity
-    route is None without building a layer: layer k contains R_b^k, and an
+    all-constant composite layer, the nilpotency class of the inner group
+    (its lower central series from the [Inn, Inn] of groups), and the
+    number of stabilizer-collapse steps down to the one-element quandle.
+    When the locally reductive degree lr is None the identity route is
+    None without building a layer: layer k contains R_b^k, and an
     all-constant layer would force R_b^k to be constant at b.
     """
     chain = congruence.o_chain(q)
@@ -101,7 +129,7 @@ def _reductivity_routes(q: Quandle, inn_group: PermGroup, lr: int | None
         ident = None
     else:
         ident = _first_constant_layer(q)
-    cls = permgroup.nilpotency_class(inn_group)
+    cls = permgroup.nilpotency_class(groups.inn, groups.inn_derived)
     lam = congruence.l_chain(q)
     steps = len(lam) - 1 if lam[-1].order == 1 else None
     return chain, ident, cls, steps
@@ -136,26 +164,28 @@ def reductive_degree(q: Quandle) -> int | None:
     finite quandles.
     """
     chain, ident, cls, steps = _reductivity_routes(
-        q, congruence.inn(q), locally_reductive_degree(q))
+        q, _groups(q), locally_reductive_degree(q))
     _check_routes(q, chain.degree, ident, cls, steps)
     return chain.degree
 
 
-def _constant_power(table: tuple[tuple[int, ...], ...], size: int,
-                    b: int) -> int | None:
-    """Minimal k with the k-th power of x -> x > b constant at b, else None."""
-    current = tuple(range(size))
-    seen = {current}
+def _constant_power(column: Sequence[int]) -> int | None:
+    """Minimal k with R_b^k constant, else None; column[x] is x > b.
+
+    The images R_b^k(Q) are nested, since R_b(Q) is inside Q and R_b maps
+    each image into the next, and each holds b, since b > b = b.  So R_b^k
+    is constant (at b) exactly when its image is {b}; the images shrink
+    strictly until then, and one that does not shrink never will.
+    """
+    image = set(range(len(column)))
     k = 0
-    while True:
-        if all(x == b for x in current):
-            return k
-        nxt = tuple(table[x][b] for x in current)
-        if nxt in seen:
+    while len(image) > 1:
+        nxt = set(itemgetter(*image)(column))
+        if len(nxt) == len(image):
             return None
-        seen.add(nxt)
-        current = nxt
+        image = nxt
         k += 1
+    return k
 
 
 def is_n_locally_reductive(q: Quandle, n: int) -> bool:
@@ -184,15 +214,14 @@ def is_n_locally_reductive(q: Quandle, n: int) -> bool:
 def locally_reductive_degree(q: Quandle) -> int | None:
     """Minimal n with every n-fold right multiplication collapsing to b.
 
-    Per fixed b the iterated map x -> x > b either reaches the constant map
-    at b (within fewer than |Q| steps, since every element must walk into
-    the fixed point) or enters a cycle that never does; repeat detection on
-    the iterated maps decides which.  The degree is the worst b, absent as
-    soon as one b never collapses.
+    Per fixed b the images of the iterated map x -> x > b either shrink
+    to {b} (within fewer than |Q| steps) or stop shrinking above it; the
+    columns of the table are these maps, transposed once.  The degree is
+    the worst b, absent as soon as one b never collapses.
     """
     worst = 0
-    for b in range(q.order):
-        k = _constant_power(q.table, q.order, b)
+    for column in zip(*q.table):
+        k = _constant_power(column)
         if k is None:
             return None
         worst = max(worst, k)
@@ -227,17 +256,16 @@ def is_connected(q: Quandle) -> bool:
     return len(permgroup.orbits(q.table)) == 1
 
 
-def _two_engel_verdict(table: GroupTable, whole: Quandle) -> bool:
+def _two_engel_verdict(table: GroupTable, whole_tos: int | None) -> bool:
     """Whether the conjugation quandle of the group trivializes in two splits.
 
     Decided by the bracket identity, is_n_engel_subset over the whole group
-    with n = 2, and cross-checked against the orbit-tree degrees of whole,
-    the caller's core.conj(table); the two computations share nothing, so
-    a mismatch raises InconsistentCharacterizations.
+    with n = 2, and cross-checked against whole_tos, the orbit-tree tos
+    degree of core.conj(table); the two computations share nothing, so a
+    mismatch raises InconsistentCharacterizations.
     """
-    sd = orbitseries.degrees(whole)
     by_bracket = grouptables.is_n_engel_subset(table, range(len(table)), 2)
-    by_tree = sd.tos_degree is not None and sd.tos_degree <= 2
+    by_tree = whole_tos is not None and whole_tos <= 2
     if by_bracket != by_tree:
         raise InconsistentCharacterizations(
             f"two-split verdicts disagree on a group of order {len(table)}: "
@@ -327,8 +355,9 @@ class QuandleFacts(ClassificationReport):
 def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     """Every per-quandle quantity of the report and the suite, each built once.
 
-    One pass builds the inner and transvection groups, the orbit tree, the
-    O- and L-chains and the rest, all polynomial in the order.  The Inn
+    One pass builds the inner and transvection groups and their derived
+    subgroups (_groups: each from the last, none twice), the orbit tree,
+    the O- and L-chains and the rest, all polynomial in the order.  The Inn
     orbits are the tree root's children (the root if it is a leaf); the
     Trans orbits are O^1, or O^0 when the chain stops there (Q connected or
     of order 1).  medial is whether the transvection group is abelian,
@@ -339,17 +368,17 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     a singleton.  ncs is None above ncs_max_order.  Never raises on a route
     disagreement.
     """
-    inn_group = congruence.inn(q)
-    trans_group = congruence.trans(q)
+    groups = _groups(q)
+    trans_group = groups.trans
     tree = orbitseries.orbit_tree(q)
     inn_orbits = tuple(c.subset for c in tree.children) or (tree.subset,)
     sd = orbitseries.SeriesDegrees.of_tree(tree)
-    dl = permgroup.derived_length(trans_group)
+    dl = permgroup.derived_length(trans_group, groups.trans_derived)
     lam = congruence.lambda_congruence(q)
     medial = trans_group.is_abelian()
-    nilpotent = permgroup.nilpotency_class(trans_group) is not None
+    nilpotent = permgroup.nilpotency_class(trans_group, groups.trans_derived) is not None
     lr = locally_reductive_degree(q)
-    chain, ident, inn_cls, steps = _reductivity_routes(q, inn_group, lr)
+    chain, ident, inn_cls, steps = _reductivity_routes(q, groups, lr)
     trans_orbits = chain[min(1, len(chain) - 1)].classes
     # Abelian: medial with Trans(Q) semiregular, every orbit of |Trans| points.
     abelian = medial and all(len(o) == trans_group.order for o in trans_orbits)
@@ -369,7 +398,7 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
         os_degree=sd.os_degree,
         tos_degree=sd.tos_degree,
         ncs=sd.tos_degree is not None if q.order <= ncs_max_order else None,
-        inn_order=inn_group.order,
+        inn_order=groups.inn.order,
         trans_order=trans_group.order,
         inn_nilpotency_class=inn_cls,
         q=q,
@@ -429,8 +458,23 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _tos_of(q: Quandle) -> int | None:
-    return orbitseries.degrees(q).tos_degree
+def _per_table(fn: Callable[[Quandle], int | None],
+               known: Iterable[tuple[Quandle, int | None]]) -> Callable[[Quandle], int | None]:
+    """fn memoized on the table, starting from the known (quandle, value) pairs.
+
+    The memo lives as long as the returned function: verify_suite makes one
+    per call, so a quotient, block, subquandle or product met again in the
+    same call is not recomputed, and nothing is kept between calls.
+    Quandles compare and hash by table only.
+    """
+    memo = dict(known)
+
+    def call(q: Quandle) -> int | None:
+        if q not in memo:
+            memo[q] = fn(q)
+        return memo[q]
+
+    return call
 
 
 def _series_image(series: Sequence[tuple[int, ...]],
@@ -449,13 +493,15 @@ def _padded_equal(left: Sequence[tuple[int, ...]],
 
 def _series_and_congruence_facts(f: QuandleFacts,
                                  lattice: Sequence[congruence.Congruence] | None,
-                                 record: Callable[[str, bool, str], None]) -> None:
+                                 record: Callable[[str, bool, str], None],
+                                 tos_of: Callable[[Quandle], int | None],
+                                 lr_of: Callable[[Quandle], int | None]) -> None:
     """The principal-series and per-congruence facts of one member.
 
     The member's principal series serve both the branch and the quotient
-    facts.  Each congruence's quotient, its tos and its class subquandles
-    are built once, read by every fact that needs them, and dropped before
-    the next congruence.
+    facts.  Each congruence's quotient and its class subquandles are built
+    once, read by every fact that needs them, and dropped before the next
+    congruence; their tos and lr degrees come from the suite's memos.
     """
     q, lr, tos = f.q, f.locally_reductive_degree, f.tos_degree
     series = [orbitseries.principal_series(q, x) for x in range(q.order)]
@@ -491,16 +537,16 @@ def _series_and_congruence_facts(f: QuandleFacts,
         blocks = ([core.induced_subquandle(q, cls) for cls in cong.classes]
                   if lr is not None or tos is not None else [])
         if tos is not None:
-            qt = _tos_of(quot)
+            qt = tos_of(quot)
             record("quotient-tos-bounded", qt is not None and qt <= tos,
                    f"{f.name}: quotient tos {qt} exceeds {tos}")
-            inner = [_tos_of(block) for block in blocks]
+            inner = [tos_of(block) for block in blocks]
             if qt is not None and None not in inner:
                 record("tos-extension-bound", tos <= qt + max(inner),
                        f"{f.name}: tos {tos} exceeds {qt}+{max(inner)}")
         if lr is not None:
-            outer = locally_reductive_degree(quot)
-            inner = [locally_reductive_degree(block) for block in blocks]
+            outer = lr_of(quot)
+            inner = [lr_of(block) for block in blocks]
             if outer is not None and None not in inner:
                 record("locally-reductive-extension-bound",
                        lr <= outer + max(inner),
@@ -561,7 +607,8 @@ def verify_suite(corpus: Iterable[Quandle],
     A QuandleError while gathering a member's facts or its ncs scan, or
     while deciding the 2-Engel verdict or the reductive degree of a group's
     conjugation quandle, is recorded as a failing fact with the error as
-    its witness.
+    its witness.  Within one call the tos and lr degrees of every table are
+    computed once, the members' own read off their facts.
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -633,9 +680,13 @@ def verify_suite(corpus: Iterable[Quandle],
                    for i in range(len(chain) - 1)),
                f"{f.name}: chain of {len(chain)} terms not descending")
 
+    tos_of = _per_table(lambda q: orbitseries.degrees(q).tos_degree,
+                        ((f.q, f.tos_degree) for f in facts))
+    lr_of = _per_table(locally_reductive_degree,
+                       ((f.q, f.locally_reductive_degree) for f in facts))
     for f, lattice in zip(facts, lattices):
         try:
-            _series_and_congruence_facts(f, lattice, record)
+            _series_and_congruence_facts(f, lattice, record, tos_of, lr_of)
         except QuandleError as exc:
             failed["classification-completes"].append(f"{f.name}: {exc}")
 
@@ -644,14 +695,14 @@ def verify_suite(corpus: Iterable[Quandle],
         if tos is None or f.order > subquandle_max_order:
             continue
         for subset in orbitseries.all_subquandles(f.q):
-            st = _tos_of(core.induced_subquandle(f.q, subset))
+            st = tos_of(core.induced_subquandle(f.q, subset))
             record("subquandle-tos-bounded", st is not None and st <= tos,
                    f"{f.name}: subquandle {subset} tos {st} exceeds {tos}")
 
     for fa, fb in combinations_with_replacement(facts, 2):
         if fa.order * fb.order > product_max_order:
             continue
-        pt = _tos_of(core.direct_product(fa.q, fb.q))
+        pt = tos_of(core.direct_product(fa.q, fb.q))
         ta, tb = fa.tos_degree, fb.tos_degree
         if ta is None or tb is None:
             record("product-tos-is-max", pt is None,
@@ -674,7 +725,7 @@ def verify_suite(corpus: Iterable[Quandle],
                        f"{gname}, subset {subset}, n={n}: "
                        f"local reductivity {lhs} vs bracket {rhs}")
         try:
-            two_engel = _two_engel_verdict(table, whole)
+            two_engel = _two_engel_verdict(table, tos_of(whole))
             red = reductive_degree(whole) if two_engel else None
         except QuandleError as exc:
             record("two-engel-conjugation-reductive-by-3", False,

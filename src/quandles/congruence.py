@@ -164,9 +164,18 @@ def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Cong
     return tuple(sorted(found, key=lambda c: (-c.num_classes, c.class_of)))
 
 
-def inn(q: Quandle) -> PermGroup:
-    """Inner group: closure of all left translations."""
-    return permgroup.closure(q.table, degree=q.order)
+def inn(q: Quandle, trans_group: PermGroup | None = None) -> PermGroup:
+    """Inner group, the closure of all left translations, as Trans(Q) <L_e>.
+
+    L_a = (L_a L_e^-1) L_e, so the transvections and one translation L_e
+    (e = 0) generate Inn(Q) (Joyce 1982), and Trans(Q) is normal in it.
+    The group is built by extending a copy of Trans(Q)'s chain by L_e, so
+    its generators begin with Trans(Q)'s.  trans_group, when given, must be
+    trans(q); it is built here otherwise.
+    """
+    if trans_group is None:
+        trans_group = trans(q)
+    return permgroup.closure([q.table[0]], start=trans_group)
 
 
 def trans(q: Quandle) -> PermGroup:

@@ -49,16 +49,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def conjugate(p: Perm, t: Perm) -> Perm:
-    """p conjugated by t, i.e. t^{-1} p t."""
-    return compose(inverse(t), compose(p, t))
-
-
-def commutator(x: Perm, y: Perm) -> Perm:
-    """[x, y] = x^{-1} y^{-1} x y."""
-    return compose(inverse(x), compose(inverse(y), compose(x, y)))
-
-
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle lengths of p in decreasing order (fixed points included)."""
     seen = [False] * len(p)
@@ -80,21 +70,33 @@ class _Level:
     """One level of a stabilizer chain.
 
     gens are the strong generators of this level, all fixing the earlier
-    base points; orbit is the basic orbit of point under them, in the
-    order found; rep[x] maps point to x and rep_inv[x] is its inverse.
-    tested[i] counts the gens already paired with orbit[i] into a Schreier
-    generator.
+    base points, and gens_inv their inverses, index for index; orbit is the
+    basic orbit of point under them, in the order found; rep[x] maps point
+    to x and rep_inv[x] is its inverse.  tested[i] counts the gens already
+    paired with orbit[i] into a Schreier generator.
     """
 
-    __slots__ = ("point", "gens", "orbit", "rep", "rep_inv", "tested")
+    __slots__ = ("point", "gens", "gens_inv", "orbit", "rep", "rep_inv", "tested")
 
     def __init__(self, point: int, e: Perm):
         self.point = point
         self.gens: list[Perm] = []
+        self.gens_inv: list[Perm] = []
         self.orbit = [point]
         self.rep = {point: e}
         self.rep_inv = {point: e}
         self.tested = [0]
+
+    def copy(self) -> "_Level":
+        level = _Level.__new__(_Level)
+        level.point = self.point
+        level.gens = self.gens.copy()
+        level.gens_inv = self.gens_inv.copy()
+        level.orbit = self.orbit.copy()
+        level.rep = self.rep.copy()
+        level.rep_inv = self.rep_inv.copy()
+        level.tested = self.tested.copy()
+        return level
 
 
 class PermGroup:
@@ -183,7 +185,15 @@ class PermGroup:
                     return False
         return True
 
-    def _extend(self, candidates: Iterable[Perm]) -> None:
+    def _copy(self) -> "PermGroup":
+        """The same group on a copy of the chain, to be extended on its own."""
+        group = PermGroup(self.degree)
+        group.generators = self.generators
+        group._levels = [level.copy() for level in self._levels]
+        group._order = self._order
+        return group
+
+    def _extend(self, candidates: Iterable[Perm], bound: int | None = None) -> None:
         """Add the candidates in order, keeping each that does not sift to 1.
 
         A kept candidate joins generators, and its residue becomes a strong
@@ -195,7 +205,20 @@ class PermGroup:
         through the levels below.  A residue that does not becomes a strong
         generator of the levels below, and the loop resumes at the deepest
         of them.  Pairs already tested stay tested, since transversals only
-        grow.  The helpers are local: sift runs once per Schreier generator.
+        grow.  A new representative's inverse is the old one's times the
+        kept inverse of the strong generator, so inverse() runs once per
+        strong generator, not once per orbit point.  The helpers are local:
+        sift runs once per Schreier generator.
+
+        bound, when given, is an order the group generated by the current
+        generators and the candidates cannot exceed.  Building stops as
+        soon as the order reaches it, even inside the Schreier-Sims loop:
+        the strong generators of each level generate a group containing
+        those of the next, which fix the level's point, so the product of
+        the basic orbit lengths never exceeds the order they generate.  At
+        equality every basic orbit is complete and every level's stabilizer
+        is generated by the next level's strong generators, which is a base
+        and strong generating set already.
         """
         levels, e = self._levels, self._identity
 
@@ -217,45 +240,53 @@ class PermGroup:
             # the first point h moves.
             if last == len(levels):
                 levels.append(_Level(next(x for x in range(self.degree) if h[x] != x), e))
+            h_inv = inverse(h)
             for level in levels[first:last + 1]:
                 level.gens.append(h)
+                level.gens_inv.append(h_inv)
 
-        def grow(level: _Level, y: int, rep_y: Perm) -> None:
+        def grow(level: _Level, y: int, rep_y: Perm, rep_inv_y: Perm) -> None:
             size = len(level.orbit)
             level.orbit.append(y)
             level.rep[y] = rep_y
-            level.rep_inv[y] = inverse(rep_y)
+            level.rep_inv[y] = rep_inv_y
             level.tested.append(0)
             self._order = self._order // size * (size + 1)
 
         def schreier_residue(i: int) -> tuple[Perm, int] | None:
             level = levels[i]
-            orbit, gens, tested, rep = level.orbit, level.gens, level.tested, level.rep
+            orbit, gens, tested = level.orbit, level.gens, level.tested
+            rep, rep_inv = level.rep, level.rep_inv
             at = 0
             while at < len(orbit):
                 x = orbit[at]
                 while tested[at] < len(gens):
-                    s = gens[tested[at]]
-                    tested[at] += 1
+                    t = tested[at]
+                    tested[at] = t + 1
+                    s = gens[t]
                     y = s[x]
                     moved = compose(s, rep[x])
                     if y not in rep:
-                        grow(level, y, moved)
+                        grow(level, y, moved, compose(rep_inv[x], level.gens_inv[t]))
+                        if self._order == bound:
+                            return None
                         continue
-                    residue, stop = sift(compose(level.rep_inv[y], moved), i + 1)
+                    residue, stop = sift(compose(rep_inv[y], moved), i + 1)
                     if residue != e:
                         return residue, stop
                 at += 1
             return None
 
         for g in candidates:
+            if self._order == bound:
+                return
             residue, stop = sift(g, 0)
             if residue == e:
                 continue
             self.generators += (g,)
             add_strong(residue, 0, stop)
             i = stop
-            while i >= 0:
+            while i >= 0 and self._order != bound:
                 found = schreier_residue(i)
                 if found is None:
                     i -= 1
@@ -265,69 +296,129 @@ class PermGroup:
                     i = stop
 
 
-def closure(generators: Sequence[Perm], degree: int | None = None) -> PermGroup:
+def closure(generators: Sequence[Perm], degree: int | None = None, *,
+            start: PermGroup | None = None, bound: int | None = None) -> PermGroup:
     """The group the generators generate, by Schreier-Sims.
 
     Generators are taken in order and each one that sifts to the identity
     is skipped: the result's generators are the kept ones, each outside the
     group generated by those before it.  The cost is polynomial in the
     degree and the number of generators, whatever the group's order.
+
+    With start, the result is the group start and the generators generate,
+    built on a copy of start's chain (start is unchanged); its generators
+    are start's followed by the kept ones.  bound, when given, is an order
+    the result is known not to exceed; see PermGroup._extend.
     """
     generators = list(generators)
     if degree is None:
-        if not generators:
+        if start is not None:
+            degree = start.degree
+        elif not generators:
             raise ValueError("need a degree when there are no generators")
-        degree = len(generators[0])
-    if any(len(g) != degree for g in generators):
+        else:
+            degree = len(generators[0])
+    if any(len(g) != degree for g in generators) or (
+            start is not None and start.degree != degree):
         raise ValueError("generators act on different point sets")
-    group = PermGroup(degree)
-    group._extend(tuple(g) for g in generators)
+    group = PermGroup(degree) if start is None else start._copy()
+    group._extend((tuple(g) for g in generators), bound)
     return group
 
 
-def normal_closure(seed: Sequence[Perm], ambient: PermGroup) -> PermGroup:
+def normal_closure(seed: Sequence[Perm], ambient: PermGroup, *,
+                   start: PermGroup | None = None,
+                   bound: int | None = None) -> PermGroup:
     """Smallest subgroup containing seed that ambient's generators normalize.
 
     One chain grows: the closure of seed, then each kept generator's
-    conjugates by the ambient generators, in turn, added when they do not
-    sift (and kept, so conjugated in their turn).  Since everything is
-    finite, closure under conjugation by each ambient generator already
-    gives closure under conjugation by inverses.
+    conjugates t^-1 s t by the ambient generators t, in turn, added when
+    they do not sift (and kept, so conjugated in their turn).  Since
+    everything is finite, closure under conjugation by each ambient
+    generator already gives closure under conjugation by inverses.  The
+    ambient generators' inverses are computed once.
+
+    start, when given, is a subgroup ambient's generators already
+    normalize; the result also contains it, grows from a copy of its chain,
+    and conjugates only the generators kept after start's.  bound, when
+    given, is an order the result is known not to exceed, and building
+    stops once it is reached (see PermGroup._extend).
     """
-    group = closure(seed, ambient.degree)
-    done = 0
-    while done < len(group.generators):
+    group = closure(seed, ambient.degree, start=start, bound=bound)
+    ambient_inv = [(inverse(t), t) for t in ambient.generators]
+    done = len(start.generators) if start is not None else 0
+    while done < len(group.generators) and group.order != bound:
         s = group.generators[done]
-        group._extend(conjugate(s, t) for t in ambient.generators)
+        group._extend((compose(t_inv, compose(s, t)) for t_inv, t in ambient_inv), bound)
         done += 1
     return group
 
 
-def _commutator_term(left: PermGroup, right: PermGroup,
-                     ambient: PermGroup) -> PermGroup:
-    """[left, right] as a subgroup, both arguments normal in ambient.
+def _commutators(pairs: Iterable[tuple[tuple[Perm, Perm], tuple[Perm, Perm]]]) -> list[Perm]:
+    """[x, y] = x^-1 y^-1 x y for each ((x, x^-1), (y, y^-1))."""
+    return [compose(x_inv, compose(y_inv, compose(x, y)))
+            for (x, x_inv), (y, y_inv) in pairs]
 
-    Generated by commutators of generators, then closed under conjugation by
-    ambient's generators; for normal subgroups of ambient this normal closure
-    is exactly the commutator subgroup.
+
+def _with_inverses(group: PermGroup) -> list[tuple[Perm, Perm]]:
+    return [(g, inverse(g)) for g in group.generators]
+
+
+def _commutator_term(term: PermGroup, group: PermGroup) -> PermGroup:
+    """[term, group] for term normal in group.
+
+    Generated by the commutators of their generators, then closed under
+    conjugation by group's generators; for a normal subgroup this normal
+    closure is exactly the commutator subgroup.  [x, g] = x^-1 (g^-1 x g)
+    lies in term, so [term, group] <= term and |term| bounds its order
+    exactly: a term that reaches it is term itself.
     """
-    seed = [commutator(a, b) for a in left.generators for b in right.generators]
-    return normal_closure(seed, ambient)
+    gens = _with_inverses(group)
+    pairs = ((x, g) for x in _with_inverses(term) for g in gens)
+    return normal_closure(_commutators(pairs), group, bound=term.order)
 
 
-def _commutator_series(group: PermGroup,
+def derived_subgroup(group: PermGroup, normal: PermGroup | None = None,
+                     normal_derived: PermGroup | None = None) -> PermGroup:
+    """[G, G], the normal closure of the commutators of G's generators.
+
+    The pairs i < j of generators suffice, since [y, x] = [x, y]^-1 and
+    [x, x] = 1, and |G| bounds the order as for every commutator term.
+
+    normal and normal_derived, when given, are a normal subgroup N of G
+    whose generators begin G's (G was built by closure with start=N) and
+    N' = [N, N].  N' is characteristic in N, so normal in G, and contains
+    every commutator of two generators of N; so [G, G] = <N' u {[x, g]}>^G
+    over the generators g of G beyond N's and the generators x before g,
+    and the closure grows from a copy of N''s chain.
+    """
+    first = 0
+    if normal is not None or normal_derived is not None:
+        if (normal is None or normal_derived is None
+                or group.generators[:len(normal.generators)] != normal.generators):
+            raise ValueError("normal must come with its derived subgroup, "
+                             "and its generators must begin the group's")
+        first = len(normal.generators)
+    gens = _with_inverses(group)
+    pairs = ((gens[i], gens[j]) for j in range(first, len(gens)) for i in range(j))
+    return normal_closure(_commutators(pairs), group, start=normal_derived,
+                          bound=group.order)
+
+
+def _commutator_series(group: PermGroup, second: PermGroup | None,
                        step: Callable[[PermGroup], PermGroup]) -> tuple[PermGroup, ...]:
-    """group, step(group), ..., stopping at the first term of unchanged order.
+    """group, second, step(second), ..., stopping at the first term of unchanged order.
 
-    The terms are nested, so a term of the same order as the one before it
-    is the same group.
+    second is the derived subgroup, the second term of both series; it is
+    built here unless given.  The terms are nested, so a term of the same
+    order as the one before it is the same group.
     """
     terms = [group]
-    while True:
-        nxt = step(terms[-1])
-        if nxt.order == terms[-1].order:
-            return tuple(terms)
+    nxt = derived_subgroup(group) if second is None else second
+    while nxt.order != terms[-1].order:
         terms.append(nxt)
+        nxt = step(nxt)
+    return tuple(terms)
 
 
 def _steps_to_trivial(series: tuple[PermGroup, ...]) -> int | None:
@@ -335,24 +426,32 @@ def _steps_to_trivial(series: tuple[PermGroup, ...]) -> int | None:
     return len(series) - 1 if series[-1].is_trivial() else None
 
 
-def lower_central_series(group: PermGroup) -> tuple[PermGroup, ...]:
-    """G = gamma_1 >= gamma_2 >= ..., gamma_{i+1} = [gamma_i, G]."""
-    return _commutator_series(group, lambda term: _commutator_term(term, group, group))
+def lower_central_series(group: PermGroup,
+                         second: PermGroup | None = None) -> tuple[PermGroup, ...]:
+    """G = gamma_1 >= gamma_2 >= ..., gamma_{i+1} = [gamma_i, G].
+
+    second, when given, is derived_subgroup(group), used as gamma_2.
+    """
+    return _commutator_series(group, second, lambda term: _commutator_term(term, group))
 
 
-def nilpotency_class(group: PermGroup) -> int | None:
+def nilpotency_class(group: PermGroup, second: PermGroup | None = None) -> int | None:
     """Nilpotency class, or None when the lower central series sticks above 1."""
-    return _steps_to_trivial(lower_central_series(group))
+    return _steps_to_trivial(lower_central_series(group, second))
 
 
-def derived_series(group: PermGroup) -> tuple[PermGroup, ...]:
-    """G >= G' >= G'' >= ..., each term the commutator subgroup of the last."""
-    return _commutator_series(group, lambda term: _commutator_term(term, term, term))
+def derived_series(group: PermGroup,
+                   second: PermGroup | None = None) -> tuple[PermGroup, ...]:
+    """G >= G' >= G'' >= ..., each term the commutator subgroup of the last.
+
+    second, when given, is derived_subgroup(group), used as G'.
+    """
+    return _commutator_series(group, second, derived_subgroup)
 
 
-def derived_length(group: PermGroup) -> int | None:
+def derived_length(group: PermGroup, second: PermGroup | None = None) -> int | None:
     """Derived length, or None for a group whose derived series sticks above 1."""
-    return _steps_to_trivial(derived_series(group))
+    return _steps_to_trivial(derived_series(group, second))
 
 
 def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:

@@ -31,6 +31,28 @@ def is_quandle_table(table: Table) -> bool:
     return True
 
 
+def first_axiom_violation(table: Table) -> tuple[int, tuple[int, ...]] | None:
+    """(axiom, witness) of the first failure in scan order, or None.
+
+    Idempotence over every a, then bijectivity of every row, then
+    distributivity over every (a, b, c) in lexicographic order.  The table
+    must be square with entries in 0..n-1.
+    """
+    n = len(table)
+    for a in range(n):
+        if table[a][a] != a:
+            return 1, (a,)
+    for a in range(n):
+        if len(set(table[a])) != n:
+            return 2, (a,)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[a][table[b][c]] != table[table[a][b]][table[a][c]]:
+                    return 3, (a, b, c)
+    return None
+
+
 def all_quandle_tables(n: int) -> list[Table]:
     """Every valid table on 0..n-1, by filtering all diagonal-fixing rows.
 

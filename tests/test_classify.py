@@ -1,5 +1,7 @@
 """Tests for the predicate layer: degrees, structure flags, and the suite."""
 
+from collections import Counter
+
 import pytest
 
 import _inputs
@@ -252,7 +254,8 @@ class TestStructureFlags:
 
 
 def _two_engel(table):
-    return classify._two_engel_verdict(table, core.conj(table))
+    return classify._two_engel_verdict(
+        table, orbitseries.degrees(core.conj(table)).tos_degree)
 
 
 class TestConjTwoEngelCheck:
@@ -388,6 +391,36 @@ class TestClassifyReports:
 
 
 class TestVerifySuite:
+    def test_degrees_run_once_per_distinct_table_within_a_call(self, monkeypatch):
+        # quotients, class blocks, subquandles, products and the groups'
+        # conjugation quandles repeat tables; within one call each table's
+        # orbit-tree degrees and lr are computed once (the members' own lr
+        # by gather_facts), and a second call computes them again
+        tos_calls, lr_calls = Counter(), Counter()
+        degrees, lr = orbitseries.degrees, classify.locally_reductive_degree
+
+        def counting_degrees(q):
+            tos_calls[q.table] += 1
+            return degrees(q)
+
+        def counting_lr(q):
+            lr_calls[q.table] += 1
+            return lr(q)
+
+        monkeypatch.setattr(orbitseries, "degrees", counting_degrees)
+        monkeypatch.setattr(classify, "locally_reductive_degree", counting_lr)
+        members = list(dict.fromkeys(corpus.default_corpus()))  # distinct tables
+        assert classify.verify_suite(members, corpus.builtin_groups()).ok
+        assert len(tos_calls) > 50 and max(tos_calls.values()) == 1
+        # the group facts' reductive_degree calls are not the suite's memo
+        tos_calls.clear()
+        lr_calls.clear()
+        first = classify.verify_suite(members)
+        assert len(tos_calls) > 50 and max(tos_calls.values()) == 1
+        assert len(lr_calls) > 50 and max(lr_calls.values()) == 1
+        assert classify.verify_suite(members) == first
+        assert set(tos_calls.values()) == {2} and set(lr_calls.values()) == {2}
+
     def test_small_corpus_passes_every_check(self):
         members = [_builtin(n)
                    for n in ["t1", "t2", "t3", "d3", "d4", "conj-q8"]]
@@ -440,7 +473,7 @@ class TestVerifySuite:
 
     def test_two_engel_cross_check_error_is_a_failing_fact(self, monkeypatch):
         # The bracket and orbit-tree verdicts disagreeing is data too.
-        def disagree(table, whole):
+        def disagree(table, whole_tos):
             raise InconsistentCharacterizations("verdicts disagree")
 
         monkeypatch.setattr(classify, "_two_engel_verdict", disagree)

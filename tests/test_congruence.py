@@ -263,8 +263,10 @@ def test_o_chain_matches_checked_orbit_congruences():
         while True:
             group = _trans_rel(q, terms[-1])
             for row in q.table:
+                row_inv = permgroup.inverse(row)
                 for gen in group.generators:
-                    assert permgroup.conjugate(gen, row) in group, q.label
+                    conjugate = permgroup.compose(row_inv, permgroup.compose(gen, row))
+                    assert conjugate in group, q.label
             nxt = Congruence.from_classes(q.order,
                                           permgroup.orbits(group.elements))
             assert core.congruence_witness(q, nxt.class_of) is None, q.label

@@ -4,7 +4,7 @@ import inspect
 import math
 import sys
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -74,6 +74,67 @@ def test_validate_rejects_non_integer_entries_as_axiom_two():
     with pytest.raises(AxiomViolation) as info:
         core.validate([[0, 1], [0, "1"]])
     assert info.value.witness == (1,)
+
+
+def _verdict(table):
+    try:
+        core.validate(table)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def _diagonal_fixing_rows(n):
+    return [[p for p in permutations(range(n)) if p[a] == a] for a in range(n)]
+
+
+def test_validate_on_a_generating_set_keeps_verdicts_and_witnesses():
+    # distributivity is checked only for the rows of a generating set; the
+    # verdict and the witness must still be those of the full ordered scan
+    census = [q.table for n in range(1, 6) for q in corpus.enumerate_quandles(n)]
+    tables = [q.table for q in corpus.default_corpus()] + census
+    for table in census:
+        n = len(table)
+        for a in range(n):
+            for b in range(n):
+                # every single-entry change, which breaks a row's bijectivity
+                # or its idempotence, and every swap of two entries of a row
+                # off the diagonal, which keeps both and so reaches the
+                # distributivity check
+                for v in range(n):
+                    if v != table[a][b]:
+                        tables.append(_with_row(table, a, b, v))
+                for c in range(b + 1, n):
+                    if a not in (b, c):
+                        row = list(table[a])
+                        row[b], row[c] = row[c], row[b]
+                        tables.append(table[:a] + (tuple(row),) + table[a + 1:])
+    # every table of order up to 4 whose rows are permutations fixing the
+    # diagonal: all pass axioms 1 and 2, few pass 3
+    for n in range(1, 5):
+        tables.extend(product(*_diagonal_fixing_rows(n)))
+    verdicts = set()
+    for table in tables:
+        want = _oracles.first_axiom_violation(table)
+        assert _verdict(table) == want, table
+        verdicts.add(None if want is None else want[0])
+    assert verdicts == {None, 1, 2, 3}
+
+
+def _with_row(table, a, b, v):
+    row = list(table[a])
+    row[b] = v
+    return table[:a] + (tuple(row),) + table[a + 1:]
+
+
+def test_generating_set_generates():
+    for q in corpus.default_corpus() + [core.trivial(5), core.dihedral(64)]:
+        gens = core._generating_set(q.table)
+        assert core.subquandle_closure(q, gens) == tuple(range(q.order)), q.label
+        for i in range(1, len(gens)):
+            assert gens[i] not in core.subquandle_closure(q, gens[:i]), q.label
+    assert core._generating_set(core.trivial(5).table) == [0, 1, 2, 3, 4]
+    assert core._generating_set(core.dihedral(64).table) == [0, 1]
 
 
 def test_trivial_rows_are_identity():

@@ -291,11 +291,14 @@ def test_is_abelian_matches_all_element_pairs():
     assert verdicts == {True, False}
 
 
+def _oracle_members():
+    return corpus.default_corpus() + [q for _, q in _inputs.classify_workload_inputs()]
+
+
 def _oracle_generator_lists():
     """(label, degree, generators) of Inn and Trans of the default corpus and
     of the classify-workload inputs, as given to closure()."""
-    members = corpus.default_corpus() + [q for _, q in _inputs.classify_workload_inputs()]
-    for q in members:
+    for q in _oracle_members():
         yield f"inn {q.label}", q.order, list(q.table)
         yield (f"trans {q.label}", q.order, congruence.trans_rel_generators(
             q, congruence.Congruence.one(q.order)))
@@ -325,3 +328,135 @@ def test_chain_matches_sympy():
             assert (p in ours) == want, label
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _sympy_group(gens, degree):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g), size=degree) for g in gens]
+        or [combinatorics.Permutation(list(range(degree)))])
+
+
+def _steps_to_trivial(orders):
+    return len(orders) - 1 if orders[-1] == 1 else None
+
+
+def test_shared_groups_and_report_fields_match_sympy():
+    # Inn extends Trans's chain, T' serves both series of Trans, and
+    # [Inn, Inn] grows from T''s chain; sympy builds every group and term
+    # from scratch, unshared and unbounded
+    s5 = grouptables.symmetric_group(5)
+    transpositions = next(c for c in grouptables.conjugacy_classes(s5) if len(c) == 10)
+    # Inn(Q) = S5 and Trans(Q) = A5 on the ten transpositions: not solvable
+    extra = core.conj_subset(s5, transpositions, label="s5-transpositions")
+    seen = {"cls": set(), "dl": set()}
+    for q in _oracle_members() + [extra]:
+        trans_gens = congruence.trans_rel_generators(q, congruence.Congruence.one(q.order))
+        inn_theirs = _sympy_group(q.table, q.order)
+        trans_theirs = _sympy_group(trans_gens, q.order)
+        inn_lcs = [h.order() for h in inn_theirs.lower_central_series()]
+        trans_lcs = [h.order() for h in trans_theirs.lower_central_series()]
+        trans_ds = [h.order() for h in trans_theirs.derived_series()]
+
+        groups = classify._groups(q)
+        assert groups.inn == permgroup.closure(q.table, q.order), q.label
+        assert groups.inn.generators[:len(groups.trans.generators)] == groups.trans.generators
+        assert groups.inn_derived == permgroup.derived_subgroup(groups.inn), q.label
+        assert groups.trans_derived == permgroup.derived_subgroup(groups.trans), q.label
+        assert ([h.order for h in permgroup.lower_central_series(groups.inn, groups.inn_derived)]
+                == inn_lcs), q.label
+        assert ([h.order for h in permgroup.lower_central_series(groups.trans, groups.trans_derived)]
+                == trans_lcs), q.label
+        assert ([h.order for h in permgroup.derived_series(groups.trans, groups.trans_derived)]
+                == trans_ds), q.label
+
+        facts = classify.gather_facts(q)
+        assert facts.inn_order == inn_theirs.order(), q.label
+        assert facts.trans_order == trans_theirs.order(), q.label
+        assert facts.inn_nilpotency_class == _steps_to_trivial(inn_lcs), q.label
+        assert facts.trans_derived_length == _steps_to_trivial(trans_ds), q.label
+        assert facts.nilpotent_quandle == (trans_lcs[-1] == 1), q.label
+        seen["cls"].add(facts.inn_nilpotency_class is None)
+        seen["dl"].add(facts.trans_derived_length is None)
+    assert seen == {"cls": {True, False}, "dl": {True, False}}
+
+
+def test_each_group_is_built_once_per_report():
+    # Trans and Inn are closed once each, and no group's derived subgroup
+    # is built twice: T' serves both series of Trans
+    calls = []
+    original = permgroup.derived_subgroup
+
+    def counting(group, *args):
+        calls.append(id(group))
+        return original(group, *args)
+
+    for q in _oracle_members():
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permgroup, "derived_subgroup", counting)
+            trans, inn = [], []
+            mp.setattr(congruence, "trans", _recording(congruence.trans, trans))
+            mp.setattr(congruence, "inn", _recording(congruence.inn, inn))
+            classify.gather_facts(q)
+        assert len(trans) == len(inn) == 1, q.label
+        assert len(calls) == len(set(calls)), q.label
+
+
+def _recording(fn, log):
+    def wrapped(*args, **kwargs):
+        log.append(args)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_bounded_and_resumed_chains_match_the_plain_closure():
+    # A chain stopped once its order reaches a known bound, even inside the
+    # Schreier-Sims loop, is complete: it sifts like the unbounded chain,
+    # and extending it gives the unbounded closure of all the generators
+    rng = random.Random(11)
+    stopped_early = 0
+    for label, degree, given in _oracle_generator_lists():
+        if len(given) < 2:
+            continue
+        k = len(given) // 2
+        plain = permgroup.closure(given, degree)
+        head = permgroup.closure(given[:k], degree)
+        bounded = permgroup.closure(given[:k], degree, bound=head.order)
+        stopped_early += any(t < len(level.gens) for level in bounded._levels
+                             for t in level.tested)
+        resumed = permgroup.closure(given[k:], start=bounded)
+        assert bounded == head and bounded.order == head.order, label
+        assert resumed.order == plain.order, label
+        for _ in range(5):
+            word = permgroup.identity(degree)
+            for g in rng.choices(given, k=6):
+                word = permgroup.compose(g, word)
+            p = tuple(rng.sample(range(degree), degree))
+            for x in (word, p):
+                assert (x in resumed) == (x in plain), label
+                assert (x in bounded) == (x in head), label
+    assert stopped_early > 0
+
+
+def test_derived_subgroup_over_a_normal_subgroup_checks_its_generators():
+    s3 = permgroup.closure([(1, 0, 2), (1, 2, 0)])
+    a3 = permgroup.closure([(1, 2, 0)])
+    with pytest.raises(ValueError):
+        permgroup.derived_subgroup(s3, a3, permgroup.derived_subgroup(a3))
+    grown = permgroup.closure([(1, 0, 2)], start=a3)
+    assert grown == s3
+    assert permgroup.derived_subgroup(grown, a3, permgroup.derived_subgroup(a3)) == a3
+    with pytest.raises(ValueError):
+        permgroup.derived_subgroup(grown, a3)
+
+
+def test_closures_from_a_normal_start_conjugate_the_new_generators():
+    # the trivial group is normal in S4 and is its own derived subgroup;
+    # neither a transposition nor the 3-cycle [(0 1), (0 1 2 3)] generates
+    # a normal subgroup, so only conjugation reaches S4 and A4
+    s4_gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    trivial = permgroup.PermGroup(4)
+    s4 = permgroup.closure(s4_gens, start=trivial)
+    assert permgroup.normal_closure([s4_gens[0]], s4, start=trivial).order == 24
+    assert permgroup.derived_subgroup(s4, trivial, trivial).order == 12
