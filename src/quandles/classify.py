@@ -98,16 +98,32 @@ def _groups(q: Quandle) -> _Groups:
 
     Inn(Q) = Trans(Q) <L_e> (Joyce 1982) extends a copy of Trans(Q)'s
     chain.  T' = [Trans, Trans] is built once; it is the second term of
-    both the lower central and the derived series of Trans(Q).  T' is
-    characteristic in Trans(Q), which is normal in Inn(Q), so T' is normal
-    in Inn(Q) and [Inn, Inn] = <T' u {[t, L_e]}>^Inn over the generators t
-    of Trans(Q): it grows from a copy of T''s chain.
+    both the lower central and the derived series of Trans(Q).
+
+    [Inn, Inn] is K = <T' u {[t_i, L_e]}> over the generators t_i of
+    Trans(Q), one closure grown from a copy of T''s chain.  T' is
+    characteristic in Trans(Q), which is normal in Inn(Q), and Trans/T' is
+    abelian, so:
+    - modulo T', t -> [t, L_e] is a homomorphism on Trans(Q), since
+      [st, L_e] = [s, L_e]^t [t, L_e] and [s, L_e] lies in Trans(Q); so K
+      holds every [t, L_e];
+    - K is normal in Inn(Q): k^m = k [k, m] with [k, m] in T' for m in
+      Trans(Q), and [t_i, L_e]^(L_e) = [t_i^(L_e), L_e] lies in K, as
+      t_i^(L_e) lies in Trans(Q);
+    - Trans/K is central in Inn/K, as [t, s] and [t, L_e] lie in K for
+      s, t in Trans(Q); Inn/K is generated by it and one element, so it
+      is abelian and [Inn, Inn] <= K; K <= [Inn, Inn] plainly.
+    K lies in Trans(Q), so |Trans(Q)| bounds its order.
     """
     trans_group = congruence.trans(q)
     inn_group = congruence.inn(q, trans_group)
     trans_derived = permgroup.derived_subgroup(trans_group)
-    return _Groups(trans_group, trans_derived, inn_group,
-                   permgroup.derived_subgroup(inn_group, trans_group, trans_derived))
+    l_e = (q.table[0], permgroup.inverse(q.table[0]))
+    brackets = permgroup._commutators(
+        (t, l_e) for t in permgroup._with_inverses(trans_group))
+    inn_derived = permgroup.closure(brackets, q.order, start=trans_derived,
+                                    bound=trans_group.order)
+    return _Groups(trans_group, trans_derived, inn_group, inn_derived)
 
 
 def _reductivity_routes(q: Quandle, groups: _Groups, lr: int | None

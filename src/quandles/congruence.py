@@ -72,13 +72,6 @@ class Congruence:
     def is_zero(self) -> bool:
         return len(self.classes) == self.n
 
-    @property
-    def is_one(self) -> bool:
-        return len(self.classes) == 1
-
-    def related(self, a: int, b: int) -> bool:
-        return self.class_of[a] == self.class_of[b]
-
     def refines(self, other: "Congruence") -> bool:
         """True when every class of self sits inside a class of other."""
         if self.n != other.n:

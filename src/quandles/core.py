@@ -37,10 +37,6 @@ class Quandle:
     def order(self) -> int:
         return len(self.table)
 
-    def left(self, a: int, b: int) -> int:
-        """a > b."""
-        return self.table[a][b]
-
     def relabel(self, label: str | None) -> "Quandle":
         return Quandle(self.table, label)
 

@@ -51,10 +51,6 @@ class OrbitTreeNode:
     children: tuple["OrbitTreeNode", ...]
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def size(self) -> int:
         return len(self.subset)
 

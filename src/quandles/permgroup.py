@@ -121,10 +121,6 @@ class PermGroup:
     def order(self) -> int:
         return self._order
 
-    @property
-    def elements(self) -> tuple[Perm, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         """The order; len() fails past sys.maxsize, where order still works."""
         return self._order
@@ -327,7 +323,6 @@ def closure(generators: Sequence[Perm], degree: int | None = None, *,
 
 
 def normal_closure(seed: Sequence[Perm], ambient: PermGroup, *,
-                   start: PermGroup | None = None,
                    bound: int | None = None) -> PermGroup:
     """Smallest subgroup containing seed that ambient's generators normalize.
 
@@ -336,17 +331,13 @@ def normal_closure(seed: Sequence[Perm], ambient: PermGroup, *,
     they do not sift (and kept, so conjugated in their turn).  Since
     everything is finite, closure under conjugation by each ambient
     generator already gives closure under conjugation by inverses.  The
-    ambient generators' inverses are computed once.
-
-    start, when given, is a subgroup ambient's generators already
-    normalize; the result also contains it, grows from a copy of its chain,
-    and conjugates only the generators kept after start's.  bound, when
-    given, is an order the result is known not to exceed, and building
-    stops once it is reached (see PermGroup._extend).
+    ambient generators' inverses are computed once.  bound, when given, is
+    an order the result is known not to exceed, and building stops once it
+    is reached (see PermGroup._extend).
     """
-    group = closure(seed, ambient.degree, start=start, bound=bound)
+    group = closure(seed, ambient.degree, bound=bound)
     ambient_inv = [(inverse(t), t) for t in ambient.generators]
-    done = len(start.generators) if start is not None else 0
+    done = 0
     while done < len(group.generators) and group.order != bound:
         s = group.generators[done]
         group._extend((compose(t_inv, compose(s, t)) for t_inv, t in ambient_inv), bound)
@@ -378,31 +369,15 @@ def _commutator_term(term: PermGroup, group: PermGroup) -> PermGroup:
     return normal_closure(_commutators(pairs), group, bound=term.order)
 
 
-def derived_subgroup(group: PermGroup, normal: PermGroup | None = None,
-                     normal_derived: PermGroup | None = None) -> PermGroup:
+def derived_subgroup(group: PermGroup) -> PermGroup:
     """[G, G], the normal closure of the commutators of G's generators.
 
     The pairs i < j of generators suffice, since [y, x] = [x, y]^-1 and
     [x, x] = 1, and |G| bounds the order as for every commutator term.
-
-    normal and normal_derived, when given, are a normal subgroup N of G
-    whose generators begin G's (G was built by closure with start=N) and
-    N' = [N, N].  N' is characteristic in N, so normal in G, and contains
-    every commutator of two generators of N; so [G, G] = <N' u {[x, g]}>^G
-    over the generators g of G beyond N's and the generators x before g,
-    and the closure grows from a copy of N''s chain.
     """
-    first = 0
-    if normal is not None or normal_derived is not None:
-        if (normal is None or normal_derived is None
-                or group.generators[:len(normal.generators)] != normal.generators):
-            raise ValueError("normal must come with its derived subgroup, "
-                             "and its generators must begin the group's")
-        first = len(normal.generators)
     gens = _with_inverses(group)
-    pairs = ((gens[i], gens[j]) for j in range(first, len(gens)) for i in range(j))
-    return normal_closure(_commutators(pairs), group, start=normal_derived,
-                          bound=group.order)
+    pairs = ((gens[i], gens[j]) for j in range(len(gens)) for i in range(j))
+    return normal_closure(_commutators(pairs), group, bound=group.order)
 
 
 def _commutator_series(group: PermGroup, second: PermGroup | None,

@@ -21,12 +21,12 @@ def test_tree_of_dihedral_four():
 def test_tree_of_trivial_is_one_level():
     root = orbitseries.orbit_tree(core.trivial(4))
     assert [child.subset for child in root.children] == [(0,), (1,), (2,), (3,)]
-    assert all(child.is_leaf for child in root.children)
+    assert all(not child.children for child in root.children)
 
 
 def test_tree_of_connected_quandle_is_a_point():
     root = orbitseries.orbit_tree(core.affine(5, 2))
-    assert root.is_leaf
+    assert not root.children
     assert list(root.nodes()) == [root]
 
 
@@ -37,7 +37,7 @@ def test_leaf_iff_one_orbit():
             induced = core.induced_subquandle(q, node.subset)
             one_orbit = len(_oracles._orbit_partition(
                 induced.table, frozenset(range(induced.order)))) == 1
-            assert node.is_leaf == one_orbit
+            assert (not node.children) == one_orbit
 
 
 def test_orbits_within_every_tree_node_match_the_sweep_oracle():

@@ -1,14 +1,15 @@
 """The package runs on the standard library alone, and its surface is pinned.
 
 Test oracles such as sympy may be imported by tests, never by the package.
-The exports, the command line options and the parameters of the two
-entry points are written out here, so that adding or removing a knob or an
-export is a deliberate change of this file.  So are the functions that call
-core.validate: tables are checked where they enter the program, and a
-builder that re-validates a table it built is a change of this file too.
-So are the callers of engel_bracket, so that a second bracket loop is one
-as well, and of the exponential subquandle scan is_ncs, which only the fact
-suite runs.
+The exports, the command line options and the parameters of the two entry
+points and of the group builders are written out here, so that adding or
+removing a knob or an export is a deliberate change of this file.  So are
+the functions that call core.validate: tables are checked where they enter
+the program, and a builder that re-validates a table it built is a change
+of this file too.  So are the callers of engel_bracket, so that a second
+bracket loop is one as well, of the exponential subquandle scan is_ncs,
+which only the fact suite runs, and of normal_closure, which only the
+derived subgroup and the lower central terms use.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import quandles
-from quandles import classify, cli, corpus
+from quandles import classify, cli, corpus, permgroup
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quandles"
@@ -85,17 +86,24 @@ def test_command_line_options_are_pinned():
     }
 
 
-def test_entry_point_parameters_are_pinned():
-    def params(fn):
-        return list(inspect.signature(fn).parameters)
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
 
-    assert params(classify.classify) == ["q", "ncs_max_order"]
-    assert params(classify.reductive_degree) == ["q"]
-    assert params(classify.verify_suite) == [
+
+def test_entry_point_parameters_are_pinned():
+    assert _params(classify.classify) == ["q", "ncs_max_order"]
+    assert _params(classify.reductive_degree) == ["q"]
+    assert _params(classify.verify_suite) == [
         "corpus", "groups", "congruence_max_order", "subquandle_max_order",
         "ncs_max_order", "product_max_order", "engel_max_n"]
     assert [f.name for f in fields(corpus.CorpusSpec)] == [
         "exhaustive_up_to", "enumeration_cap"]
+
+
+def test_group_builder_parameters_are_pinned():
+    assert _params(permgroup.closure) == ["generators", "degree", "start", "bound"]
+    assert _params(permgroup.normal_closure) == ["seed", "ambient", "bound"]
+    assert _params(permgroup.derived_subgroup) == ["group"]
 
 
 def _functions_calling(name: str) -> set[str]:
@@ -145,3 +153,10 @@ def test_union_find_serves_only_congruences():
 
 def test_only_the_suite_scans_for_connected_subquandles():
     assert _functions_calling("is_ncs") == {"classify.verify_suite"}
+
+
+def test_normal_closures_serve_only_commutator_terms():
+    # [Inn, Inn] is a plain closure over T' (classify._groups), not a
+    # normal closure
+    assert _functions_calling("normal_closure") == {
+        "permgroup._commutator_term", "permgroup.derived_subgroup"}

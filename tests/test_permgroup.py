@@ -100,7 +100,7 @@ def test_orbits_need_a_permutation():
 def test_closure_without_generators():
     g = permgroup.closure([], degree=4)
     assert g.order == 1
-    assert g.elements == ((0, 1, 2, 3),)
+    assert tuple(g) == ((0, 1, 2, 3),)
 
 
 def test_closure_of_inner_dihedral_three():
@@ -122,7 +122,7 @@ def test_closure_contains_inverses_and_products():
     g = permgroup.closure([(1, 2, 0, 3), (0, 1, 3, 2)])
     for x in g:
         assert permgroup.inverse(x) in g
-        for y in g.elements[:5]:
+        for y in tuple(g)[:5]:
             assert permgroup.compose(x, y) in g
 
 
@@ -138,13 +138,14 @@ def test_closure_keeps_only_generators_that_enlarge_the_group():
             # ... each outside the group generated by those kept before it
             for i, g in enumerate(kept):
                 assert g not in permgroup.closure(kept[:i], q.order), q.label
-            assert set(group.elements) == _oracles.closure_elements(given), q.label
-            assert len(group.elements) == len(set(group.elements))
+            elements = tuple(group)
+            assert set(elements) == _oracles.closure_elements(given), q.label
+            assert len(elements) == len(set(elements))
 
 
 def test_orbits_of_trivial_group():
     g = permgroup.PermGroup(3)
-    assert permgroup.orbits(g.elements) == ((0,), (1,), (2,))
+    assert permgroup.orbits(tuple(g)) == ((0,), (1,), (2,))
 
 
 def test_orbits_of_inner_dihedral_four():
@@ -156,8 +157,8 @@ def test_inner_and_transvection_orbits_coincide():
     for q in (core.dihedral(4), core.dihedral(6), core.trivial(4),
               core.affine(5, 2), core.conj(grouptables.symmetric_group(3))):
         # the elements, since Trans(trivial(4)) has no generators
-        assert (permgroup.orbits(congruence.inn(q).elements)
-                == permgroup.orbits(congruence.trans(q).elements))
+        assert (permgroup.orbits(tuple(congruence.inn(q)))
+                == permgroup.orbits(tuple(congruence.trans(q))))
 
 
 def test_orbits_from_generators_match_group_action():
@@ -230,7 +231,7 @@ def _orbits_have_group_order(group):
     # Semiregularity by orbit-stabilizer, as gather_facts reads it for the
     # abelian field: every orbit has |G| points.
     return all(len(orbit) == group.order
-               for orbit in permgroup.orbits(group.elements))
+               for orbit in permgroup.orbits(tuple(group)))
 
 
 def test_semiregular_groups():
@@ -285,7 +286,7 @@ def test_is_abelian_matches_all_element_pairs():
     groups = [s3] + [group for q in corpus.default_corpus()
                      for group in (congruence.inn(q), congruence.trans(q))]
     for group in groups:
-        want = _oracles.is_abelian_by_elements(list(group.elements))
+        want = _oracles.is_abelian_by_elements(list(group))
         assert group.is_abelian() == want, group
         verdicts.add(want)
     assert verdicts == {True, False}
@@ -343,8 +344,8 @@ def _steps_to_trivial(orders):
 
 def test_shared_groups_and_report_fields_match_sympy():
     # Inn extends Trans's chain, T' serves both series of Trans, and
-    # [Inn, Inn] grows from T''s chain; sympy builds every group and term
-    # from scratch, unshared and unbounded
+    # [Inn, Inn] is the closure of T' and the brackets [t, L_e]; sympy
+    # builds every group and term from scratch, unshared and unbounded
     s5 = grouptables.symmetric_group(5)
     transpositions = next(c for c in grouptables.conjugacy_classes(s5) if len(c) == 10)
     # Inn(Q) = S5 and Trans(Q) = A5 on the ten transpositions: not solvable
@@ -382,31 +383,38 @@ def test_shared_groups_and_report_fields_match_sympy():
 
 
 def test_each_group_is_built_once_per_report():
-    # Trans and Inn are closed once each, and no group's derived subgroup
-    # is built twice: T' serves both series of Trans
-    calls = []
-    original = permgroup.derived_subgroup
-
-    def counting(group, *args):
-        calls.append(id(group))
-        return original(group, *args)
-
+    # Trans and Inn are closed once each; the only derived subgroup taken of
+    # Trans is T', which serves both its series, and none is taken of Inn:
+    # [Inn, Inn] is one plain closure over T', so _groups runs no normal
+    # closure beyond the one inside derived_subgroup(Trans)
     for q in _oracle_members():
-        calls.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(permgroup, "derived_subgroup", counting)
-            trans, inn = [], []
+            derived, normal, trans, inn = [], [], [], []
+            mp.setattr(permgroup, "derived_subgroup",
+                       _recording(permgroup.derived_subgroup, derived))
+            mp.setattr(permgroup, "normal_closure",
+                       _recording(permgroup.normal_closure, normal))
             mp.setattr(congruence, "trans", _recording(congruence.trans, trans))
             mp.setattr(congruence, "inn", _recording(congruence.inn, inn))
             classify.gather_facts(q)
-        assert len(trans) == len(inn) == 1, q.label
-        assert len(calls) == len(set(calls)), q.label
+            assert len(trans) == len(inn) == 1, q.label
+            built = [args[0] for args, _ in derived]
+            assert sum(g is trans[0][1] for g in built) == 1, q.label
+            assert all(g is not inn[0][1] for g in built), q.label
+            assert len(set(map(id, built))) == len(built), q.label
+
+            derived.clear()
+            normal.clear()
+            groups = classify._groups(q)
+            assert len(derived) == 1 and derived[0][0][0] is groups.trans, q.label
+            assert len(normal) == 1, q.label
 
 
 def _recording(fn, log):
     def wrapped(*args, **kwargs):
-        log.append(args)
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        log.append((args, result))
+        return result
     return wrapped
 
 
@@ -437,26 +445,3 @@ def test_bounded_and_resumed_chains_match_the_plain_closure():
                 assert (x in resumed) == (x in plain), label
                 assert (x in bounded) == (x in head), label
     assert stopped_early > 0
-
-
-def test_derived_subgroup_over_a_normal_subgroup_checks_its_generators():
-    s3 = permgroup.closure([(1, 0, 2), (1, 2, 0)])
-    a3 = permgroup.closure([(1, 2, 0)])
-    with pytest.raises(ValueError):
-        permgroup.derived_subgroup(s3, a3, permgroup.derived_subgroup(a3))
-    grown = permgroup.closure([(1, 0, 2)], start=a3)
-    assert grown == s3
-    assert permgroup.derived_subgroup(grown, a3, permgroup.derived_subgroup(a3)) == a3
-    with pytest.raises(ValueError):
-        permgroup.derived_subgroup(grown, a3)
-
-
-def test_closures_from_a_normal_start_conjugate_the_new_generators():
-    # the trivial group is normal in S4 and is its own derived subgroup;
-    # neither a transposition nor the 3-cycle [(0 1), (0 1 2 3)] generates
-    # a normal subgroup, so only conjugation reaches S4 and A4
-    s4_gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
-    trivial = permgroup.PermGroup(4)
-    s4 = permgroup.closure(s4_gens, start=trivial)
-    assert permgroup.normal_closure([s4_gens[0]], s4, start=trivial).order == 24
-    assert permgroup.derived_subgroup(s4, trivial, trivial).order == 12
