@@ -3,10 +3,10 @@
 Each degree implemented here has at least two independent computations
 behind it.  The folded-product identity, the descending orbit-congruence
 chain, the nilpotency class of the inner group and the stabilizer-collapse
-chain all measure reductivity, and reductive_degree insists they agree;
-classify() additionally enforces the ordering between the three families on
-every report it emits.  A disagreement is never a property of the input
-quandle, only of this package, so it surfaces as
+chain all measure reductivity.  classify() insists they agree, and
+enforces the ordering between the three families on every report it emits;
+reductive_degree() reads its report.  A disagreement is never a property of
+the input quandle, only of this package, so it surfaces as
 InconsistentCharacterizations rather than as a value.
 
 classify() and verify_suite() share one per-quandle pass, gather_facts().
@@ -126,63 +126,11 @@ def _groups(q: Quandle) -> _Groups:
     return _Groups(trans_group, trans_derived, inn_group, inn_derived)
 
 
-def _reductivity_routes(q: Quandle, groups: _Groups, lr: int | None
-                        ) -> tuple[congruence.OChain, int | None, int | None, int | None]:
-    """The four reductivity routes, computed but not compared.
-
-    Returns the O-chain (its degree is the chain route), the first
-    all-constant composite layer, the nilpotency class of the inner group
-    (its lower central series from the [Inn, Inn] of groups), and the
-    number of stabilizer-collapse steps down to the one-element quandle.
-    When the locally reductive degree lr is None the identity route is
-    None without building a layer: layer k contains R_b^k, and an
-    all-constant layer would force R_b^k to be constant at b.
-    """
-    chain = congruence.o_chain(q)
-    if q.order == 1:
-        ident = 0
-    elif lr is None:
-        ident = None
-    else:
-        ident = _first_constant_layer(q)
-    cls = permgroup.nilpotency_class(groups.inn, groups.inn_derived)
-    lam = congruence.l_chain(q)
-    steps = len(lam) - 1 if lam[-1].order == 1 else None
-    return chain, ident, cls, steps
-
-
 def _routes_agree(deg: int | None, ident: int | None, cls: int | None,
                   steps: int | None) -> bool:
     """Degree n pairs with inner class n-1, the one-element quandle with 0."""
     expected_cls = None if deg is None else max(deg - 1, 0)
     return ident == deg and cls == expected_cls and steps == deg
-
-
-def _check_routes(q: Quandle, deg: int | None, ident: int | None,
-                  cls: int | None, steps: int | None) -> None:
-    if not _routes_agree(deg, ident, cls, steps):
-        raise InconsistentCharacterizations(
-            f"reductivity routes disagree on {q.label or f'order {q.order}'}: "
-            f"chain={deg} identity={ident} inner-class={cls} "
-            f"collapse-steps={steps}")
-
-
-def reductive_degree(q: Quandle) -> int | None:
-    """Minimal n making the quandle n-reductive, or None when none exists.
-
-    Four routes are computed and compared: the index of the first zero term
-    of the descending orbit-congruence chain, the first all-constant
-    composite layer, the nilpotency class of the inner group (degree n pairs
-    with class n-1, with the one-element quandle as the class-0 floor), and
-    the number of steps the iterated stabilizer-collapse quotient takes to
-    reach the one-element quandle.  Any disagreement raises
-    InconsistentCharacterizations, since the four are provably equal for
-    finite quandles.
-    """
-    chain, ident, cls, steps = _reductivity_routes(
-        q, _groups(q), locally_reductive_degree(q))
-    _check_routes(q, chain.degree, ident, cls, steps)
-    return chain.degree
 
 
 def _constant_power(column: Sequence[int]) -> int | None:
@@ -394,7 +342,19 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     medial = trans_group.is_abelian()
     nilpotent = permgroup.nilpotency_class(trans_group, groups.trans_derived) is not None
     lr = locally_reductive_degree(q)
-    chain, ident, inn_cls, steps = _reductivity_routes(q, groups, lr)
+    # The four reductivity routes.  When lr is None the identity route is
+    # None without building a layer: layer k contains R_b^k, and an
+    # all-constant layer would force R_b^k to be constant at b.
+    chain = congruence.o_chain(q)
+    if q.order == 1:
+        ident = 0
+    elif lr is None:
+        ident = None
+    else:
+        ident = _first_constant_layer(q)
+    inn_cls = permgroup.nilpotency_class(groups.inn, groups.inn_derived)
+    collapse = congruence.l_chain(q)
+    steps = len(collapse) - 1 if collapse[-1].order == 1 else None
     trans_orbits = chain[min(1, len(chain) - 1)].classes
     # Abelian: medial with Trans(Q) semiregular, every orbit of |Trans| points.
     abelian = medial and all(len(o) == trans_group.order for o in trans_orbits)
@@ -436,12 +396,32 @@ def classify(q: Quandle, *, ncs_max_order: int = 12) -> ClassificationReport:
     ncs_max_order.  Raises InconsistentCharacterizations when the
     reductivity routes or the degree ordering disagree.
     """
-    facts = gather_facts(q, ncs_max_order=ncs_max_order)
-    _check_routes(q, facts.reductive_degree, facts.ident,
-                  facts.inn_nilpotency_class, facts.collapse_steps)
-    report = facts.report()
+    f = gather_facts(q, ncs_max_order=ncs_max_order)
+    if not _routes_agree(f.reductive_degree, f.ident, f.inn_nilpotency_class,
+                         f.collapse_steps):
+        raise InconsistentCharacterizations(
+            f"reductivity routes disagree on {q.label or f'order {q.order}'}: "
+            f"chain={f.reductive_degree} identity={f.ident} "
+            f"inner-class={f.inn_nilpotency_class} "
+            f"collapse-steps={f.collapse_steps}")
+    report = f.report()
     _enforce_degree_chain(report)
     return report
+
+
+def reductive_degree(q: Quandle) -> int | None:
+    """Minimal n making the quandle n-reductive, or None when none exists.
+
+    Read off classify(), which compares the four routes: the index of the
+    first zero term of the descending orbit-congruence chain, the first
+    all-constant composite layer, the nilpotency class of the inner group
+    (degree n pairs with class n-1, with the one-element quandle as the
+    class-0 floor), and the number of steps the iterated stabilizer-collapse
+    quotient takes to reach the one-element quandle.  Any disagreement
+    raises InconsistentCharacterizations, since the four are provably equal
+    for finite quandles.
+    """
+    return classify(q).reductive_degree
 
 
 @dataclass(frozen=True)
@@ -623,8 +603,9 @@ def verify_suite(corpus: Iterable[Quandle],
     A QuandleError while gathering a member's facts or its ncs scan, or
     while deciding the 2-Engel verdict or the reductive degree of a group's
     conjugation quandle, is recorded as a failing fact with the error as
-    its witness.  Within one call the tos and lr degrees of every table are
-    computed once, the members' own read off their facts.
+    its witness.  Within one call the tos, lr and reductive degrees come
+    from per-table memos, the members' own read off their facts; a
+    reductive degree the memo lacks comes from classify().
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -700,6 +681,8 @@ def verify_suite(corpus: Iterable[Quandle],
                         ((f.q, f.tos_degree) for f in facts))
     lr_of = _per_table(locally_reductive_degree,
                        ((f.q, f.locally_reductive_degree) for f in facts))
+    red_of = _per_table(reductive_degree,
+                        ((f.q, f.reductive_degree) for f in facts))
     for f, lattice in zip(facts, lattices):
         try:
             _series_and_congruence_facts(f, lattice, record, tos_of, lr_of)
@@ -742,7 +725,7 @@ def verify_suite(corpus: Iterable[Quandle],
                        f"local reductivity {lhs} vs bracket {rhs}")
         try:
             two_engel = _two_engel_verdict(table, tos_of(whole))
-            red = reductive_degree(whole) if two_engel else None
+            red = red_of(whole) if two_engel else None
         except QuandleError as exc:
             record("two-engel-conjugation-reductive-by-3", False,
                    f"{gname}: {exc}")

@@ -11,7 +11,7 @@ rows, and the two descending chains derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import core, permgroup
 from .core import Quandle
@@ -80,6 +80,30 @@ class Congruence:
         return all(oc[cls[0]] == oc[x] for cls in self.classes for x in cls)
 
 
+def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:
+    """A disjoint-set forest on 0..n-1, as (find, union) closures.
+
+    find returns the root of a point's class (with path halving); union
+    merges two classes and reports whether they were distinct.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[ry] = rx
+        return True
+
+    return find, union
+
+
 def join(a: Congruence, b: Congruence) -> Congruence:
     """Smallest congruence containing both.
 
@@ -89,7 +113,7 @@ def join(a: Congruence, b: Congruence) -> Congruence:
     """
     if a.n != b.n:
         raise ValueError("partitions of different carriers")
-    find, union = permgroup.union_find(a.n)
+    find, union = union_find(a.n)
     for cong in (a, b):
         for cls in cong.classes:
             for x in cls[1:]:
@@ -114,7 +138,7 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
     """
     n = q.order
     table = q.table
-    find, union = permgroup.union_find(n)
+    find, union = union_find(n)
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError("pair contains elements outside the carrier")
@@ -180,17 +204,20 @@ def trans(q: Quandle) -> PermGroup:
 def trans_rel_generators(q: Quandle, cong: Congruence) -> list[permgroup.Perm]:
     """Generators of <L_a L_b^{-1} : a ~ b>, the transvections relative to cong.
 
-    They are L_a L_e^{-1}, e the first member of a's class, which suffice
-    since L_a L_b^{-1} = (L_a L_e^{-1})(L_b L_e^{-1})^{-1}.
+    They are the distinct L_a L_e^{-1}, e the first member of a's class,
+    which suffice since L_a L_b^{-1} = (L_a L_e^{-1})(L_b L_e^{-1})^{-1}.
+    L_a L_e^{-1} = L_b L_e^{-1} exactly when L_a = L_b, so repeated rows
+    within a class are dropped before composing (on dihedral(n), L_a =
+    L_(a + n/2)); repeats across classes are dropped after.
     """
     if cong.n != q.order:
         raise ValueError("congruence size differs from quandle order")
     gens = []
     for cls in cong.classes:
         base_inv = permgroup.inverse(q.table[cls[0]])
-        for a in cls[1:]:
-            gens.append(permgroup.compose(q.table[a], base_inv))
-    return gens
+        for row in dict.fromkeys(q.table[a] for a in cls[1:]):
+            gens.append(permgroup.compose(row, base_inv))
+    return list(dict.fromkeys(gens))
 
 
 def lambda_congruence(q: Quandle) -> Congruence:
@@ -205,19 +232,17 @@ def l_chain(q: Quandle) -> list[Quandle]:
     """Iterated quotients by the row-equality congruence.
 
     Stops when the congruence is trivial, i.e. when the order stabilizes;
-    a faithful quandle returns just [q].
+    a faithful quandle returns just [q].  Equal rows always form a
+    congruence (a > c and b > c agree when L_a = L_b, and L_(c>a) =
+    L_c L_a L_c^{-1}), so each quotient is built without the check of
+    core.quotient.
     """
     chain = [q]
-    current = q
-    step = 0
-    while True:
-        lam = lambda_congruence(current)
-        if lam.is_zero:
-            return chain
-        step += 1
-        base = q.label or f"order{q.order}"
-        current, _ = core.quotient(current, lam.classes, label=f"L{step}({base})")
-        chain.append(current)
+    base = q.label or f"order{q.order}"
+    while not (lam := lambda_congruence(chain[-1])).is_zero:
+        chain.append(core._quotient_table(chain[-1], lam.classes, lam.class_of,
+                                          f"L{len(chain)}({base})"))
+    return chain
 
 
 @dataclass(frozen=True)
@@ -253,15 +278,12 @@ def o_chain(q: Quandle) -> OChain:
     """Compute the O-chain of q, stopping at the first repeated term.
 
     Each term is the orbit partition of the previous term's
-    trans_rel_generators; no group is closed.  Repeats among them are
-    dropped first: the distinct ones generate the same group, so the orbits
-    are the same (on dihedral(n), L_a L_e^{-1} is translation by 2(a - e),
-    so a and a + n/2 give one generator).  The identity partition, which
-    has no generators, ends the chain.
+    trans_rel_generators; no group is closed.  The identity partition,
+    which has no generators, ends the chain.
     """
     terms = [Congruence.one(q.order)]
     while not terms[-1].is_zero:
-        gens = list(dict.fromkeys(trans_rel_generators(q, terms[-1])))
+        gens = trans_rel_generators(q, terms[-1])
         nxt = Congruence.from_classes(q.order, permgroup.orbits(gens))
         if nxt == terms[-1]:
             break

@@ -330,17 +330,24 @@ def quotient(q: Quandle, partition: Sequence[Sequence[int]],
     That check is the only one: the quotient of a quandle by a congruence is
     a quandle, so its table is not re-validated.
     """
-    n = q.order
     blocks = sorted((tuple(sorted(cls)) for cls in partition), key=min)
-    class_of = partition_labels(n, blocks)
+    class_of = partition_labels(q.order, blocks)
     witness = congruence_witness(q, class_of)
     if witness is not None:
         raise NotACongruence(witness)
+    return _quotient_table(q, blocks, class_of, label), tuple(class_of)
+
+
+def _quotient_table(q: Quandle, blocks: Sequence[Sequence[int]],
+                    class_of: Sequence[int], label: str | None) -> Quandle:
+    """The quotient by a congruence known to be one, unchecked.
+
+    blocks are sorted and ordered by smallest member, and class_of numbers
+    them in that order.
+    """
     reps = [cls[0] for cls in blocks]
-    table = tuple(
-        tuple(class_of[q.table[a][b]] for b in reps) for a in reps
-    )
-    return Quandle(table, label), tuple(class_of)
+    return Quandle(tuple(tuple(class_of[q.table[a][b]] for b in reps) for a in reps),
+                   label)
 
 
 def _element_invariants(q: Quandle) -> list[tuple]:

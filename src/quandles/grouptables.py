@@ -77,23 +77,17 @@ def power(table: GroupTable, a: int, k: int) -> int:
     return cycle[k % len(cycle)]
 
 
-def commutator(table: GroupTable, x: int, y: int,
-               inv: tuple[int, ...] | None = None) -> int:
-    """[x, y] = x^{-1} y^{-1} x y."""
-    if inv is None:
-        inv = inverses_of(table)
+def commutator(table: GroupTable, x: int, y: int, inv: tuple[int, ...]) -> int:
+    """[x, y] = x^{-1} y^{-1} x y; inv is inverses_of(table)."""
     return table[table[table[inv[x]][inv[y]]][x]][y]
 
 
 def engel_bracket(table: GroupTable, a: int, b: int, n: int,
-                  inv: tuple[int, ...] | None = None) -> int:
+                  inv: tuple[int, ...]) -> int:
     """[b,_n a] with [b,_0 a] = a and [b,_{k+1} a] = [b, [b,_k a]].
 
-    Callers that bracket many pairs pass inv (inverses_of(table)) so it is
-    computed once, as for commutator.
+    inv is inverses_of(table), computed once by the caller.
     """
-    if inv is None:
-        inv = inverses_of(table)
     c = a
     for _ in range(n):
         c = commutator(table, b, c, inv)

@@ -8,8 +8,7 @@ Handbook of Computational Group Theory, 2005, section 4.4).  Each level of
 the chain holds a base point, the strong generators that fix the earlier
 base points, the basic orbit of its point under them, and a transversal
 of that orbit with its inverses.  The order is the product of the basic
-orbit lengths and membership is a sift, so no element set is ever built;
-elements are enumerated from the transversals only on demand.
+orbit lengths and membership is a sift, so no element set is ever built.
 
 Everything is deterministic: generators are taken in the given order and
 a new base point is the first point the sifted residue moves, which keeps
@@ -21,7 +20,7 @@ The commutator convention is [x, y] = x^{-1} y^{-1} x y throughout.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -106,8 +105,6 @@ class PermGroup:
     trivial group.  generators are the kept given generators: each one that
     did not sift to the identity, so each lies outside the group generated
     by those kept before it.  The order is exact once the builder returns.
-    Elements are enumerated from the transversals on demand, |G| of them,
-    so iterate only over small groups.
     """
 
     def __init__(self, degree: int):
@@ -120,27 +117,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return self._order
-
-    def __len__(self) -> int:
-        """The order; len() fails past sys.maxsize, where order still works."""
-        return self._order
-
-    def __iter__(self) -> Iterator[Perm]:
-        """Every element once, identity first.
-
-        The elements are the products u_0 u_1 ... of one transversal
-        representative per level.
-        """
-        levels = self._levels
-
-        def walk(i: int, prefix: Perm) -> Iterator[Perm]:
-            if i == len(levels):
-                yield prefix
-                return
-            for u in levels[i].rep.values():
-                yield from walk(i + 1, compose(prefix, u))
-
-        return walk(0, self._identity)
 
     def __contains__(self, p: Perm) -> bool:
         """Membership by sifting.
@@ -427,30 +403,6 @@ def derived_series(group: PermGroup,
 def derived_length(group: PermGroup, second: PermGroup | None = None) -> int | None:
     """Derived length, or None for a group whose derived series sticks above 1."""
     return _steps_to_trivial(derived_series(group, second))
-
-
-def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:
-    """A disjoint-set forest on 0..n-1, as (find, union) closures.
-
-    find returns the root of a point's class (with path halving); union
-    merges two classes and reports whether they were distinct.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        return True
-
-    return find, union
 
 
 def orbits(gens: Sequence[Perm],

@@ -232,9 +232,15 @@ def series_degrees_recursive(table: Table) -> tuple[int, int | None]:
     return rec(frozenset(range(len(table))))
 
 
-def closure_elements(perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Group closure by pairwise-product sweeps to a fixed point."""
-    degree = len(perms[0]) if perms else 1
+def closure_elements(perms: list[tuple[int, ...]],
+                     degree: int | None = None) -> set[tuple[int, ...]]:
+    """Group closure by pairwise-product sweeps to a fixed point.
+
+    degree defaults to the first permutation's; with no permutations it
+    must be given, and the result is the identity alone.
+    """
+    if degree is None:
+        degree = len(perms[0])
     elements = {tuple(range(degree))}
     elements.update(tuple(p) for p in perms)
     while True:

@@ -394,10 +394,13 @@ class TestVerifySuite:
     def test_degrees_run_once_per_distinct_table_within_a_call(self, monkeypatch):
         # quotients, class blocks, subquandles, products and the groups'
         # conjugation quandles repeat tables; within one call each table's
-        # orbit-tree degrees and lr are computed once (the members' own lr
-        # by gather_facts), and a second call computes them again
-        tos_calls, lr_calls = Counter(), Counter()
+        # orbit-tree degrees, lr and O-chain are computed once (the members'
+        # own lr and O-chain by gather_facts, a group's conjugation quandle's
+        # by the classify() behind the reductive-degree memo), and a second
+        # call computes them again
+        tos_calls, lr_calls, chain_calls = Counter(), Counter(), Counter()
         degrees, lr = orbitseries.degrees, classify.locally_reductive_degree
+        o_chain = congruence.o_chain
 
         def counting_degrees(q):
             tos_calls[q.table] += 1
@@ -407,12 +410,24 @@ class TestVerifySuite:
             lr_calls[q.table] += 1
             return lr(q)
 
+        def counting_o_chain(q):
+            chain_calls[q.table] += 1
+            return o_chain(q)
+
         monkeypatch.setattr(orbitseries, "degrees", counting_degrees)
         monkeypatch.setattr(classify, "locally_reductive_degree", counting_lr)
+        monkeypatch.setattr(congruence, "o_chain", counting_o_chain)
         members = list(dict.fromkeys(corpus.default_corpus()))  # distinct tables
-        assert classify.verify_suite(members, corpus.builtin_groups()).ok
+        groups = corpus.builtin_groups()
+        assert classify.verify_suite(members, groups).ok
         assert len(tos_calls) > 50 and max(tos_calls.values()) == 1
-        # the group facts' reductive_degree calls are not the suite's memo
+        assert len(chain_calls) > 21 and max(chain_calls.values()) == 1
+        # The one exception for lr: a group's conjugation quandle that is no
+        # member but is a quotient too (trivial(5) = conj(C5), a quotient of
+        # conj-q8) gets its lr from the lr memo and again inside classify().
+        assert len(lr_calls) > 50
+        assert {t for t, n in lr_calls.items() if n > 1} == {core.trivial(5).table}
+        assert max(lr_calls.values()) == 2
         tos_calls.clear()
         lr_calls.clear()
         first = classify.verify_suite(members)
@@ -563,6 +578,17 @@ class TestVerifySuite:
 
 
 class TestRouteAgreement:
+    def test_classify_checks_no_congruence(self, monkeypatch):
+        # the O-chain's orbit partitions and the L-chain's row-equality
+        # classes are congruences by construction
+        def refuse(q, class_of):
+            raise AssertionError("congruence_witness called")
+
+        monkeypatch.setattr(core, "congruence_witness", refuse)
+        for q in corpus.default_corpus() + [
+                q for _, q in _inputs.classify_workload_inputs()]:
+            classify.classify(q)
+
     def test_routes_cross_checked_on_every_default_member(self):
         for q in corpus.default_corpus():
             try:

@@ -267,8 +267,9 @@ def test_o_chain_matches_checked_orbit_congruences():
                 for gen in group.generators:
                     conjugate = permgroup.compose(row_inv, permgroup.compose(gen, row))
                     assert conjugate in group, q.label
-            nxt = Congruence.from_classes(q.order,
-                                          permgroup.orbits(tuple(group)))
+            elements = _oracles.closure_elements(list(group.generators), q.order)
+            assert group.order == len(elements), q.label
+            nxt = Congruence.from_classes(q.order, permgroup.orbits(list(elements)))
             assert core.congruence_witness(q, nxt.class_of) is None, q.label
             if nxt == terms[-1]:
                 break
@@ -276,17 +277,57 @@ def test_o_chain_matches_checked_orbit_congruences():
         assert congruence.o_chain(q).terms == tuple(terms), q.label
 
 
+def _every_relative_transvection(q, cong):
+    """L_a L_e^-1 for every a outside the first member e of its class, repeats kept."""
+    return [permgroup.compose(q.table[a], permgroup.inverse(q.table[cls[0]]))
+            for cls in cong.classes for a in cls[1:]]
+
+
 def test_o_chain_without_repeated_generators_is_the_full_generator_chain():
-    # o_chain drops repeats among the relative transvections; a chain fed
-    # every one of them, orbits by the oracle's sweeps, must agree
+    # trans_rel_generators drops repeats among the relative transvections;
+    # a chain fed every one of them, orbits by the oracle's sweeps, must agree
     inputs = [(q.label, q) for q in corpus.default_corpus()]
     for label, q in inputs + _inputs.classify_workload_inputs():
         terms = [Congruence.one(q.order)]
         while not terms[-1].is_zero:
-            gens = congruence.trans_rel_generators(q, terms[-1])
+            gens = _every_relative_transvection(q, terms[-1])
             orbits = _oracles.orbits_by_sweeps(gens, frozenset(range(q.order)))
             nxt = Congruence.from_classes(q.order, [sorted(o) for o in orbits])
             if nxt == terms[-1]:
                 break
             terms.append(nxt)
         assert congruence.o_chain(q).terms == tuple(terms), label
+
+
+def test_trans_rel_generators_are_the_distinct_relative_transvections():
+    inputs = [(q.label, q) for q in corpus.default_corpus() + _census(4)]
+    repeats = 0
+    for label, q in inputs + _inputs.classify_workload_inputs():
+        for cong in {congruence.o_chain(q)[-1], Congruence.one(q.order),
+                     congruence.lambda_congruence(q)}:
+            every = _every_relative_transvection(q, cong)
+            gens = congruence.trans_rel_generators(q, cong)
+            assert gens == list(dict.fromkeys(every)), label
+            assert len(set(gens)) == len(gens), label
+            repeats += len(every) - len(gens)
+    assert repeats > 0
+
+
+def test_l_chain_is_the_chain_of_checked_quotients():
+    # l_chain builds each quotient without core.quotient's congruence check
+    inputs = corpus.default_corpus() + _census(4)
+    inputs += [q for _, q in _inputs.classify_workload_inputs()]
+    inputs.append(core.dihedral(8).relabel(None))
+    collapsed = 0
+    for q in inputs:
+        want = [q]
+        base = q.label or f"order{q.order}"
+        while not (lam := congruence.lambda_congruence(want[-1])).is_zero:
+            quot, _ = core.quotient(want[-1], lam.classes,
+                                    label=f"L{len(want)}({base})")
+            want.append(quot)
+        got = congruence.l_chain(q)
+        assert got == want, q.label
+        assert [x.label for x in got] == [x.label for x in want], q.label
+        collapsed += len(got) > 2
+    assert collapsed > 0

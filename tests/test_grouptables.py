@@ -64,9 +64,10 @@ def test_power_matches_the_naive_loop():
 def test_commutator_in_abelian_groups_is_identity():
     c12 = grouptables.direct_product(grouptables.cyclic(3), grouptables.cyclic(4))
     e = grouptables.identity_of(c12)
+    inv = grouptables.inverses_of(c12)
     for x in range(12):
         for y in range(12):
-            assert grouptables.commutator(c12, x, y) == e
+            assert grouptables.commutator(c12, x, y, inv) == e
 
 
 def test_engel_bracket_matches_direct_recomputation():
@@ -78,14 +79,14 @@ def test_engel_bracket_matches_direct_recomputation():
             for b in range(0, size, 3):
                 for n in (0, 1, 2, 3):
                     want = _oracles.engel_bracket_direct(table, a, b, n)
-                    assert grouptables.engel_bracket(table, a, b, n) == want
                     assert grouptables.engel_bracket(table, a, b, n, inv) == want
 
 
 def test_engel_bracket_depth_zero_returns_first_argument():
     s3 = grouptables.symmetric_group(3)
+    inv = grouptables.inverses_of(s3)
     for a in range(6):
-        assert grouptables.engel_bracket(s3, a, 2, 0) == a
+        assert grouptables.engel_bracket(s3, a, 2, 0, inv) == a
 
 
 def test_two_engel_groups():
