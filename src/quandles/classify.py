@@ -20,7 +20,7 @@ report instead of aborting the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import combinations_with_replacement
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -30,6 +30,14 @@ from .core import Quandle
 from .errors import InconsistentCharacterizations, QuandleError
 from .grouptables import GroupTable
 from .permgroup import PermGroup
+
+#: Bounds that choose the instances of verify_suite's exponential scans (see
+#: there); the report's ncs shares NCS_MAX_ORDER with the scan checking it.
+NCS_MAX_ORDER = 12
+CONGRUENCE_MAX_ORDER = 8
+SUBQUANDLE_MAX_ORDER = 10
+PRODUCT_MAX_ORDER = 12
+ENGEL_MAX_N = 4
 
 
 def _first_constant_layer(q: Quandle, max_layer: int | None = None) -> int | None:
@@ -159,11 +167,17 @@ def is_n_locally_reductive(q: Quandle, n: int) -> bool:
     because b > b = b, so the minimal degree from
     locally_reductive_degree() splits True from False; the two code paths
     are kept separate on purpose and tested against each other.
+
+    n is clamped to |Q| first, which changes no answer: per b, the images
+    of x -> x > b shrink strictly until they reach {b} or stop shrinking
+    for good (see _constant_power), so the degree, when it exists, is
+    below |Q|.  The scan costs min(n, |Q|) |Q|^2 steps.
     """
     if n < 0:
         raise ValueError(f"local reductivity degree must be >= 0, got {n}")
     if n == 0:
         return q.order == 1
+    n = min(n, q.order)
     table = q.table
     for b in range(q.order):
         for a in range(q.order):
@@ -244,7 +258,7 @@ class ClassificationReport:
     Absent degrees are None: for finite quandles the three degree fields are
     always either all present or all absent, and when present they satisfy
     locally_reductive_degree <= tos_degree <= reductive_degree.  ncs is None
-    above ncs_max_order, which is not a verdict.
+    above NCS_MAX_ORDER (12), which is not a verdict.
     """
 
     order: int
@@ -316,7 +330,7 @@ class QuandleFacts(ClassificationReport):
             f.name: getattr(self, f.name) for f in fields(ClassificationReport)})
 
 
-def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
+def gather_facts(q: Quandle) -> QuandleFacts:
     """Every per-quandle quantity of the report and the suite, each built once.
 
     One pass builds the inner and transvection groups and their derived
@@ -329,7 +343,8 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     left to the suite.  Every leaf of the orbit tree is a connected
     subquandle, and a connected subquandle lies in one orbit of each node
     containing it, hence in a leaf: so ncs holds exactly when every leaf is
-    a singleton.  ncs is None above ncs_max_order.  Never raises on a route
+    a singleton.  ncs is None above NCS_MAX_ORDER, the largest order the
+    suite's is_ncs scan checks it against.  Never raises on a route
     disagreement.
     """
     groups = _groups(q)
@@ -373,7 +388,7 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
         locally_reductive_degree=lr,
         os_degree=sd.os_degree,
         tos_degree=sd.tos_degree,
-        ncs=sd.tos_degree is not None if q.order <= ncs_max_order else None,
+        ncs=sd.tos_degree is not None if q.order <= NCS_MAX_ORDER else None,
         inn_order=groups.inn.order,
         trans_order=trans_group.order,
         inn_nilpotency_class=inn_cls,
@@ -388,15 +403,15 @@ def gather_facts(q: Quandle, *, ncs_max_order: int = 12) -> QuandleFacts:
     )
 
 
-def classify(q: Quandle, *, ncs_max_order: int = 12) -> ClassificationReport:
+def classify(q: Quandle) -> ClassificationReport:
     """Aggregate every predicate and degree into one report.
 
     The report is projected from gather_facts(), whose every stage is
     polynomial in the order and runs uncapped; ncs is None above
-    ncs_max_order.  Raises InconsistentCharacterizations when the
+    NCS_MAX_ORDER.  Raises InconsistentCharacterizations when the
     reductivity routes or the degree ordering disagree.
     """
-    f = gather_facts(q, ncs_max_order=ncs_max_order)
+    f = gather_facts(q)
     if not _routes_agree(f.reductive_degree, f.ident, f.inn_nilpotency_class,
                          f.collapse_steps):
         raise InconsistentCharacterizations(
@@ -587,25 +602,28 @@ _GROUP_FACTS = (
 
 
 def verify_suite(corpus: Iterable[Quandle],
-                 groups: Iterable[tuple[str, GroupTable]] | None = None, *,
-                 congruence_max_order: int = 8,
-                 subquandle_max_order: int = 10,
-                 ncs_max_order: int = 12,
-                 product_max_order: int = 12,
-                 engel_max_n: int = 4) -> SuiteReport:
+                 groups: Iterable[tuple[str, GroupTable]] | None = None) -> SuiteReport:
     """Re-check every structural fact on the given corpus.
 
-    Checks that quantify over all congruences, all subquandles, or all
-    products are limited to members under the corresponding max-order
-    parameter, since their cost grows exponentially; the checked counts in
-    the report show how many instances each fact actually saw.  Group-level
-    facts run only when group tables are supplied as (name, table) pairs.
+    Checks whose cost grows exponentially see only the instances under
+    the module's bounds: the congruence lattice of members of order at
+    most CONGRUENCE_MAX_ORDER (8), the subquandles of those up to
+    SUBQUANDLE_MAX_ORDER (10), the is_ncs scan up to NCS_MAX_ORDER (12),
+    products of order at most PRODUCT_MAX_ORDER (12), and the Engel bridge
+    for n up to ENGEL_MAX_N (4); the checked counts in the report show how
+    many instances each fact actually saw.  The scan caps cannot bind
+    here: order 8 allows at most Bell(8) = 4140 congruences, against
+    congruence.DEFAULT_CONGRUENCE_CAP, and order 12 at most 2^12 - 1
+    subquandles, against orbitseries.DEFAULT_SUBSET_CAP.  Group-level facts
+    run only when group tables are supplied as (name, table) pairs.
+
     A QuandleError while gathering a member's facts or its ncs scan, or
     while deciding the 2-Engel verdict or the reductive degree of a group's
     conjugation quandle, is recorded as a failing fact with the error as
-    its witness.  Within one call the tos, lr and reductive degrees come
-    from per-table memos, the members' own read off their facts; a
-    reductive degree the memo lacks comes from classify().
+    its witness.  Members that share a table share its facts and scans,
+    each under its own label.  Within one call the tos, lr and reductive
+    degrees come from per-table memos, the members' own read off their
+    facts; a reductive degree the memo lacks comes from classify().
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -617,22 +635,28 @@ def verify_suite(corpus: Iterable[Quandle],
         if not ok:
             failed[name].append(witness)
 
+    scanned: dict[Quandle, tuple | QuandleError] = {}
     facts: list[QuandleFacts] = []
     scans: list[bool | None] = []
     lattices: list[tuple[congruence.Congruence, ...] | None] = []
     for q in quandles:
-        try:
-            f = gather_facts(q, ncs_max_order=ncs_max_order)
-            ncs = orbitseries.is_ncs(q) if q.order <= ncs_max_order else None
-            lattice = (congruence.all_congruences(q)
-                       if q.order <= congruence_max_order else None)
-        except QuandleError as exc:
+        if q not in scanned:
+            try:
+                scanned[q] = (
+                    gather_facts(q),
+                    orbitseries.is_ncs(q) if q.order <= NCS_MAX_ORDER else None,
+                    (congruence.all_congruences(q)
+                     if q.order <= CONGRUENCE_MAX_ORDER else None))
+            except QuandleError as exc:
+                scanned[q] = exc
+        if isinstance(scanned[q], QuandleError):
             failed["classification-completes"].append(
-                f"{q.label or q.order}: {exc}")
-        else:
-            facts.append(f)
-            scans.append(ncs)
-            lattices.append(lattice)
+                f"{q.label or q.order}: {scanned[q]}")
+            continue
+        f, ncs, lattice = scanned[q]
+        facts.append(replace(f, label=q.label, q=q))
+        scans.append(ncs)
+        lattices.append(lattice)
     checked["classification-completes"] = len(quandles)
 
     for f, ncs in zip(facts, scans):
@@ -691,7 +715,7 @@ def verify_suite(corpus: Iterable[Quandle],
 
     for f in facts:
         tos = f.tos_degree
-        if tos is None or f.order > subquandle_max_order:
+        if tos is None or f.order > SUBQUANDLE_MAX_ORDER:
             continue
         for subset in orbitseries.all_subquandles(f.q):
             st = tos_of(core.induced_subquandle(f.q, subset))
@@ -699,7 +723,7 @@ def verify_suite(corpus: Iterable[Quandle],
                    f"{f.name}: subquandle {subset} tos {st} exceeds {tos}")
 
     for fa, fb in combinations_with_replacement(facts, 2):
-        if fa.order * fb.order > product_max_order:
+        if fa.order * fb.order > PRODUCT_MAX_ORDER:
             continue
         pt = tos_of(core.direct_product(fa.q, fb.q))
         ta, tb = fa.tos_degree, fb.tos_degree
@@ -717,7 +741,7 @@ def verify_suite(corpus: Iterable[Quandle],
         subsets.extend((cls, core.induced_subquandle(whole, cls))
                        for cls in grouptables.conjugacy_classes(table))
         for subset, quandle in subsets:
-            for n in range(1, engel_max_n + 1):
+            for n in range(1, ENGEL_MAX_N + 1):
                 lhs = is_n_locally_reductive(quandle, n)
                 rhs = grouptables.is_n_engel_subset(table, subset, n)
                 record("conjugation-engel-subset-bridge", lhs == rhs,

@@ -18,6 +18,7 @@ from .core import Quandle
 from .errors import CapExceeded
 from .permgroup import PermGroup
 
+#: Most congruences all_congruences finds before raising CapExceeded.
 DEFAULT_CONGRUENCE_CAP = 100_000
 
 
@@ -161,7 +162,7 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
     return Congruence.from_class_of(tuple(find(x) for x in range(n)))
 
 
-def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Congruence, ...]:
+def all_congruences(q: Quandle) -> tuple[Congruence, ...]:
     """The whole congruence lattice, as joins of principal congruences.
 
     Every congruence is the join of the principal congruences of its
@@ -169,15 +170,16 @@ def all_congruences(q: Quandle, cap: int = DEFAULT_CONGRUENCE_CAP) -> tuple[Cong
     distinct principal congruence p, unless p refines it, so after k steps
     found holds the joins of every subset of the first k.  Sorted finest
     first (descending class count breaks no refinement order).  Raises
-    CapExceeded exactly when the lattice has more than cap members.
+    CapExceeded exactly when the lattice has more than
+    DEFAULT_CONGRUENCE_CAP members.
     """
     n = q.order
     found = {Congruence.zero(n)}
     for p in dict.fromkeys(congruence_generated(q, [(a, b)])
                            for a in range(n) for b in range(a + 1, n)):
         found |= {join(x, p) for x in found if not p.refines(x)}
-        if len(found) > cap:
-            raise CapExceeded("congruence enumeration", cap)
+        if len(found) > DEFAULT_CONGRUENCE_CAP:
+            raise CapExceeded("congruence enumeration", DEFAULT_CONGRUENCE_CAP)
     return tuple(sorted(found, key=lambda c: (-c.num_classes, c.class_of)))
 
 

@@ -164,13 +164,14 @@ def principal_series(q: Quandle, x: int) -> list[tuple[int, ...]]:
         current = nxt
 
 
-def _subquandles(q: Quandle, cap: int) -> Iterator[tuple[int, ...]]:
+def _subquandles(q: Quandle) -> Iterator[tuple[int, ...]]:
     """Each nonempty closed subset once, as joins of singletons.
 
     A closed subset is generated by its elements, so element a adds <a>
     and <s, a> for each s found so far without a.  Raises CapExceeded as
-    soon as more than cap subquandles are found.
+    soon as more than DEFAULT_SUBSET_CAP subquandles are found.
     """
+    cap = DEFAULT_SUBSET_CAP
     found: set[tuple[int, ...]] = set()
     for a in range(q.order):
         for s in [()] + [s for s in found if a not in s]:
@@ -182,24 +183,24 @@ def _subquandles(q: Quandle, cap: int) -> Iterator[tuple[int, ...]]:
                 yield new
 
 
-def all_subquandles(q: Quandle,
-                    cap: int = DEFAULT_SUBSET_CAP) -> list[tuple[int, ...]]:
+def all_subquandles(q: Quandle) -> list[tuple[int, ...]]:
     """Every nonempty closed subset, by increasing bitmask value.
 
-    Raises CapExceeded when there are more than cap of them.
+    Raises CapExceeded when there are more than DEFAULT_SUBSET_CAP of them.
     """
-    return sorted(_subquandles(q, cap), key=lambda s: sum(1 << x for x in s))
+    return sorted(_subquandles(q), key=lambda s: sum(1 << x for x in s))
 
 
-def is_ncs(q: Quandle, cap: int = DEFAULT_SUBSET_CAP) -> bool:
+def is_ncs(q: Quandle) -> bool:
     """True when no closed subset of size two or more is connected.
 
     Stops at the first connected subquandle found, independently of the
     orbit tree; for finite quandles this holds exactly when the tree's
     descent trivializes, which verify_suite checks with this scan.  Raises
-    CapExceeded when more than cap subquandles are found first.
+    CapExceeded when more than DEFAULT_SUBSET_CAP subquandles are found
+    first.
     """
-    for members in _subquandles(q, cap):
+    for members in _subquandles(q):
         if len(members) >= 2 and len(_orbits_within(q.table, members)) == 1:
             return False
     return True

@@ -1,5 +1,7 @@
 """Tests for the predicate layer: degrees, structure flags, and the suite."""
 
+import math
+import time
 from collections import Counter
 
 import pytest
@@ -94,6 +96,28 @@ class TestReductiveDegree:
         assert classify.reductive_degree(core.dihedral(3)) is None
 
 
+class TestAffineClosedForms:
+    """affine(n, t) on Z_n, x > y = t(y - x) + x, against closed forms.
+
+    Write s = 1 - t, so x > y = sx + ty.  The orbit of y is y + sZ_n, a
+    coset of the subgroup generated by gcd(n, s); and a k-fold product
+    (a > c_1) ... > c_k depends on a only through s^k a, so the reductive
+    degree is the least k >= 1 with n | s^k (0 for the one-point quandle).
+    """
+
+    def test_every_unit_multiplier_up_to_forty(self):
+        units = [(n, t) for n in range(1, 41) for t in range(n)
+                 if math.gcd(n, t) == 1]
+        assert len(units) == 490
+        for n, t in units:
+            rep = classify.classify(core.affine(n, t))
+            degree = 0 if n == 1 else next(
+                (k for k in range(1, n) if pow(1 - t, k, n) == 0), None)
+            g = math.gcd(n, 1 - t)
+            assert rep.reductive_degree == degree, (n, t)
+            assert rep.orbit_sizes == (n // g,) * g, (n, t)
+
+
 class TestFirstConstantLayer:
     def test_partition_refinement_matches_map_layers(self):
         members = [(q.label, q) for q in corpus.default_corpus(
@@ -149,14 +173,27 @@ class TestLocalReductivity:
         assert not classify.is_n_locally_reductive(q, 1)
 
     def test_matches_direct_oracle(self):
-        for name in ["t1", "t3", "d3", "d4", "d6", "d8", "conj-q8",
-                     "conj-s3"]:
-            q = _builtin(name)
-            assert (classify.locally_reductive_degree(q)
-                    == _oracles.locally_reductive_degree_direct(q.table, 8)), name
-            for n in range(4):
-                assert (classify.is_n_locally_reductive(q, n)
-                        == _oracles.is_n_locally_reductive_direct(q.table, n)), (name, n)
+        # the census holds enum3-1, whose degree 2 is as large as an order-3
+        # degree can be
+        members = [_builtin(name) for name in [
+            "t1", "t3", "d3", "d4", "d6", "d8", "conj-q8", "conj-s3"]]
+        members += [q for n in range(1, 5) for q in corpus.enumerate_quandles(n)]
+        for q in members:
+            degree = classify.locally_reductive_degree(q)
+            assert degree == _oracles.locally_reductive_degree_direct(q.table, 8), q.label
+            for n in range(q.order + 3):
+                expected = degree is not None and degree <= n
+                assert classify.is_n_locally_reductive(q, n) == expected, (q.label, n)
+                assert (_oracles.is_n_locally_reductive_direct(q.table, n)
+                        == expected), (q.label, n)
+
+    def test_huge_degree_is_answered_at_the_order(self):
+        # past |Q| the answer no longer changes, so n is clamped to it; the
+        # unclamped scan would take n |Q|^2 steps
+        start = time.perf_counter()
+        assert classify.is_n_locally_reductive(core.dihedral(4), 10 ** 9)
+        assert not classify.is_n_locally_reductive(core.dihedral(3), 10 ** 9)
+        assert time.perf_counter() - start < 1
 
 
 class TestStructureFlags:
@@ -191,13 +228,19 @@ class TestStructureFlags:
             assert classify.classify(q).order == q.order
 
     def test_classify_reads_ncs_off_the_orbit_tree(self, monkeypatch):
-        def refuse(q, cap=None):
+        def refuse(q):
             raise AssertionError("classify ran the subquandle scan")
 
         monkeypatch.setattr(orbitseries, "is_ncs", refuse)
-        for q in corpus.default_corpus():
-            rep = classify.classify(q, ncs_max_order=16)
-            assert rep.ncs == (rep.tos_degree is not None), q.label
+        # the bound is 12, and the corpus has members of order 12 and 16
+        members = corpus.default_corpus()
+        assert {12, 16} <= {q.order for q in members}
+        for q in members:
+            rep = classify.classify(q)
+            if q.order <= 12:
+                assert rep.ncs == (rep.tos_degree is not None), q.label
+            else:
+                assert rep.ncs is None, q.label
 
     def test_orbit_fields_match_the_closed_groups(self):
         # gather_facts reads the Inn orbits off the orbit tree and the Trans
@@ -338,11 +381,6 @@ class TestClassifyReports:
         assert rep.inn_order == 64 and rep.trans_order == 32
         assert rep.inn_nilpotency_class == 3
 
-    def test_ncs_cap_can_be_lifted(self):
-        q = _builtin("paper-example-16")
-        rep = classify.classify(q, ncs_max_order=16)
-        assert rep.ncs is True
-
     def test_conj_q8_report(self):
         rep = classify.classify(_builtin("conj-q8"))
         assert rep.orbit_sizes == (2, 2, 2, 1, 1)
@@ -392,8 +430,8 @@ class TestClassifyReports:
 
 class TestVerifySuite:
     def test_degrees_run_once_per_distinct_table_within_a_call(self, monkeypatch):
-        # quotients, class blocks, subquandles, products and the groups'
-        # conjugation quandles repeat tables; within one call each table's
+        # members, quotients, class blocks, subquandles, products and the
+        # groups' conjugation quandles repeat tables; within one call each table's
         # orbit-tree degrees, lr and O-chain are computed once (the members'
         # own lr and O-chain by gather_facts, a group's conjugation quandle's
         # by the classify() behind the reductive-degree memo), and a second
@@ -417,7 +455,8 @@ class TestVerifySuite:
         monkeypatch.setattr(orbitseries, "degrees", counting_degrees)
         monkeypatch.setattr(classify, "locally_reductive_degree", counting_lr)
         monkeypatch.setattr(congruence, "o_chain", counting_o_chain)
-        members = list(dict.fromkeys(corpus.default_corpus()))  # distinct tables
+        members = corpus.default_corpus()  # t2 = d2 = s3-3cycles, d3 = s3-transpositions
+        assert len(set(members)) < len(members)
         groups = corpus.builtin_groups()
         assert classify.verify_suite(members, groups).ok
         assert len(tos_calls) > 50 and max(tos_calls.values()) == 1
@@ -500,6 +539,32 @@ class TestVerifySuite:
         assert fact.witnesses == ("q8-group: verdicts disagree",)
         assert not rep.ok
 
+    def test_members_sharing_a_table_are_scanned_once_under_their_labels(
+            self, monkeypatch):
+        # A negated ncs scan makes every member fail with a witness naming
+        # it; the facts, the scan and the lattice run once per table.
+        calls = Counter()
+
+        def counting(fn, negate=False):
+            def call(q):
+                calls[fn.__name__] += 1
+                return not fn(q) if negate else fn(q)
+            return call
+
+        monkeypatch.setattr(classify, "gather_facts",
+                            counting(classify.gather_facts))
+        monkeypatch.setattr(orbitseries, "is_ncs",
+                            counting(orbitseries.is_ncs, negate=True))
+        monkeypatch.setattr(congruence, "all_congruences",
+                            counting(congruence.all_congruences))
+        d3 = core.dihedral(3)
+        rep = classify.verify_suite([d3, d3.relabel("copy"), d3.relabel(None)])
+        fact = next(r for r in rep.results if r.name == "tos-existence-iff-ncs")
+        assert fact.witnesses == ("order-3 table: tos=None ncs=True",
+                                  "copy: tos=None ncs=True",
+                                  "dihedral(3): tos=None ncs=True")
+        assert calls == {"gather_facts": 1, "is_ncs": 1, "all_congruences": 1}
+
     def test_negated_ncs_scan_fails_on_every_checked_member(
             self, monkeypatch):
         # The fact compares the subquandle scan with the orbit tree, so a
@@ -518,10 +583,12 @@ class TestVerifySuite:
             raise CapExceeded("number of subquandles found", 1)
 
         monkeypatch.setattr(orbitseries, "is_ncs", cap)
-        rep = classify.verify_suite([core.dihedral(3)])
+        d3 = core.dihedral(3)
+        rep = classify.verify_suite([d3, d3.relabel("copy")])
         assert rep.results[0] == CheckResult(
             "classification-completes", False,
-            ("dihedral(3): number of subquandles found exceeded cap 1",), 1)
+            ("copy: number of subquandles found exceeded cap 1",
+             "dihedral(3): number of subquandles found exceeded cap 1"), 2)
 
     def test_defective_lattice_is_a_failing_completion(self, monkeypatch):
         # A partition that is not a congruence makes core.quotient raise

@@ -82,15 +82,23 @@ def test_all_congruences_of_trivial_three():
     assert len(congruence.all_congruences(core.trivial(3))) == 5
 
 
-def test_all_congruences_cap_counts_every_member():
+def test_all_congruences_cap_counts_every_member(monkeypatch):
     # The principal congruences count against the cap as much as the joins.
     d3, t3 = core.dihedral(3), core.trivial(3)
+
+    def with_cap(cap):
+        monkeypatch.setattr(congruence, "DEFAULT_CONGRUENCE_CAP", cap)
+
+    with_cap(1)
+    with pytest.raises(CapExceeded, match="congruence enumeration exceeded cap 1"):
+        congruence.all_congruences(d3)
+    with_cap(2)
+    assert len(congruence.all_congruences(d3)) == 2
+    with_cap(5)
+    assert len(congruence.all_congruences(t3)) == 5
+    with_cap(4)
     with pytest.raises(CapExceeded):
-        congruence.all_congruences(d3, cap=1)
-    assert len(congruence.all_congruences(d3, cap=2)) == 2
-    assert len(congruence.all_congruences(t3, cap=5)) == 5
-    with pytest.raises(CapExceeded):
-        congruence.all_congruences(t3, cap=4)
+        congruence.all_congruences(t3)
 
 
 def test_all_congruences_match_partition_scan_oracle():

@@ -149,11 +149,13 @@ def test_all_subquandles_of_dihedral_three():
     assert subs == [(0,), (1,), (2,), (0, 1, 2)]
 
 
-def test_all_subquandles_cap():
+def test_all_subquandles_cap(monkeypatch):
     # Every nonempty subset of a trivial quandle is closed: 2**6 - 1 of them.
-    with pytest.raises(CapExceeded):
-        orbitseries.all_subquandles(core.trivial(6), cap=62)
-    assert len(orbitseries.all_subquandles(core.trivial(6), cap=63)) == 63
+    monkeypatch.setattr(orbitseries, "DEFAULT_SUBSET_CAP", 62)
+    with pytest.raises(CapExceeded, match="number of subquandles found exceeded cap 62"):
+        orbitseries.all_subquandles(core.trivial(6))
+    monkeypatch.setattr(orbitseries, "DEFAULT_SUBSET_CAP", 63)
+    assert len(orbitseries.all_subquandles(core.trivial(6))) == 63
 
 
 def _mask_scan_inputs():
@@ -186,10 +188,11 @@ def test_subquandles_past_the_old_mask_cap_are_exact():
     assert not orbitseries.is_ncs(core.conj(grouptables.symmetric_group(4)))
 
 
-def test_is_ncs_stops_at_the_first_connected_subquandle():
+def test_is_ncs_stops_at_the_first_connected_subquandle(monkeypatch):
     # {0, 1} generates the connected dihedral(3) block, the third set found.
     q = core.disjoint_union(core.dihedral(3), core.trivial(17))
-    assert not orbitseries.is_ncs(q, cap=10)
+    monkeypatch.setattr(orbitseries, "DEFAULT_SUBSET_CAP", 10)
+    assert not orbitseries.is_ncs(q)
 
 
 def test_is_ncs_values():

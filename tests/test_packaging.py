@@ -1,9 +1,9 @@
 """The package runs on the standard library alone, and its surface is pinned.
 
 Test oracles such as sympy may be imported by tests, never by the package.
-The exports, the command line options and the parameters of the two entry
-points and of the group builders are written out here, so that adding or
-removing a knob or an export is a deliberate change of this file.  So are
+The exports, the command line options and the parameters of every export,
+of the entry points and of the group builders are written out here, so that
+adding or removing a knob or an export is a deliberate change of this file.  So are
 the functions that call core.validate: tables are checked where they enter
 the program, and a builder that re-validates a table it built is a change
 of this file too.  So are the callers of engel_bracket, so that a second
@@ -91,13 +91,86 @@ def _params(fn):
 
 
 def test_entry_point_parameters_are_pinned():
-    assert _params(classify.classify) == ["q", "ncs_max_order"]
+    # The suite's order bounds and the scan caps are module constants, not
+    # parameters; the census cap stays a parameter, set by a CLI option.
+    assert _params(classify.classify) == ["q"]
+    assert _params(classify.gather_facts) == ["q"]
     assert _params(classify.reductive_degree) == ["q"]
-    assert _params(classify.verify_suite) == [
-        "corpus", "groups", "congruence_max_order", "subquandle_max_order",
-        "ncs_max_order", "product_max_order", "engel_max_n"]
+    assert _params(classify.verify_suite) == ["corpus", "groups"]
     assert [f.name for f in fields(corpus.CorpusSpec)] == [
         "exhaustive_up_to", "enumeration_cap"]
+
+
+def _exported_params(obj):
+    """Parameter names of an export; None for an exception class that keeps
+    the constructor of Exception, which has no signature to inspect."""
+    try:
+        return _params(obj)
+    except ValueError:
+        assert issubclass(obj, Exception), obj
+        return None
+
+
+def test_exported_parameters_are_pinned():
+    got = {name: _exported_params(getattr(quandles, name))
+           for name in quandles.__all__}
+    assert got == {
+        "AxiomViolation": ["axiom", "witness"],
+        "CapExceeded": ["what", "cap"],
+        "ClassificationReport": [
+            "order", "label", "orbit_sizes", "connected", "faithful", "medial",
+            "abelian", "nilpotent_quandle", "solvable_quandle",
+            "trans_derived_length", "reductive_degree",
+            "locally_reductive_degree", "os_degree", "tos_degree", "ncs",
+            "inn_order", "trans_order", "inn_nilpotency_class"],
+        "Congruence": ["n", "class_of", "classes"],
+        "CorpusSpec": ["exhaustive_up_to", "enumeration_cap"],
+        "NotACongruence": ["witness"],
+        "NotAGroup": None,
+        "NotAUnit": ["n", "t"],
+        "NotClosed": ["witness", "message"],
+        "OrbitTreeNode": ["subset", "depth", "children"],
+        "ParseError": None,
+        "Quandle": ["table", "label"],
+        "QuandleError": None,
+        "SeriesDegrees": ["os_degree", "tos_degree"],
+        "SuiteReport": ["results"],
+        "UnknownName": ["name", "known"],
+        "affine": ["n", "t"],
+        "all_congruences": ["q"],
+        "all_subquandles": ["q"],
+        "builtin_group": ["name"],
+        "builtin_quandle": ["name"],
+        "congruence_generated": ["q", "pairs"],
+        "conj": ["group", "exponent", "label"],
+        "conj_subset": ["group", "subset", "exponent", "label"],
+        "default_corpus": ["spec"],
+        "degrees": ["q"],
+        "dihedral": ["n"],
+        "direct_product": ["quandles"],
+        "disjoint_union": ["quandles"],
+        "enumerate_quandles": ["n", "cap"],
+        "induced_subquandle": ["q", "subset"],
+        "inn": ["q", "trans_group"],
+        "is_connected": ["q"],
+        "is_isomorphic": ["q1", "q2"],
+        "is_medial": ["q"],
+        "is_n_locally_reductive": ["q", "n"],
+        "is_n_reductive": ["q", "n"],
+        "is_ncs": ["q"],
+        "l_chain": ["q"],
+        "lambda_congruence": ["q"],
+        "locally_reductive_degree": ["q"],
+        "o_chain": ["q"],
+        "orbit_tree": ["q"],
+        "principal_series": ["q", "x"],
+        "quotient": ["q", "partition", "label"],
+        "reductive_degree": ["q"],
+        "subquandle_closure": ["q", "seed"],
+        "trans": ["q"],
+        "trivial": ["n"],
+        "validate": ["table", "label"],
+    }
 
 
 def test_group_builder_parameters_are_pinned():
