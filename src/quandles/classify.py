@@ -207,25 +207,25 @@ def locally_reductive_degree(q: Quandle) -> int | None:
 
 
 def is_medial(q: Quandle) -> bool:
-    """Exhaustive O(n^4) check of (a>b) > (c>d) = (a>c) > (b>d).
+    """Exhaustive check of (a>b) > (c>d) = (a>c) > (b>d), row by row.
 
-    gather_facts() reads mediality off the transvection group instead (Q is
-    medial exactly when Dis(Q) is abelian); this identity scan is the
+    For fixed a, b, c the identity over all d says L_(a>b) L_c =
+    L_(a>c) L_b, and swapping b and c only swaps its two sides, so the
+    pairs b < c suffice: n^2 (n - 1) / 2 comparisons of two row products.
+    gather_facts() reads mediality off the transvection group instead (Q
+    is medial exactly when Dis(Q) is abelian); this identity scan is the
     suite's independent route, compared with it by the
     medial-iff-abelian-transvections fact.
     """
     t = q.table
-    r = range(q.order)
-    for a in r:
-        for b in r:
-            ab = t[a][b]
-            for c in r:
-                ac = t[a][c]
-                rb = t[b]
-                rc = t[c]
-                for d in r:
-                    if t[ab][rc[d]] != t[ac][rb[d]]:
-                        return False
+    # after[c](p) is the product p L_c; at order 1 no pair calls it
+    after = [itemgetter(*row) for row in t]
+    for row_a in t:
+        for c in range(q.order):
+            row_ac, after_c = t[row_a[c]], after[c]
+            for b in range(c):
+                if after_c(t[row_a[b]]) != after[b](row_ac):
+                    return False
     return True
 
 
@@ -620,10 +620,11 @@ def verify_suite(corpus: Iterable[Quandle],
     A QuandleError while gathering a member's facts or its ncs scan, or
     while deciding the 2-Engel verdict or the reductive degree of a group's
     conjugation quandle, is recorded as a failing fact with the error as
-    its witness.  Members that share a table share its facts and scans,
-    each under its own label.  Within one call the tos, lr and reductive
-    degrees come from per-table memos, the members' own read off their
-    facts; a reductive degree the memo lacks comes from classify().
+    its witness.  Members that share a table share its facts and scans
+    (is_ncs, the congruence lattice and is_medial), each under its own
+    label.  Within one call the tos, lr and reductive degrees come from
+    per-table memos, the members' own read off their facts; a reductive
+    degree the memo lacks comes from classify().
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -637,7 +638,7 @@ def verify_suite(corpus: Iterable[Quandle],
 
     scanned: dict[Quandle, tuple | QuandleError] = {}
     facts: list[QuandleFacts] = []
-    scans: list[bool | None] = []
+    scans: list[tuple[bool | None, bool]] = []
     lattices: list[tuple[congruence.Congruence, ...] | None] = []
     for q in quandles:
         if q not in scanned:
@@ -646,20 +647,21 @@ def verify_suite(corpus: Iterable[Quandle],
                     gather_facts(q),
                     orbitseries.is_ncs(q) if q.order <= NCS_MAX_ORDER else None,
                     (congruence.all_congruences(q)
-                     if q.order <= CONGRUENCE_MAX_ORDER else None))
+                     if q.order <= CONGRUENCE_MAX_ORDER else None),
+                    is_medial(q))
             except QuandleError as exc:
                 scanned[q] = exc
         if isinstance(scanned[q], QuandleError):
             failed["classification-completes"].append(
                 f"{q.label or q.order}: {scanned[q]}")
             continue
-        f, ncs, lattice = scanned[q]
+        f, ncs, lattice, medial = scanned[q]
         facts.append(replace(f, label=q.label, q=q))
-        scans.append(ncs)
+        scans.append((ncs, medial))
         lattices.append(lattice)
     checked["classification-completes"] = len(quandles)
 
-    for f, ncs in zip(facts, scans):
+    for f, (ncs, identity_medial) in zip(facts, scans):
         red, lr, tos = (f.reductive_degree, f.locally_reductive_degree,
                         f.tos_degree)
         dl, cls = f.trans_derived_length, f.inn_nilpotency_class
@@ -675,7 +677,6 @@ def verify_suite(corpus: Iterable[Quandle],
                _degree_chain_fault(lr, tos, red) is None, degs)
         if f.medial and red is not None:
             record("medial-degrees-equal", lr == tos == red, degs)
-        identity_medial = is_medial(f.q)
         record("medial-iff-abelian-transvections",
                identity_medial == f.medial,
                f"{f.name}: medial={identity_medial} "

@@ -369,13 +369,21 @@ def is_isomorphic(q1: Quandle, q2: Quandle) -> Optional[tuple[int, ...]]:
     last of x, y, x > y receives an image, so a completed map is a bijective
     homomorphism.
     """
-    n = q1.order
-    if n != q2.order:
+    if q1.order != q2.order:
         return None
     inv1 = _element_invariants(q1)
     inv2 = _element_invariants(q2)
     if sorted(inv1) != sorted(inv2):
         return None
+    return _isomorphism(q1, inv1, q2, inv2)
+
+
+def _isomorphism(q1: Quandle, inv1: Sequence[tuple], q2: Quandle,
+                 inv2: Sequence[tuple]) -> Optional[tuple[int, ...]]:
+    """is_isomorphic() given both sides' _element_invariants, which must be
+    equal as multisets, so a caller testing one table against many
+    computes them once per table."""
+    n = q1.order
     candidates = [
         tuple(b for b in range(n) if inv2[b] == inv1[a]) for a in range(n)
     ]

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import core, grouptables
-from .core import Quandle
+from .core import Quandle, Table
 from .errors import CapExceeded, UnknownName
 from .grouptables import GroupTable
+from .permgroup import compose, cycle_type, inverse
 
 #: Largest order enumerate_quandles accepts by default.
 DEFAULT_ENUMERATION_CAP = 6
@@ -159,62 +160,110 @@ def default_corpus(spec: CorpusSpec | None = None) -> list[Quandle]:
     return members
 
 
-def _prefix_consistent(rows: list[tuple[int, ...]], r: int, n: int) -> bool:
-    """Check the distributivity triples that completing row r makes decidable.
+def _row0_representatives(n: int) -> list[tuple[int, ...]]:
+    """The least permutation of 0..n-1 fixing 0 of each cycle type, sorted.
 
-    A triple (a, b, c) is decidable once rows a, b and a>b all exist; the
-    new ones after placing row r are those whose largest needed row is r.
+    Two permutations fixing 0 are conjugate under the stabiliser of 0
+    exactly when their cycle types agree, so these are the least members
+    of the stabiliser's conjugacy classes: one per partition of n - 1.
+    permutations() runs in lexicographic order, so the first member met
+    of each type is its least, and the types are met in that order too.
     """
-    for a in range(r + 1):
-        row_a = rows[a]
-        for b in range(r + 1):
-            ab = row_a[b]
-            if ab > r or (a != r and b != r and ab != r):
-                continue
-            row_b = rows[b]
-            row_ab = rows[ab]
-            for c in range(n):
-                if row_a[row_b[c]] != row_ab[row_a[c]]:
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for p in permutations(range(n)):
+        if p[0] == 0:
+            least.setdefault(cycle_type(p), p)
+    return list(least.values())
+
+
+def _quandle_tables(n: int) -> Iterator[Table]:
+    """The quandle tables of order n with row 0 in _row0_representatives(n),
+    in lexicographic order.
+
+    Rows are placed top to bottom among the permutations fixing the
+    diagonal entry.  Self-distributivity is L_(x>y) = L_x L_y L_x^-1 for
+    all x, y, so when row r is placed each pair (x, y) = (a, r) or (r, a)
+    with a < r names the row that c = x > y must have.  A placed row c is
+    compared with it; a later row c records it as forced, a conflicting
+    record prunes the branch, and a forced row is the only one tried
+    there (it fixes c, since L_x L_y L_x^-1 (x>y) = x>y).  Each pair is
+    settled once its larger member is placed, so a completed table is a
+    quandle.
+    """
+    candidates = [_row0_representatives(n)] + [
+        [p for p in permutations(range(n)) if p[a] == a] for a in range(1, n)]
+    rows: list[tuple[int, ...]] = []
+    inverses: list[tuple[int, ...]] = []
+    forced: list[tuple[int, ...] | None] = [None] * n
+
+    def propagate(r: int, new: list[int]) -> bool:
+        """Check the rows forced by the pairs with r, or record them as
+        forced, appending each row newly forced to new; False on a
+        conflict."""
+        for a in range(r):
+            for x, y in ((a, r), (r, a)):
+                c = rows[x][y]
+                need = compose(compose(rows[x], rows[y]), inverses[x])
+                known = rows[c] if c <= r else forced[c]
+                if known is None:
+                    forced[c] = need
+                    new.append(c)
+                elif known != need:
                     return False
-    return True
+        return True
+
+    def extend(r: int) -> Iterator[Table]:
+        if r == n:
+            yield tuple(rows)
+            return
+        for p in candidates[r] if forced[r] is None else (forced[r],):
+            rows.append(p)
+            inverses.append(inverse(p))
+            new: list[int] = []
+            if propagate(r, new):
+                yield from extend(r + 1)
+            for c in new:
+                forced[c] = None
+            rows.pop()
+            inverses.pop()
+
+    return extend(0)
 
 
 def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quandle]:
     """All quandles of order n, one representative per isomorphism class.
 
-    Rows are chosen top to bottom among the permutations fixing the
-    diagonal entry, which settles idempotence and row bijectivity by
-    construction; self-distributivity is enforced incrementally after each
-    row so dead prefixes are cut early.  By the last row every triple has
-    been checked, so a finished table is a quandle and is not re-validated.
+    Each class is represented by its lexicographically least table, and
+    the classes come in the order of those tables.  The search is
+    _quandle_tables(): it builds the tables by propagating
+    L_(a>b) = L_a L_b L_a^-1 row by row, so a finished table is a quandle
+    and is not validated, and it restricts row 0 to one permutation per
+    cycle type.  That restriction loses no class.  A relabelling sigma
+    fixing 0 turns row 0 into sigma row0 sigma^-1, so the least table T
+    of a class has row0(T) <= sigma row0(T) sigma^-1 for every such sigma:
+    row0(T) is the least member of its conjugacy class under the
+    stabiliser of 0, and T is still visited.  The tables left out are
+    never the least of their class and propagation prunes only tables
+    that are not quandles, so the tables still arrive in lexicographic
+    order and the first one met of each class is its least.
+
     A finished table is compared only with the accepted classes of equal
     sorted element invariants, since no other is isomorphic to it, and is
-    kept when new.
+    kept when new.  Its invariants are computed once, for the bucket key
+    and every isomorphism test.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n > cap:
         raise CapExceeded("exhaustive enumeration order", cap)
-    candidates = [
-        [p for p in permutations(range(n)) if p[a] == a] for a in range(n)]
     accepted: list[Quandle] = []
-    by_invariants: dict[tuple, list[Quandle]] = {}
-    rows: list[tuple[int, ...]] = []
-
-    def extend(r: int) -> None:
-        if r == n:
-            q = Quandle(tuple(rows))
-            alike = by_invariants.setdefault(
-                tuple(sorted(core._element_invariants(q))), [])
-            if all(core.is_isomorphic(q, seen) is None for seen in alike):
-                accepted.append(q.relabel(f"enum{n}-{len(accepted)}"))
-                alike.append(accepted[-1])
-            return
-        for p in candidates[r]:
-            rows.append(p)
-            if _prefix_consistent(rows, r, n):
-                extend(r + 1)
-            rows.pop()
-
-    extend(0)
+    by_invariants: dict[tuple, list[tuple[Quandle, list[tuple]]]] = {}
+    for table in _quandle_tables(n):
+        q = Quandle(table)
+        invariants = core._element_invariants(q)
+        alike = by_invariants.setdefault(tuple(sorted(invariants)), [])
+        if all(core._isomorphism(q, invariants, seen, seen_invariants) is None
+               for seen, seen_invariants in alike):
+            accepted.append(q.relabel(f"enum{n}-{len(accepted)}"))
+            alike.append((accepted[-1], invariants))
     return accepted

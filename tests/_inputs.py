@@ -4,10 +4,16 @@ The nine inputs of the benchmark's classify workload (big tables with small
 groups, and tiny tables with inner groups of 10^3 to 10^4 elements), built
 here without relabelling, and the dihedral quandles of order 2^k.  Also a
 patch that makes core.validate raise, for the tests that check a builder
-returns a quandle without validating the table it built.
+returns a quandle without validating the table it built.  And the members
+of the benchmark's census-verify pass, read from its own job generator.
 """
 
-from quandles import core, grouptables
+import sys
+from pathlib import Path
+
+from quandles import core, corpus, grouptables, qndfile
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def classify_workload_inputs() -> list[tuple[str, core.Quandle]]:
@@ -34,3 +40,22 @@ def refuse_validate(monkeypatch):
         raise AssertionError("validate called on a table built by construction")
 
     monkeypatch.setattr(core, "validate", refuse)
+
+
+def census_verify_members(seed: int) -> list[core.Quandle]:
+    """The verify corpus of the census-verify workload for a seed.
+
+    The builtins, the census up to order 5, and the workload's unions and
+    products as relabelled by the seed, parsed from their .qnd text.
+    """
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    job = workloads.make_job("census-verify", seed)
+    (verify,) = [item for item in job["inputs"] if "extras" in item]
+    members = corpus.default_corpus(
+        corpus.CorpusSpec(exhaustive_up_to=verify["census_up_to"]))
+    return members + [qndfile.parse(x["qnd"], label=x["name"])
+                      for x in verify["extras"]]

@@ -31,6 +31,19 @@ def is_quandle_table(table: Table) -> bool:
     return True
 
 
+def is_medial_by_quadruples(table: Table) -> bool:
+    """(a>b) > (c>d) = (a>c) > (b>d) over every quadruple, no shortcuts."""
+    r = range(len(table))
+    for a in r:
+        for b in r:
+            for c in r:
+                for d in r:
+                    if (table[table[a][b]][table[c][d]]
+                            != table[table[a][c]][table[b][d]]):
+                        return False
+    return True
+
+
 def first_axiom_violation(table: Table) -> tuple[int, tuple[int, ...]] | None:
     """(axiom, witness) of the first failure in scan order, or None.
 

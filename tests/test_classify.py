@@ -1,6 +1,7 @@
 """Tests for the predicate layer: degrees, structure flags, and the suite."""
 
 import math
+import random
 import time
 from collections import Counter
 
@@ -218,6 +219,27 @@ class TestStructureFlags:
             assert classify.gather_facts(q).medial == medial, q.label
             verdicts.add(medial)
         assert verdicts == {True, False}
+
+    def test_identity_scan_matches_the_quadruple_oracle(self):
+        # b < c suffices because swapping b and c swaps the two sides; that
+        # holds for any square table, so perturbed ones are pinned too
+        members = (_inputs.census_verify_members(0)
+                   + _inputs.census_verify_members(1))
+        rng = random.Random(0)
+        perturbed = []
+        for q in members:
+            rows = [list(row) for row in q.table]
+            a = rng.randrange(q.order)
+            if q.order > 1:
+                i, j = rng.sample(range(q.order), 2)
+                rows[a][i], rows[a][j] = rows[a][j], rows[a][i]
+            perturbed.append(core.Quandle(tuple(map(tuple, rows))))
+        verdicts = Counter()
+        for q in members + perturbed:
+            medial = classify.is_medial(q)
+            assert medial == _oracles.is_medial_by_quadruples(q.table), q
+            verdicts[medial] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
 
     def test_classify_does_not_run_the_identity_scan(self, monkeypatch):
         def refuse(q):
@@ -542,7 +564,7 @@ class TestVerifySuite:
     def test_members_sharing_a_table_are_scanned_once_under_their_labels(
             self, monkeypatch):
         # A negated ncs scan makes every member fail with a witness naming
-        # it; the facts, the scan and the lattice run once per table.
+        # it; the facts, the scans and the lattice run once per table.
         calls = Counter()
 
         def counting(fn, negate=False):
@@ -557,13 +579,19 @@ class TestVerifySuite:
                             counting(orbitseries.is_ncs, negate=True))
         monkeypatch.setattr(congruence, "all_congruences",
                             counting(congruence.all_congruences))
+        monkeypatch.setattr(classify, "is_medial",
+                            counting(classify.is_medial))
         d3 = core.dihedral(3)
         rep = classify.verify_suite([d3, d3.relabel("copy"), d3.relabel(None)])
         fact = next(r for r in rep.results if r.name == "tos-existence-iff-ncs")
         assert fact.witnesses == ("order-3 table: tos=None ncs=True",
                                   "copy: tos=None ncs=True",
                                   "dihedral(3): tos=None ncs=True")
-        assert calls == {"gather_facts": 1, "is_ncs": 1, "all_congruences": 1}
+        medial = next(r for r in rep.results
+                      if r.name == "medial-iff-abelian-transvections")
+        assert medial.passed and medial.checked == 3
+        assert calls == {"gather_facts": 1, "is_ncs": 1, "all_congruences": 1,
+                         "is_medial": 1}
 
     def test_negated_ncs_scan_fails_on_every_checked_member(
             self, monkeypatch):

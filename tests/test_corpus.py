@@ -1,5 +1,8 @@
 """Tests for the builtin registry and the exhaustive census."""
 
+import hashlib
+from itertools import permutations
+
 import pytest
 
 import _inputs
@@ -87,10 +90,36 @@ class TestDefaultCorpus:
         assert spec.enumeration_cap == corpus.DEFAULT_ENUMERATION_CAP
 
 
+@pytest.fixture(scope="module")
+def order_six():
+    """The order-6 census, enumerated once with validate refused."""
+    with pytest.MonkeyPatch.context() as patch:
+        _inputs.refuse_validate(patch)
+        return corpus.enumerate_quandles(6)
+
+
+def _digest(members):
+    text = repr([(q.label, q.table) for q in members])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestEnumerateQuandles:
     def test_census_counts_through_order_five(self):
         assert [len(corpus.enumerate_quandles(n))
                 for n in range(1, 6)] == [1, 1, 3, 7, 22]
+
+    def test_order_six_has_73_classes_two_connected(self, order_six):
+        # OEIS A181769 and A181771
+        assert len(order_six) == 73
+        assert sum(len(permgroup.orbits(q.table)) == 1 for q in order_six) == 2
+
+    def test_census_is_byte_identical_to_the_scanning_search(self, order_six):
+        # Digests of the tables, labels and order that the earlier search,
+        # which re-scanned distributivity after every row, produced.
+        assert _digest(corpus.enumerate_quandles(5)) == (
+            "a88ceeebaae452a4e771c8df3238bec66b2a3541ee8e9bdb443319191f74699a")
+        assert _digest(order_six) == (
+            "a06cd6c09d179fe1a346720ee175249727bdf1173e452097361814881b6c6145")
 
     def test_complete_and_irredundant_up_to_order_four(self):
         for n in range(1, 5):
@@ -112,6 +141,26 @@ class TestEnumerateQuandles:
             assert [q.table for q in found] == list(first.values()), n
             assert [q.label for q in found] == [
                 f"enum{n}-{i}" for i in range(len(found))], n
+
+    def test_search_yields_the_quandle_tables_with_a_representative_row_0(
+            self):
+        for n in range(1, 5):
+            reps = corpus._row0_representatives(n)
+            assert list(corpus._quandle_tables(n)) == [
+                t for t in _oracles.all_quandle_tables(n) if t[0] in reps], n
+
+    def test_row_0_representatives_are_the_least_of_their_classes(self):
+        # one per cycle type on the other n - 1 points: partitions of n - 1
+        for n, count in zip(range(1, 7), [1, 1, 2, 3, 5, 7]):
+            reps = corpus._row0_representatives(n)
+            assert len(reps) == count and reps == sorted(reps), n
+            stabiliser = [s for s in permutations(range(n)) if s[0] == 0]
+            for p in stabiliser:
+                conjugates = {permgroup.compose(permgroup.compose(s, p),
+                                                permgroup.inverse(s))
+                              for s in stabiliser}
+                (rep,) = conjugates.intersection(reps)
+                assert rep == min(conjugates), (n, p)
 
     def test_order_three_classes_include_the_familiar_pair(self):
         found = corpus.enumerate_quandles(3)
@@ -157,8 +206,9 @@ class TestBuiltByConstruction:
         for qq in quotients:
             assert core.validate(qq.table).table == qq.table
 
-    def test_census(self, monkeypatch):
+    def test_census(self, monkeypatch, order_six):
+        # order_six is enumerated with validate refused as well
         _inputs.refuse_validate(monkeypatch)
-        for n in range(1, 5):
-            for q in corpus.enumerate_quandles(n):
-                assert _oracles.is_quandle_table(q.table), q.label
+        members = [q for n in range(1, 6) for q in corpus.enumerate_quandles(n)]
+        for q in members + order_six:
+            assert _oracles.is_quandle_table(q.table), q.label
