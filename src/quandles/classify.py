@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import congruence, core, grouptables, orbitseries, permgroup
 from .core import Quandle
-from .errors import InconsistentCharacterizations, QuandleError
+from .errors import InconsistentCharacterizations, NotACongruence, QuandleError
 from .grouptables import GroupTable
 from .permgroup import PermGroup
 
@@ -488,31 +488,65 @@ def _per_table(fn: Callable[[Quandle], int | None],
     return call
 
 
-def _series_image(series: Sequence[tuple[int, ...]],
-                  proj: Sequence[int]) -> list[tuple[int, ...]]:
-    return [tuple(sorted({proj[x] for x in subset})) for subset in series]
+def _padded(series: list[tuple[int, ...]], length: int) -> list[tuple[int, ...]]:
+    """The series extended to the given length by repeating its last term."""
+    return series + series[-1:] * (length - len(series))
 
 
-def _padded_equal(left: Sequence[tuple[int, ...]],
-                  right: Sequence[tuple[int, ...]]) -> bool:
-    """Memberwise equality after extending the shorter series by its last term."""
-    for i in range(max(len(left), len(right))):
-        if left[min(i, len(left) - 1)] != right[min(i, len(right) - 1)]:
-            return False
-    return True
+class _Stage(NamedTuple):
+    """What the congruence stage recorded on one table, for every member.
+
+    counts holds the checked count of each fact it ran, and failures the
+    (fact, detail) pairs of the checks that failed, in order; a member's
+    witness is its name, a colon and the detail.  error is the QuandleError
+    that ended the stage early, if any; the counts and failures recorded
+    before it stand.
+    """
+
+    counts: dict[str, int]
+    failures: list[tuple[str, str]]
+    error: QuandleError | None
+
+
+def _congruence_stage(f: QuandleFacts,
+                      lattice: Sequence[congruence.Congruence] | None,
+                      tos_of: Callable[[Quandle], int | None],
+                      lr_of: Callable[[Quandle], int | None]) -> _Stage:
+    """The principal-series and per-congruence facts of one table.
+
+    They read only the table, never the member's label, so verify_suite
+    runs the stage once per distinct table and replays the result for each
+    member.  A detail is formatted only when its check fails.
+    """
+    counts: dict[str, int] = {}
+    failures: list[tuple[str, str]] = []
+
+    def record(name: str, ok: bool, detail: str, *args: object) -> None:
+        counts[name] = counts.get(name, 0) + 1
+        if not ok:
+            failures.append((name, detail.format(*args)))
+
+    try:
+        _series_and_congruence_facts(f, lattice, record, tos_of, lr_of)
+    except QuandleError as exc:
+        return _Stage(counts, failures, exc)
+    return _Stage(counts, failures, None)
 
 
 def _series_and_congruence_facts(f: QuandleFacts,
                                  lattice: Sequence[congruence.Congruence] | None,
-                                 record: Callable[[str, bool, str], None],
+                                 record: Callable[..., None],
                                  tos_of: Callable[[Quandle], int | None],
                                  lr_of: Callable[[Quandle], int | None]) -> None:
-    """The principal-series and per-congruence facts of one member.
+    """The principal-series and per-congruence facts of one table.
 
-    The member's principal series serve both the branch and the quotient
-    facts.  Each congruence's quotient and its class subquandles are built
-    once, read by every fact that needs them, and dropped before the next
-    congruence; their tos and lr degrees come from the suite's memos.
+    The principal series serve both the branch and the quotient facts.
+    Each quotient is built from the lattice's own class ids, after
+    core.congruence_witness clears them, so a partition that is not a
+    congruence raises NotACongruence as core.quotient would.  Within the
+    table, a class met again in another congruence reuses its subquandle's
+    tos and lr, a quotient table met again reuses its principal series,
+    and each subset along the series is projected once per congruence.
     """
     q, lr, tos = f.q, f.locally_reductive_degree, f.tos_degree
     series = [orbitseries.principal_series(q, x) for x in range(q.order)]
@@ -524,52 +558,67 @@ def _series_and_congruence_facts(f: QuandleFacts,
         leaf = branch[-1].subset
         if tuple(sorted(meet)) != leaf:
             record("branches-are-principal-series", False,
-                   f"{f.name}: branch meet is not the leaf")
+                   "branch meet is not the leaf")
             continue
         record("branches-are-principal-series",
                all(series[x] == path for x in leaf),
-               f"{f.name}: branch to {leaf} is not "
-               f"the principal series of its members")
+               "branch to {} is not the principal series of its members", leaf)
     if lattice is None:
         return
     e = permgroup.identity(q.order)
+    subsets = list(dict.fromkeys(s for path in series for s in path))
+    index = {s: i for i, s in enumerate(subsets)}
+    paths = [[index[s] for s in path] for path in series]
+    blocks: dict[tuple[int, ...], tuple[int | None, int | None]] = {}
+    quotient_series: dict[Quandle, list[list[tuple[int, ...]]]] = {}
     for cong in lattice:
+        class_of = cong.class_of
         for cls in cong.classes:
             members = set(cls)
             record("congruence-classes-are-subquandles",
                    all(q.table[a][b] in members for a in cls for b in cls),
-                   f"{f.name}: class {cls} is not closed")
+                   "class {} is not closed", cls)
         trivial = all(g == e for g in congruence.trans_rel_generators(q, cong))
         record("relative-transvections-trivial-iff-kernel",
                trivial == cong.refines(f.lam),
-               f"{f.name}: relative transvection triviality "
-               f"disagrees with translation-kernel refinement")
-        quot, proj = core.quotient(q, cong.classes)
-        blocks = ([core.induced_subquandle(q, cls) for cls in cong.classes]
-                  if lr is not None or tos is not None else [])
+               "relative transvection triviality disagrees with "
+               "translation-kernel refinement")
+        witness = core.congruence_witness(q, class_of)
+        if witness is not None:
+            raise NotACongruence(witness)
+        quot = core._quotient_table(q, cong.classes, class_of, None)
+        if tos is not None or lr is not None:
+            for cls in cong.classes:
+                if cls not in blocks:
+                    block = core.induced_subquandle(q, cls)
+                    blocks[cls] = (tos_of(block), lr_of(block))
+            inner_tos, inner_lr = zip(*(blocks[cls] for cls in cong.classes))
         if tos is not None:
             qt = tos_of(quot)
             record("quotient-tos-bounded", qt is not None and qt <= tos,
-                   f"{f.name}: quotient tos {qt} exceeds {tos}")
-            inner = [tos_of(block) for block in blocks]
-            if qt is not None and None not in inner:
-                record("tos-extension-bound", tos <= qt + max(inner),
-                       f"{f.name}: tos {tos} exceeds {qt}+{max(inner)}")
+                   "quotient tos {} exceeds {}", qt, tos)
+            if qt is not None and None not in inner_tos:
+                record("tos-extension-bound", tos <= qt + max(inner_tos),
+                       "tos {} exceeds {}+{}", tos, qt, max(inner_tos))
         if lr is not None:
             outer = lr_of(quot)
-            inner = [lr_of(block) for block in blocks]
-            if outer is not None and None not in inner:
+            if outer is not None and None not in inner_lr:
                 record("locally-reductive-extension-bound",
-                       lr <= outer + max(inner),
-                       f"{f.name}: lr {lr} exceeds {outer}+{max(inner)}")
-        quotient_series = [orbitseries.principal_series(quot, y)
-                           for y in range(quot.order)]
-        for x in range(q.order):
+                       lr <= outer + max(inner_lr),
+                       "lr {} exceeds {}+{}", lr, outer, max(inner_lr))
+        if quot not in quotient_series:
+            quotient_series[quot] = [orbitseries.principal_series(quot, y)
+                                     for y in range(quot.order)]
+        image = quotient_series[quot]
+        projected = [tuple(sorted({class_of[x] for x in s})) for s in subsets]
+        for x, path in enumerate(paths):
+            left = [projected[i] for i in path]
+            right = image[class_of[x]]
+            length = max(len(left), len(right))
             record("quotient-series-memberwise",
-                   _padded_equal(_series_image(series[x], proj),
-                                 quotient_series[proj[x]]),
-                   f"{f.name}: projected series of {x} differs "
-                   f"from the quotient series")
+                   _padded(left, length) == _padded(right, length),
+                   "projected series of {} differs from the quotient series",
+                   x)
 
 
 #: Names of the corpus facts in report order; the group facts follow when
@@ -622,9 +671,16 @@ def verify_suite(corpus: Iterable[Quandle],
     conjugation quandle, is recorded as a failing fact with the error as
     its witness.  Members that share a table share its facts and scans
     (is_ncs, the congruence lattice and is_medial), each under its own
-    label.  Within one call the tos, lr and reductive degrees come from
-    per-table memos, the members' own read off their facts; a reductive
-    degree the memo lacks comes from classify().
+    label.  They share the congruence stage too (_congruence_stage: the
+    principal-series, quotient and class-block facts), which keeps only
+    each fact's checked count and the details of its failures, and is
+    replayed for every member: the counts add up per member, each failure
+    becomes a witness under the member's name, and a QuandleError that
+    cut the stage short fails classification-completes for each member,
+    which keeps the counts recorded before it.  Within one call the tos,
+    lr and reductive degrees come from per-table memos, the members' own
+    read off their facts; a reductive degree the memo lacks comes from
+    classify().
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -708,11 +764,17 @@ def verify_suite(corpus: Iterable[Quandle],
                        ((f.q, f.locally_reductive_degree) for f in facts))
     red_of = _per_table(reductive_degree,
                         ((f.q, f.reductive_degree) for f in facts))
+    staged: dict[Quandle, _Stage] = {}
     for f, lattice in zip(facts, lattices):
-        try:
-            _series_and_congruence_facts(f, lattice, record, tos_of, lr_of)
-        except QuandleError as exc:
-            failed["classification-completes"].append(f"{f.name}: {exc}")
+        if f.q not in staged:
+            staged[f.q] = _congruence_stage(f, lattice, tos_of, lr_of)
+        stage = staged[f.q]
+        for name, k in stage.counts.items():
+            checked[name] += k
+        for name, detail in stage.failures:
+            failed[name].append(f"{f.name}: {detail}")
+        if stage.error is not None:
+            failed["classification-completes"].append(f"{f.name}: {stage.error}")
 
     for f in facts:
         tos = f.tos_degree

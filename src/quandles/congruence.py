@@ -10,7 +10,7 @@ rows, and the two descending chains derived from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import core, permgroup
@@ -27,29 +27,25 @@ class Congruence:
     """A partition of 0..n-1 in canonical form.
 
     Classes are sorted tuples ordered by smallest member, and class ids in
-    class_of follow that order, so equal partitions compare equal.
+    class_of follow that order, so equal partitions compare equal.  Equality
+    and hashing read class_of only: n and classes follow from it.
     """
 
-    n: int
+    n: int = field(compare=False)
     class_of: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @staticmethod
     def from_class_of(labels: Sequence[Hashable]) -> "Congruence":
-        n = len(labels)
-        first_seen: dict[Hashable, int] = {}
-        buckets: list[list[int]] = []
+        buckets: dict[Hashable, list[int]] = {}
         for x, lab in enumerate(labels):
-            if lab not in first_seen:
-                first_seen[lab] = len(buckets)
-                buckets.append([])
-            buckets[first_seen[lab]].append(x)
-        classes = tuple(tuple(b) for b in buckets)
-        class_of = [0] * n
-        for i, cls in enumerate(classes):
-            for x in cls:
-                class_of[x] = i
-        return Congruence(n, tuple(class_of), classes)
+            if lab in buckets:
+                buckets[lab].append(x)
+            else:
+                buckets[lab] = [x]
+        ids = {lab: i for i, lab in enumerate(buckets)}
+        return Congruence(len(labels), tuple(map(ids.__getitem__, labels)),
+                          tuple(map(tuple, buckets.values())))
 
     @staticmethod
     def from_classes(n: int, classes: Iterable[Sequence[int]]) -> "Congruence":
@@ -84,22 +80,25 @@ class Congruence:
 def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:
     """A disjoint-set forest on 0..n-1, as (find, union) closures.
 
-    find returns the root of a point's class (with path halving); union
-    merges two classes and reports whether they were distinct.
+    find returns the root of a point's class; union merges two classes and
+    reports whether they were distinct.  Both halve the paths they walk,
+    and union walks them itself, so a union is one call.
     """
     parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
     def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
             return False
-        parent[ry] = rx
+        parent[y] = x
         return True
 
     return find, union
@@ -110,56 +109,55 @@ def join(a: Congruence, b: Congruence) -> Congruence:
 
     For congruences the equivalence-relation join (transitive closure of the
     union) is already compatible both ways: any chain witnessing a join
-    relation maps through the operation one step at a time.
+    relation maps through the operation one step at a time.  The classes of
+    a are the points of the forest, merged along each class of b.
     """
     if a.n != b.n:
         raise ValueError("partitions of different carriers")
-    find, union = union_find(a.n)
-    for cong in (a, b):
-        for cls in cong.classes:
-            for x in cls[1:]:
-                union(cls[0], x)
-    return Congruence.from_class_of(tuple(find(x) for x in range(a.n)))
+    find, union = union_find(len(a.classes))
+    ids = a.class_of
+    for cls in b.classes:
+        first = ids[cls[0]]
+        for x in cls[1:]:
+            union(first, ids[x])
+    return Congruence.from_class_of([find(i) for i in ids])
 
 
 def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing the given pairs.
+    """Least congruence containing the given pairs, by a worklist closure.
 
-    Fixed-point closure: merge the seed pairs, then repeatedly merge the
-    one-sided images of every merged pair until a full pass stays clean.
-    For a class pair (r, b) and every carrier element c, the instances
-    r>c ~ b>c and c>r ~ c>b are unioned; the two-sided instances
-    a>c ~ b>d then follow by transitivity through b>c, so the fixed point
-    is compatible with the operation.  Left division needs no unions of its
-    own on a finite quandle, by the argument of core.congruence_witness:
-    L_c^{-1} is a power of L_c, so it maps classes into classes, and that
-    in turn relates the left quotients of related elements.  Each merge
-    drops the class count, so at most n - 1 passes run.  Raises ValueError
-    when a pair holds an element outside the carrier.
+    Each union that merges two classes queues its pair (x, y), and each
+    queued pair is multiplied once by every c on both sides: x>c ~ y>c and
+    c>x ~ c>y are unioned in turn.  A union that merges nothing adds no
+    relation, so x ~ y at the end is a chain of queued pairs, and its
+    images under c chain x>c to y>c and c>x to c>y: the relation is
+    compatible one side at a time, hence both (a>c ~ b>c ~ b>d).  Every
+    union is forced by a relation already made, so nothing smaller holds
+    the seeds.  Left division needs no unions of its own on a finite
+    quandle, by the argument of core.congruence_witness.  Each merge drops
+    the class count, so at most n - 1 pairs are queued, at 2n unions each:
+    O(n^2) unions (R. Freese, "Computing congruences efficiently", Algebra
+    Universalis 59, 2008).  Raises ValueError when a pair holds an element
+    outside the carrier.
     """
     n = q.order
     table = q.table
     find, union = union_find(n)
+    queue = []
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError("pair contains elements outside the carrier")
-        union(a, b)
-    dirty = True
-    while dirty:
-        dirty = False
-        roots = [find(x) for x in range(n)]
-        members: dict[int, list[int]] = {}
-        for x, r in enumerate(roots):
-            members.setdefault(r, []).append(x)
-        for cls in members.values():
-            base = cls[0]
-            for b in cls[1:]:
-                for c in range(n):
-                    if union(table[base][c], table[b][c]):
-                        dirty = True
-                    if union(table[c][base], table[c][b]):
-                        dirty = True
-    return Congruence.from_class_of(tuple(find(x) for x in range(n)))
+        if union(a, b):
+            queue.append((a, b))
+    while queue:
+        x, y = queue.pop()
+        for u, v in zip(table[x], table[y]):
+            if union(u, v):
+                queue.append((u, v))
+        for row in table:
+            if union(row[x], row[y]):
+                queue.append((row[x], row[y]))
+    return Congruence.from_class_of([find(x) for x in range(n)])
 
 
 def all_congruences(q: Quandle) -> tuple[Congruence, ...]:
@@ -168,16 +166,22 @@ def all_congruences(q: Quandle) -> tuple[Congruence, ...]:
     Every congruence is the join of the principal congruences of its
     related pairs.  Step k joins every member found so far with the k-th
     distinct principal congruence p, unless p refines it, so after k steps
-    found holds the joins of every subset of the first k.  Sorted finest
-    first (descending class count breaks no refinement order).  Raises
-    CapExceeded exactly when the lattice has more than
-    DEFAULT_CONGRUENCE_CAP members.
+    found holds the joins of every subset of the first k.  Each p is kept
+    with the first pair (a, b) generating it, and refinement is read off
+    that pair in O(1): Cg(a, b) <= theta exactly when a theta b, for every
+    congruence theta, since Cg(a, b) is the least congruence relating a
+    and b.  Sorted finest first (descending class count
+    breaks no refinement order).  Raises CapExceeded exactly when the
+    lattice has more than DEFAULT_CONGRUENCE_CAP members.
     """
     n = q.order
+    principal: dict[Congruence, tuple[int, int]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            principal.setdefault(congruence_generated(q, [(a, b)]), (a, b))
     found = {Congruence.zero(n)}
-    for p in dict.fromkeys(congruence_generated(q, [(a, b)])
-                           for a in range(n) for b in range(a + 1, n)):
-        found |= {join(x, p) for x in found if not p.refines(x)}
+    for p, (a, b) in principal.items():
+        found |= {join(x, p) for x in found if x.class_of[a] != x.class_of[b]}
         if len(found) > DEFAULT_CONGRUENCE_CAP:
             raise CapExceeded("congruence enumeration", DEFAULT_CONGRUENCE_CAP)
     return tuple(sorted(found, key=lambda c: (-c.num_classes, c.class_of)))
@@ -216,9 +220,10 @@ def trans_rel_generators(q: Quandle, cong: Congruence) -> list[permgroup.Perm]:
         raise ValueError("congruence size differs from quandle order")
     gens = []
     for cls in cong.classes:
-        base_inv = permgroup.inverse(q.table[cls[0]])
-        for row in dict.fromkeys(q.table[a] for a in cls[1:]):
-            gens.append(permgroup.compose(row, base_inv))
+        rows = dict.fromkeys(q.table[a] for a in cls[1:])
+        if rows:
+            base_inv = permgroup.inverse(q.table[cls[0]])
+            gens.extend(permgroup.compose(row, base_inv) for row in rows)
     return list(dict.fromkeys(gens))
 
 

@@ -268,13 +268,11 @@ def induced_subquandle(q: Quandle, subset: Sequence[int]) -> Quandle:
     index = {x: i for i, x in enumerate(members)}
     table = []
     for a in members:
-        row = []
-        for b in members:
-            v = q.table[a][b]
-            if v not in index:
-                raise NotClosed((a, b))
-            row.append(index[v])
-        table.append(tuple(row))
+        row = q.table[a]
+        image = [index.get(row[b], -1) for b in members]
+        if -1 in image:
+            raise NotClosed((a, members[image.index(-1)]))
+        table.append(tuple(image))
     return Quandle(tuple(table))
 
 

@@ -18,7 +18,18 @@ GroupTable = tuple[tuple[int, ...], ...]
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
-    """Check the group axioms and return the table as nested tuples."""
+    """Check the group axioms and return the table as nested tuples.
+
+    Associativity is checked a row at a time for a in a generating set X
+    only, taken greedily in element order by _product_generators.  That is
+    enough: A = {a : (ab)c = a(bc) for all b, c} is closed under the
+    product, since for a, a' in A, ((aa')b)c = (a(a'b))c = a((a'b)c) =
+    a(a'(bc)) = (aa')(bc), and X generates everything under the product
+    alone, so A holds every element.  Neither step needs an identity.  The
+    cost is O(m^2 |X|) lookups.  A failure reruns the ordered scan over
+    all (a, b, c), so the message names the first failing triple in that
+    order; the identity and inverse checks then run as before.
+    """
     t = tuple(tuple(row) for row in table)
     m = len(t)
     if m == 0:
@@ -29,12 +40,15 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
         for b, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < m:
                 raise NotAGroup(f"entry at ({a}, {b}) is not an element index")
-    for a in range(m):
-        for b in range(m):
-            ab = t[a][b]
-            for c in range(m):
-                if t[ab][c] != t[a][t[b][c]]:
-                    raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
+    compose = permgroup.compose
+    if not all(t[t[a][b]] == compose(t[a], t[b])
+               for a in _product_generators(t) for b in range(m)):
+        for a in range(m):
+            for b in range(m):
+                ab = t[a][b]
+                for c in range(m):
+                    if t[ab][c] != t[a][t[b][c]]:
+                        raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
     e = None
     for cand in range(m):
         if all(t[cand][x] == x == t[x][cand] for x in range(m)):
@@ -43,9 +57,38 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     if e is None:
         raise NotAGroup("no identity element")
     for a in range(m):
-        if not any(t[a][b] == e for b in range(m)):
+        if e not in t[a]:
             raise NotAGroup(f"element {a} has no inverse")
     return t
+
+
+def _product_generators(table: GroupTable) -> list[int]:
+    """Elements, in order, each outside the product closure of those before.
+
+    Their closure under the product is the whole carrier.  Each new member
+    of a closure is multiplied both ways with every member listed before
+    it and with itself, so each ordered pair is multiplied once: O(m^2).
+    """
+    gens: list[int] = []
+    members: list[int] = []
+    seen: set[int] = set()
+    for a in range(len(table)):
+        if a in seen:
+            continue
+        gens.append(a)
+        seen.add(a)
+        i = len(members)
+        members.append(a)
+        while i < len(members):
+            x = members[i]
+            row = table[x]
+            for y in members[:i + 1]:
+                for v in (row[y], table[y][x]):
+                    if v not in seen:
+                        seen.add(v)
+                        members.append(v)
+            i += 1
+    return gens
 
 
 def identity_of(table: GroupTable) -> int:
@@ -152,11 +195,11 @@ def cyclic(n: int) -> GroupTable:
 
 
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
-    m1, m2 = len(t1), len(t2)
-    return tuple(
-        tuple(t1[a1][b1] * m2 + t2[a2][b2] for b1 in range(m1) for b2 in range(m2))
-        for a1 in range(m1) for a2 in range(m2)
-    )
+    """Componentwise product, row-major: pair (a1, a2) is a1 * len(t2) + a2."""
+    m2 = len(t2)
+    offsets = [[v * m2 for v in row] for row in t1]
+    return tuple(tuple([o + v for o in off for v in row2])
+                 for off in offsets for row2 in t2)
 
 
 def dihedral_group(m: int) -> GroupTable:

@@ -198,9 +198,11 @@ def is_ncs(q: Quandle) -> bool:
     orbit tree; for finite quandles this holds exactly when the tree's
     descent trivializes, which verify_suite checks with this scan.  Raises
     CapExceeded when more than DEFAULT_SUBSET_CAP subquandles are found
-    first.
+    first.  A subquandle is connected when the orbit of its first member
+    is all of it.
     """
     for members in _subquandles(q):
-        if len(members) >= 2 and len(_orbits_within(q.table, members)) == 1:
+        if (len(members) >= 2 and
+                len(_orbit_of(q.table, members, members[0])) == len(members)):
             return False
     return True

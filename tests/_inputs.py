@@ -5,7 +5,8 @@ groups, and tiny tables with inner groups of 10^3 to 10^4 elements), built
 here without relabelling, and the dihedral quandles of order 2^k.  Also a
 patch that makes core.validate raise, for the tests that check a builder
 returns a quandle without validating the table it built.  And the members
-of the benchmark's census-verify pass, read from its own job generator.
+of the benchmark's census-verify pass, read from its own job generator,
+with the fact counts the benchmark expects of them.
 """
 
 import sys
@@ -42,17 +43,28 @@ def refuse_validate(monkeypatch):
     monkeypatch.setattr(core, "validate", refuse)
 
 
+def _perfbench_workloads():
+    """The benchmark's workloads module, imported without changing perfbench/."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+def census_verify_fact_counts() -> dict[str, int]:
+    """The {fact: checked} counts the census-verify workload expects."""
+    return dict(_perfbench_workloads().VERIFY_FACT_COUNTS)
+
+
 def census_verify_members(seed: int) -> list[core.Quandle]:
     """The verify corpus of the census-verify workload for a seed.
 
     The builtins, the census up to order 5, and the workload's unions and
     products as relabelled by the seed, parsed from their .qnd text.
     """
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    workloads = _perfbench_workloads()
     job = workloads.make_job("census-verify", seed)
     (verify,) = [item for item in job["inputs"] if "extras" in item]
     members = corpus.default_corpus(

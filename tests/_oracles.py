@@ -435,3 +435,98 @@ def is_semiregular_by_elements(elements: list[tuple[int, ...]],
         if any(p[i] != i for i in range(len(p))) and any(p[x] == x for x in domain):
             return False
     return True
+
+
+def canonical_labels(labels) -> tuple[int, ...]:
+    """Relabel a partition so class ids count up in order of first member."""
+    ids: dict = {}
+    return tuple(ids.setdefault(lab, len(ids)) for lab in labels)
+
+
+def congruence_generated_by_passes(table: Table,
+                                   pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Least congruence holding the pairs, as canonical class labels.
+
+    Merges the seeds, then sweeps every class in full, merging the
+    one-sided images of each member with the class's first member under
+    every c, until a whole sweep merges nothing.
+    """
+    n = len(table)
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[ry] = rx
+        return True
+
+    for a, b in pairs:
+        union(a, b)
+    dirty = True
+    while dirty:
+        dirty = False
+        members: dict[int, list[int]] = {}
+        for x in range(n):
+            members.setdefault(find(x), []).append(x)
+        for cls in members.values():
+            for b in cls[1:]:
+                for c in range(n):
+                    if union(table[cls[0]][c], table[b][c]):
+                        dirty = True
+                    if union(table[c][cls[0]], table[c][b]):
+                        dirty = True
+    return canonical_labels(find(x) for x in range(n))
+
+
+def partition_join(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """Finest partition coarser than both, by merging sweeps to a fixed point."""
+    labels = list(range(len(left)))
+    changed = True
+    while changed:
+        changed = False
+        for part in (left, right):
+            for x in range(len(labels)):
+                for y in range(len(labels)):
+                    if part[x] == part[y] and labels[x] != labels[y]:
+                        low = min(labels[x], labels[y])
+                        high = max(labels[x], labels[y])
+                        labels = [low if v == high else v for v in labels]
+                        changed = True
+    return canonical_labels(labels)
+
+
+def group_axiom_violation(table) -> str | None:
+    """The first failing group axiom, worded as the package words it.
+
+    Rows of the wrong length and entries outside 0..m-1 first, then
+    associativity over every (a, b, c) in lexicographic order, then an
+    identity, then an inverse of every element.
+    """
+    m = len(table)
+    if m == 0:
+        return "empty table"
+    for a, row in enumerate(table):
+        if len(row) != m:
+            return f"row {a} has length {len(row)}, expected {m}"
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < m:
+                return f"entry at ({a}, {b}) is not an element index"
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"associativity fails at ({a}, {b}, {c})"
+    identities = [e for e in range(m)
+                  if all(table[e][x] == x == table[x][e] for x in range(m))]
+    if not identities:
+        return "no identity element"
+    for a in range(m):
+        if identities[0] not in table[a]:
+            return f"element {a} has no inverse"
+    return None

@@ -561,17 +561,42 @@ class TestVerifySuite:
         assert fact.witnesses == ("q8-group: verdicts disagree",)
         assert not rep.ok
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_census_verify_fact_counts_are_the_benchmarks(self, seed):
+        # the benchmark pins these counts; the per-table stage moves none
+        rep = classify.verify_suite(_inputs.census_verify_members(seed),
+                                    corpus.builtin_groups())
+        assert rep.ok
+        assert ({r.name: r.checked for r in rep.results}
+                == _inputs.census_verify_fact_counts())
+
+    #: The facts of the congruence stage, which runs once per table.
+    STAGE_FACTS = ("branches-are-principal-series",
+                   "congruence-classes-are-subquandles",
+                   "relative-transvections-trivial-iff-kernel",
+                   "quotient-tos-bounded", "locally-reductive-extension-bound",
+                   "tos-extension-bound", "quotient-series-memberwise")
+
     def test_members_sharing_a_table_are_scanned_once_under_their_labels(
             self, monkeypatch):
-        # A negated ncs scan makes every member fail with a witness naming
-        # it; the facts, the scans and the lattice run once per table.
+        # A negated ncs scan and quotient tos degrees one too high make every
+        # member fail with witnesses naming it.  The facts, the scans, the
+        # lattice and the congruence stage run once per table; the stage's
+        # counts and failures are replayed for each member, in member order.
         calls = Counter()
 
         def counting(fn, negate=False):
-            def call(q):
+            def call(*args):
                 calls[fn.__name__] += 1
-                return not fn(q) if negate else fn(q)
+                return not fn(*args) if negate else fn(*args)
             return call
+
+        degrees = orbitseries.degrees
+
+        def tos_plus_one(q):
+            d = degrees(q)
+            return orbitseries.SeriesDegrees(
+                d.os_degree, None if d.tos_degree is None else d.tos_degree + 1)
 
         monkeypatch.setattr(classify, "gather_facts",
                             counting(classify.gather_facts))
@@ -581,17 +606,58 @@ class TestVerifySuite:
                             counting(congruence.all_congruences))
         monkeypatch.setattr(classify, "is_medial",
                             counting(classify.is_medial))
-        d3 = core.dihedral(3)
-        rep = classify.verify_suite([d3, d3.relabel("copy"), d3.relabel(None)])
-        fact = next(r for r in rep.results if r.name == "tos-existence-iff-ncs")
-        assert fact.witnesses == ("order-3 table: tos=None ncs=True",
-                                  "copy: tos=None ncs=True",
-                                  "dihedral(3): tos=None ncs=True")
-        medial = next(r for r in rep.results
-                      if r.name == "medial-iff-abelian-transvections")
+        monkeypatch.setattr(classify, "_congruence_stage",
+                            counting(classify._congruence_stage))
+        # the members' own tos comes from their facts, their quotients' from
+        # orbitseries.degrees: dihedral(4)'s two quotients of order 3 fail
+        monkeypatch.setattr(orbitseries, "degrees", tos_plus_one)
+        d4 = core.dihedral(4)
+        members = [d4, d4.relabel("copy"), d4.relabel(None)]
+        names = ("order-4 table", "copy", "dihedral(4)")
+        one = classify.verify_suite([d4])
+        calls.clear()
+        rep = classify.verify_suite(members)
+        results = {r.name: r for r in rep.results}
+        assert results["tos-existence-iff-ncs"].witnesses == tuple(
+            f"{name}: tos=2 ncs=False" for name in names)
+        assert results["quotient-tos-bounded"].witnesses == tuple(
+            f"{name}: quotient tos 3 exceeds 2" for name in names for _ in "ab")
+        medial = results["medial-iff-abelian-transvections"]
         assert medial.passed and medial.checked == 3
+        for r in one.results:
+            if r.name in self.STAGE_FACTS:
+                assert results[r.name].checked == 3 * r.checked > 0, r.name
         assert calls == {"gather_facts": 1, "is_ncs": 1, "all_congruences": 1,
-                         "is_medial": 1}
+                         "is_medial": 1, "_congruence_stage": 1}
+
+        # A QuandleError in the middle of the stage: each member keeps the
+        # counts recorded before it and gets its own completion witness.
+        lattice = congruence.all_congruences
+
+        def with_non_congruence(q):
+            bad = congruence.Congruence.from_classes(
+                q.order, [(0, 1)] + [(x,) for x in range(2, q.order)])
+            found = lattice(q)
+            return found[:2] + (bad,) + found[2:]
+
+        monkeypatch.setattr(congruence, "all_congruences", with_non_congruence)
+        one = classify.verify_suite([d4])
+        calls.clear()
+        rep = classify.verify_suite(members)
+        results = {r.name: r for r in rep.results}
+        error = "partition is not a congruence, witness (0, 1, 0, 0, 1)"
+        assert one.results[0].witnesses == (f"dihedral(4): {error}",)
+        assert results["classification-completes"] == CheckResult(
+            "classification-completes", False,
+            tuple(f"{name}: {error}" for name in names), 3)
+        assert results["congruence-classes-are-subquandles"].witnesses == tuple(
+            f"{name}: class (0, 1) is not closed" for name in names)
+        for r in one.results:
+            if r.name in self.STAGE_FACTS:
+                assert results[r.name].checked == 3 * r.checked, r.name
+        # two congruences' quotient facts ran before the raise, none after
+        assert results["quotient-tos-bounded"].checked == 3 * 2
+        assert calls["_congruence_stage"] == 1
 
     def test_negated_ncs_scan_fails_on_every_checked_member(
             self, monkeypatch):

@@ -1,5 +1,7 @@
 """Congruence lattice, Inn and Trans, lambda, and the two chains."""
 
+import random
+
 import pytest
 
 import _inputs
@@ -167,6 +169,109 @@ def test_join():
     joined = congruence.join(a, b)
     assert classes_as_sets(joined) == {frozenset({0, 2}), frozenset({1, 3})}
     assert a.refines(joined) and b.refines(joined)
+
+
+def _kernel_inputs():
+    """The census up to order 5 and every default-corpus member up to order 8."""
+    return _census(5) + [q for q in corpus.default_corpus() if q.order <= 8]
+
+
+def _lattice_oracle(q):
+    """Every congruence as canonical labels, from the partition scan."""
+    labels = []
+    for classes in _oracles.congruence_class_sets(q.table):
+        class_of = [0] * q.order
+        for i, cls in enumerate(classes):
+            for x in cls:
+                class_of[x] = i
+        labels.append(_oracles.canonical_labels(class_of))
+    return labels
+
+
+@pytest.fixture(scope="module")
+def kernel_lattices():
+    return [(q, _lattice_oracle(q)) for q in _kernel_inputs()]
+
+
+def test_union_find_matches_a_relabelling_oracle():
+    # unions alone, with no find between them to flatten the forest, build
+    # trees deep enough for union's own path walks to matter
+    rng = random.Random(7)
+    for n in (1, 2, 10, 60):
+        find, union = congruence.union_find(n)
+        labels = list(range(n))
+        for _ in range(3 * n):
+            x, y = rng.randrange(n), rng.randrange(n)
+            distinct = labels[x] != labels[y]
+            assert union(x, y) == distinct
+            if distinct:
+                old, new = labels[y], labels[x]
+                labels = [new if v == old else v for v in labels]
+        assert (_oracles.canonical_labels(find(z) for z in range(n))
+                == _oracles.canonical_labels(labels))
+
+
+def test_worklist_closure_matches_the_pass_oracle():
+    # the whole default corpus: a closure that skips the images of some
+    # merged pairs first goes wrong on conj-a4 and conj-d16
+    rng = random.Random(19)
+    seeds = 0
+    for q in _census(5) + corpus.default_corpus():
+        n = q.order
+        for a in range(n):
+            for b in range(n):
+                got = congruence.congruence_generated(q, [(a, b)]).class_of
+                assert got == _oracles.congruence_generated_by_passes(
+                    q.table, [(a, b)]), (q.label, a, b)
+        for _ in range(8):
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randrange(4))]
+            got = congruence.congruence_generated(q, pairs).class_of
+            assert got == _oracles.congruence_generated_by_passes(
+                q.table, pairs), (q.label, pairs)
+            seeds += 1
+    assert seeds == 8 * (len(_census(5)) + len(corpus.default_corpus()))
+
+
+def test_principal_congruence_is_the_least_relating_its_pair(kernel_lattices):
+    for q, lattice in kernel_lattices:
+        for a in range(q.order):
+            for b in range(a + 1, q.order):
+                holding = [c for c in lattice if c[a] == c[b]]
+                least = max(holding, key=lambda c: len(set(c)))
+                # least refines every congruence relating a and b
+                for other in holding:
+                    assert all(other[x] == other[y]
+                               for x in range(q.order) for y in range(q.order)
+                               if least[x] == least[y]), (q.label, a, b)
+                got = congruence.congruence_generated(q, [(a, b)]).class_of
+                assert got == least, (q.label, a, b)
+
+
+def test_all_congruences_in_exact_order(kernel_lattices):
+    for q, lattice in kernel_lattices:
+        want = sorted(lattice, key=lambda c: (-len(set(c)), c))
+        got = [c.class_of for c in congruence.all_congruences(q)]
+        assert got == want, q.label
+
+
+def test_join_matches_the_union_of_both_partitions(kernel_lattices):
+    joins = 0
+    for q, lattice in kernel_lattices:
+        cons = [Congruence.from_class_of(c) for c in lattice]
+        for x in cons:
+            for y in cons:
+                got = congruence.join(x, y).class_of
+                assert got == _oracles.partition_join(x.class_of, y.class_of)
+                joins += 1
+    assert joins == 16946
+
+
+def test_congruences_compare_by_class_of_only():
+    a = Congruence.from_classes(3, [[0, 2], [1]])
+    assert a == Congruence(3, a.class_of, ())
+    assert hash(a) == hash(Congruence(0, a.class_of, a.classes))
+    assert a != Congruence.from_classes(3, [[0, 1], [2]])
 
 
 def test_trans_of_trivial_quandles():

@@ -226,6 +226,15 @@ def test_conj_subset_three_cycles_commute():
     assert q.table == core.trivial(2).table
 
 
+def test_induced_subquandle_names_the_first_escaping_pair():
+    q = core.dihedral(6)
+    for subset, pair in (((0, 1), (0, 1)), ((0, 2, 3), (0, 2)),
+                         ((0, 3, 1), (0, 1))):
+        with pytest.raises(NotClosed) as info:
+            core.induced_subquandle(q, subset)
+        assert info.value.witness == pair
+
+
 def test_conj_subset_rejects_open_subsets():
     classes = grouptables.conjugacy_classes(S3)
     transpositions = next(c for c in classes if len(c) == 3)

@@ -1,6 +1,7 @@
 """Finite group tables: validation, structure constants, and presets."""
 
 import hashlib
+import time
 from itertools import combinations
 
 import pytest
@@ -30,6 +31,59 @@ def test_validate_group_rejects_broken_tables():
     ]
     with pytest.raises(NotAGroup):
         grouptables.validate_group(loop)
+
+
+def _verdict(table):
+    """validate_group's message, or None when it accepts."""
+    try:
+        grouptables.validate_group(table)
+    except NotAGroup as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_group_matches_the_full_scan():
+    # every builtin group, then every single-entry change of those of order
+    # at most 8, each against the ordered scan's verdict and message
+    groups = [table for _, table in corpus.builtin_groups()]
+    for table in groups:
+        assert _verdict(table) is None
+        assert _oracles.group_axiom_violation(table) is None
+    changed = rejected = 0
+    for table in groups:
+        m = len(table)
+        if m > 8:
+            continue
+        for a in range(m):
+            for b in range(m):
+                for v in range(-1, m + 1):
+                    if v == table[a][b]:
+                        continue
+                    rows = [list(row) for row in table]
+                    rows[a][b] = v
+                    want = _oracles.group_axiom_violation(rows)
+                    assert _verdict(rows) == want, (m, a, b, v)
+                    changed += 1
+                    rejected += want is not None
+    assert changed == 2592
+    assert rejected == changed
+
+
+def test_validate_group_reports_identity_and_inverse_failures():
+    # associative tables that are not groups: the scan's later messages
+    zero = [[0, 0], [0, 0]]
+    assert _verdict(zero) == _oracles.group_axiom_violation(zero) == (
+        "no identity element")
+    monoid = [[0, 0], [0, 1]]  # {0, 1} under multiplication
+    assert _verdict(monoid) == _oracles.group_axiom_violation(monoid) == (
+        "element 0 has no inverse")
+
+
+def test_validate_group_of_s6_is_fast():
+    table = grouptables.symmetric_group(6)
+    start = time.perf_counter()
+    assert grouptables.validate_group(table) == table
+    assert time.perf_counter() - start < 1.0
 
 
 def test_identity_and_inverses():
