@@ -20,7 +20,7 @@ report instead of aborting the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -321,10 +321,6 @@ class QuandleFacts(ClassificationReport):
     ident: int | None
     collapse_steps: int | None
 
-    @property
-    def name(self) -> str:
-        return self.label or f"order-{self.order} table"
-
     def report(self) -> ClassificationReport:
         return ClassificationReport(**{
             f.name: getattr(self, f.name) for f in fields(ClassificationReport)})
@@ -469,23 +465,23 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _per_table(fn: Callable[[Quandle], int | None],
-               known: Iterable[tuple[Quandle, int | None]]) -> Callable[[Quandle], int | None]:
-    """fn memoized on the table, starting from the known (quandle, value) pairs.
+class _PerTable(dict):
+    """fn memoized on the table: memo[q] is fn(q), computed on first use.
 
-    The memo lives as long as the returned function: verify_suite makes one
-    per call, so a quotient, block, subquandle or product met again in the
-    same call is not recomputed, and nothing is kept between calls.
+    verify_suite makes one per degree per call, and each table stage seeds
+    them with its own table's degrees.  So a table met again in the same
+    call, as a member, quotient, block, subquandle, product or conjugation
+    quandle, is not recomputed, and nothing is kept between calls.
     Quandles compare and hash by table only.
     """
-    memo = dict(known)
 
-    def call(q: Quandle) -> int | None:
-        if q not in memo:
-            memo[q] = fn(q)
-        return memo[q]
+    def __init__(self, fn: Callable[[Quandle], int | None]) -> None:
+        super().__init__()
+        self.fn = fn
 
-    return call
+    def __missing__(self, q: Quandle) -> int | None:
+        value = self[q] = self.fn(q)
+        return value
 
 
 def _padded(series: list[tuple[int, ...]], length: int) -> list[tuple[int, ...]]:
@@ -494,29 +490,41 @@ def _padded(series: list[tuple[int, ...]], length: int) -> list[tuple[int, ...]]
 
 
 class _Stage(NamedTuple):
-    """What the congruence stage recorded on one table, for every member.
+    """What the table stage recorded on one table, for every member.
 
     counts holds the checked count of each fact it ran, and failures the
     (fact, detail) pairs of the checks that failed, in order; a member's
     witness is its name, a colon and the detail.  error is the QuandleError
     that ended the stage early, if any; the counts and failures recorded
-    before it stand.
+    before it stand.  facts is None when gathering the facts or the scans
+    raised, which leaves no counts; otherwise the members join the
+    products.
     """
 
     counts: dict[str, int]
     failures: list[tuple[str, str]]
     error: QuandleError | None
+    facts: QuandleFacts | None
 
 
-def _congruence_stage(f: QuandleFacts,
-                      lattice: Sequence[congruence.Congruence] | None,
-                      tos_of: Callable[[Quandle], int | None],
-                      lr_of: Callable[[Quandle], int | None]) -> _Stage:
-    """The principal-series and per-congruence facts of one table.
+def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
+                 red_of: _PerTable) -> _Stage:
+    """Every fact of verify_suite that reads only the table, recorded once.
 
-    They read only the table, never the member's label, so verify_suite
-    runs the stage once per distinct table and replays the result for each
-    member.  A detail is formatted only when its check fails.
+    The stage gathers the facts and runs the is_ncs scan (to
+    NCS_MAX_ORDER), the congruence lattice (to CONGRUENCE_MAX_ORDER) and
+    the is_medial scan.  Then it seeds the degree memos with the table's
+    own degrees and records the nine member facts, subquandle-tos-bounded
+    (to SUBQUANDLE_MAX_ORDER), the branch facts and the per-congruence
+    facts.  A detail is formatted only when its check fails.
+
+    The principal series serve both the branch and the quotient facts.
+    Each quotient is built from the lattice's own class ids, after
+    core.congruence_witness clears them, so a partition that is not a
+    congruence raises NotACongruence as core.quotient would.  Within the
+    table, a class met again in another congruence reuses its subquandle's
+    tos and lr, a quotient table met again reuses its principal series,
+    and each subset along the series is projected once per congruence.
     """
     counts: dict[str, int] = {}
     failures: list[tuple[str, str]] = []
@@ -527,98 +535,138 @@ def _congruence_stage(f: QuandleFacts,
             failures.append((name, detail.format(*args)))
 
     try:
-        _series_and_congruence_facts(f, lattice, record, tos_of, lr_of)
+        f = gather_facts(q)
+        ncs = orbitseries.is_ncs(q) if q.order <= NCS_MAX_ORDER else None
+        lattice = (congruence.all_congruences(q)
+                   if q.order <= CONGRUENCE_MAX_ORDER else None)
+        identity_medial = is_medial(q)
     except QuandleError as exc:
-        return _Stage(counts, failures, exc)
-    return _Stage(counts, failures, None)
+        return _Stage({}, [], exc, None)
+    red, lr, tos = (f.reductive_degree, f.locally_reductive_degree,
+                    f.tos_degree)
+    # Seeding here computes no degree twice: members arrive sorted by
+    # order, and every quotient, class block and subquandle of a table,
+    # other than the table itself, is smaller.  So no earlier stage has
+    # asked the memos for this table, and later ones find it.
+    red_of[q], lr_of[q], tos_of[q] = red, lr, tos
 
+    dl, cls = f.trans_derived_length, f.inn_nilpotency_class
+    record("reductivity-routes-agree",
+           _routes_agree(red, f.ident, cls, f.collapse_steps),
+           "chain={} identity={} inner-class={} collapse={}",
+           red, f.ident, cls, f.collapse_steps)
+    if red is not None and (f.faithful or f.connected):
+        record("reductive-faithful-or-connected-is-trivial",
+               q.order == 1, "reductive but order {}", q.order)
+    degs = ("lr={} tos={} red={}", lr, tos, red)
+    record("degree-existence-and-ordering",
+           _degree_chain_fault(lr, tos, red) is None, *degs)
+    if f.medial and red is not None:
+        record("medial-degrees-equal", lr == tos == red, *degs)
+    record("medial-iff-abelian-transvections",
+           identity_medial == f.medial,
+           "medial={} abelian transvections={}", identity_medial, f.medial)
+    record("orbits-inner-equal-transvection",
+           f.inn_orbits == f.trans_orbits,
+           "inner and transvection orbits differ")
+    if ncs is not None:
+        record("tos-existence-iff-ncs", (tos is not None) == ncs,
+               "tos={} ncs={}", tos, ncs)
+    # The trivial transvection group counts as derived length one here:
+    # the bound multiplies by the solvable length of the quandle, and a
+    # quandle with abelian (possibly trivial) transvections has length 1.
+    if dl is not None and lr is not None:
+        factor = max(dl, 1)
+        record("solvable-tos-bound",
+               tos is not None and tos <= factor * lr,
+               "tos={} bound={}*{}", tos, factor, lr)
+    chain = f.chain
+    record("orbit-chain-descends",
+           len(chain) <= q.order + 1 and all(
+               chain[i + 1].refines(chain[i])
+               for i in range(len(chain) - 1)),
+           "chain of {} terms not descending", len(chain))
 
-def _series_and_congruence_facts(f: QuandleFacts,
-                                 lattice: Sequence[congruence.Congruence] | None,
-                                 record: Callable[..., None],
-                                 tos_of: Callable[[Quandle], int | None],
-                                 lr_of: Callable[[Quandle], int | None]) -> None:
-    """The principal-series and per-congruence facts of one table.
+    try:
+        if tos is not None and q.order <= SUBQUANDLE_MAX_ORDER:
+            for subset in orbitseries.all_subquandles(q):
+                st = tos_of[core.induced_subquandle(q, subset)]
+                record("subquandle-tos-bounded", st is not None and st <= tos,
+                       "subquandle {} tos {} exceeds {}", subset, st, tos)
 
-    The principal series serve both the branch and the quotient facts.
-    Each quotient is built from the lattice's own class ids, after
-    core.congruence_witness clears them, so a partition that is not a
-    congruence raises NotACongruence as core.quotient would.  Within the
-    table, a class met again in another congruence reuses its subquandle's
-    tos and lr, a quotient table met again reuses its principal series,
-    and each subset along the series is projected once per congruence.
-    """
-    q, lr, tos = f.q, f.locally_reductive_degree, f.tos_degree
-    series = [orbitseries.principal_series(q, x) for x in range(q.order)]
-    for branch in f.tree.branches():
-        path = [node.subset for node in branch]
-        meet = set(path[0])
-        for subset in path[1:]:
-            meet &= set(subset)
-        leaf = branch[-1].subset
-        if tuple(sorted(meet)) != leaf:
-            record("branches-are-principal-series", False,
-                   "branch meet is not the leaf")
-            continue
-        record("branches-are-principal-series",
-               all(series[x] == path for x in leaf),
-               "branch to {} is not the principal series of its members", leaf)
-    if lattice is None:
-        return
-    e = permgroup.identity(q.order)
-    subsets = list(dict.fromkeys(s for path in series for s in path))
-    index = {s: i for i, s in enumerate(subsets)}
-    paths = [[index[s] for s in path] for path in series]
-    blocks: dict[tuple[int, ...], tuple[int | None, int | None]] = {}
-    quotient_series: dict[Quandle, list[list[tuple[int, ...]]]] = {}
-    for cong in lattice:
-        class_of = cong.class_of
-        for cls in cong.classes:
-            members = set(cls)
-            record("congruence-classes-are-subquandles",
-                   all(q.table[a][b] in members for a in cls for b in cls),
-                   "class {} is not closed", cls)
-        trivial = all(g == e for g in congruence.trans_rel_generators(q, cong))
-        record("relative-transvections-trivial-iff-kernel",
-               trivial == cong.refines(f.lam),
-               "relative transvection triviality disagrees with "
-               "translation-kernel refinement")
-        witness = core.congruence_witness(q, class_of)
-        if witness is not None:
-            raise NotACongruence(witness)
-        quot = core._quotient_table(q, cong.classes, class_of, None)
-        if tos is not None or lr is not None:
+        series = [orbitseries.principal_series(q, x) for x in range(q.order)]
+        for branch in f.tree.branches():
+            path = [node.subset for node in branch]
+            meet = set(path[0])
+            for subset in path[1:]:
+                meet &= set(subset)
+            leaf = branch[-1].subset
+            if tuple(sorted(meet)) != leaf:
+                record("branches-are-principal-series", False,
+                       "branch meet is not the leaf")
+                continue
+            record("branches-are-principal-series",
+                   all(series[x] == path for x in leaf),
+                   "branch to {} is not the principal series of its members",
+                   leaf)
+
+        e = permgroup.identity(q.order)
+        subsets = list(dict.fromkeys(s for path in series for s in path))
+        index = {s: i for i, s in enumerate(subsets)}
+        paths = [[index[s] for s in path] for path in series]
+        blocks: dict[tuple[int, ...], tuple[int | None, int | None]] = {}
+        quotient_series: dict[Quandle, list[list[tuple[int, ...]]]] = {}
+        for cong in lattice or ():  # None above CONGRUENCE_MAX_ORDER
+            class_of = cong.class_of
             for cls in cong.classes:
-                if cls not in blocks:
-                    block = core.induced_subquandle(q, cls)
-                    blocks[cls] = (tos_of(block), lr_of(block))
-            inner_tos, inner_lr = zip(*(blocks[cls] for cls in cong.classes))
-        if tos is not None:
-            qt = tos_of(quot)
-            record("quotient-tos-bounded", qt is not None and qt <= tos,
-                   "quotient tos {} exceeds {}", qt, tos)
-            if qt is not None and None not in inner_tos:
-                record("tos-extension-bound", tos <= qt + max(inner_tos),
-                       "tos {} exceeds {}+{}", tos, qt, max(inner_tos))
-        if lr is not None:
-            outer = lr_of(quot)
-            if outer is not None and None not in inner_lr:
-                record("locally-reductive-extension-bound",
-                       lr <= outer + max(inner_lr),
-                       "lr {} exceeds {}+{}", lr, outer, max(inner_lr))
-        if quot not in quotient_series:
-            quotient_series[quot] = [orbitseries.principal_series(quot, y)
-                                     for y in range(quot.order)]
-        image = quotient_series[quot]
-        projected = [tuple(sorted({class_of[x] for x in s})) for s in subsets]
-        for x, path in enumerate(paths):
-            left = [projected[i] for i in path]
-            right = image[class_of[x]]
-            length = max(len(left), len(right))
-            record("quotient-series-memberwise",
-                   _padded(left, length) == _padded(right, length),
-                   "projected series of {} differs from the quotient series",
-                   x)
+                members = set(cls)
+                record("congruence-classes-are-subquandles",
+                       all(q.table[a][b] in members for a in cls for b in cls),
+                       "class {} is not closed", cls)
+            trivial = all(g == e for g in congruence.trans_rel_generators(q, cong))
+            record("relative-transvections-trivial-iff-kernel",
+                   trivial == cong.refines(f.lam),
+                   "relative transvection triviality disagrees with "
+                   "translation-kernel refinement")
+            witness = core.congruence_witness(q, class_of)
+            if witness is not None:
+                raise NotACongruence(witness)
+            quot = core._quotient_table(q, cong.classes, class_of, None)
+            if tos is not None or lr is not None:
+                for cls in cong.classes:
+                    if cls not in blocks:
+                        block = core.induced_subquandle(q, cls)
+                        blocks[cls] = (tos_of[block], lr_of[block])
+                inner_tos, inner_lr = zip(*(blocks[cls] for cls in cong.classes))
+            if tos is not None:
+                qt = tos_of[quot]
+                record("quotient-tos-bounded", qt is not None and qt <= tos,
+                       "quotient tos {} exceeds {}", qt, tos)
+                if qt is not None and None not in inner_tos:
+                    record("tos-extension-bound", tos <= qt + max(inner_tos),
+                           "tos {} exceeds {}+{}", tos, qt, max(inner_tos))
+            if lr is not None:
+                outer = lr_of[quot]
+                if outer is not None and None not in inner_lr:
+                    record("locally-reductive-extension-bound",
+                           lr <= outer + max(inner_lr),
+                           "lr {} exceeds {}+{}", lr, outer, max(inner_lr))
+            if quot not in quotient_series:
+                quotient_series[quot] = [orbitseries.principal_series(quot, y)
+                                         for y in range(quot.order)]
+            image = quotient_series[quot]
+            projected = [tuple(sorted({class_of[x] for x in s})) for s in subsets]
+            for x, path in enumerate(paths):
+                left = [projected[i] for i in path]
+                right = image[class_of[x]]
+                length = max(len(left), len(right))
+                record("quotient-series-memberwise",
+                       _padded(left, length) == _padded(right, length),
+                       "projected series of {} differs from the quotient series",
+                       x)
+    except QuandleError as exc:
+        return _Stage(counts, failures, exc, f)
+    return _Stage(counts, failures, None, f)
 
 
 #: Names of the corpus facts in report order; the group facts follow when
@@ -666,21 +714,17 @@ def verify_suite(corpus: Iterable[Quandle],
     subquandles, against orbitseries.DEFAULT_SUBSET_CAP.  Group-level facts
     run only when group tables are supplied as (name, table) pairs.
 
-    A QuandleError while gathering a member's facts or its ncs scan, or
-    while deciding the 2-Engel verdict or the reductive degree of a group's
-    conjugation quandle, is recorded as a failing fact with the error as
-    its witness.  Members that share a table share its facts and scans
-    (is_ncs, the congruence lattice and is_medial), each under its own
-    label.  They share the congruence stage too (_congruence_stage: the
-    principal-series, quotient and class-block facts), which keeps only
-    each fact's checked count and the details of its failures, and is
-    replayed for every member: the counts add up per member, each failure
-    becomes a witness under the member's name, and a QuandleError that
-    cut the stage short fails classification-completes for each member,
-    which keeps the counts recorded before it.  Within one call the tos,
-    lr and reductive degrees come from per-table memos, the members' own
-    read off their facts; a reductive degree the memo lacks comes from
-    classify().
+    Every fact but the product and group facts reads only a member's
+    table, so _table_stage runs once per distinct table and each member,
+    in sorted order, replays it: the stage's counts add up per member, and
+    each failure becomes a witness under the member's name, its label or
+    "order-n table".  A QuandleError in the stage fails
+    classification-completes for each of its members, who keep the counts
+    recorded before it; one while deciding the 2-Engel verdict or the
+    reductive degree of a group's conjugation quandle fails that fact.
+    Within one call the tos, lr and reductive degrees come from per-table
+    memos, which each stage seeds with its table's own degrees; a reductive
+    degree the memo lacks comes from classify().
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -692,111 +736,34 @@ def verify_suite(corpus: Iterable[Quandle],
         if not ok:
             failed[name].append(witness)
 
-    scanned: dict[Quandle, tuple | QuandleError] = {}
-    facts: list[QuandleFacts] = []
-    scans: list[tuple[bool | None, bool]] = []
-    lattices: list[tuple[congruence.Congruence, ...] | None] = []
+    tos_of = _PerTable(lambda q: orbitseries.degrees(q).tos_degree)
+    lr_of = _PerTable(locally_reductive_degree)
+    red_of = _PerTable(reductive_degree)
+    stages: dict[Quandle, _Stage] = {}
+    gathered: list[tuple[str, Quandle, int | None]] = []
     for q in quandles:
-        if q not in scanned:
-            try:
-                scanned[q] = (
-                    gather_facts(q),
-                    orbitseries.is_ncs(q) if q.order <= NCS_MAX_ORDER else None,
-                    (congruence.all_congruences(q)
-                     if q.order <= CONGRUENCE_MAX_ORDER else None),
-                    is_medial(q))
-            except QuandleError as exc:
-                scanned[q] = exc
-        if isinstance(scanned[q], QuandleError):
-            failed["classification-completes"].append(
-                f"{q.label or q.order}: {scanned[q]}")
+        if q not in stages:
+            stages[q] = _table_stage(q, tos_of, lr_of, red_of)
+        counts, failures, error, facts = stages[q]
+        name = q.label or f"order-{q.order} table"
+        record("classification-completes", error is None, f"{name}: {error}")
+        for fact, k in counts.items():
+            checked[fact] += k
+        for fact, detail in failures:
+            failed[fact].append(f"{name}: {detail}")
+        if facts is not None:
+            gathered.append((name, q, facts.tos_degree))
+
+    for (na, qa, ta), (nb, qb, tb) in combinations_with_replacement(gathered, 2):
+        if qa.order * qb.order > PRODUCT_MAX_ORDER:
             continue
-        f, ncs, lattice, medial = scanned[q]
-        facts.append(replace(f, label=q.label, q=q))
-        scans.append((ncs, medial))
-        lattices.append(lattice)
-    checked["classification-completes"] = len(quandles)
-
-    for f, (ncs, identity_medial) in zip(facts, scans):
-        red, lr, tos = (f.reductive_degree, f.locally_reductive_degree,
-                        f.tos_degree)
-        dl, cls = f.trans_derived_length, f.inn_nilpotency_class
-        record("reductivity-routes-agree",
-               _routes_agree(red, f.ident, cls, f.collapse_steps),
-               f"{f.name}: chain={red} identity={f.ident} "
-               f"inner-class={cls} collapse={f.collapse_steps}")
-        if red is not None and (f.faithful or f.connected):
-            record("reductive-faithful-or-connected-is-trivial",
-                   f.order == 1, f"{f.name}: reductive but order {f.order}")
-        degs = f"{f.name}: lr={lr} tos={tos} red={red}"
-        record("degree-existence-and-ordering",
-               _degree_chain_fault(lr, tos, red) is None, degs)
-        if f.medial and red is not None:
-            record("medial-degrees-equal", lr == tos == red, degs)
-        record("medial-iff-abelian-transvections",
-               identity_medial == f.medial,
-               f"{f.name}: medial={identity_medial} "
-               f"abelian transvections={f.medial}")
-        record("orbits-inner-equal-transvection",
-               f.inn_orbits == f.trans_orbits,
-               f"{f.name}: inner and transvection orbits differ")
-        if ncs is not None:
-            record("tos-existence-iff-ncs", (tos is not None) == ncs,
-                   f"{f.name}: tos={tos} ncs={ncs}")
-        # The trivial transvection group counts as derived length one here:
-        # the bound multiplies by the solvable length of the quandle, and a
-        # quandle with abelian (possibly trivial) transvections has length 1.
-        if dl is not None and lr is not None:
-            factor = max(dl, 1)
-            record("solvable-tos-bound",
-                   tos is not None and tos <= factor * lr,
-                   f"{f.name}: tos={tos} bound={factor}*{lr}")
-        chain = f.chain
-        record("orbit-chain-descends",
-               len(chain) <= f.order + 1 and all(
-                   chain[i + 1].refines(chain[i])
-                   for i in range(len(chain) - 1)),
-               f"{f.name}: chain of {len(chain)} terms not descending")
-
-    tos_of = _per_table(lambda q: orbitseries.degrees(q).tos_degree,
-                        ((f.q, f.tos_degree) for f in facts))
-    lr_of = _per_table(locally_reductive_degree,
-                       ((f.q, f.locally_reductive_degree) for f in facts))
-    red_of = _per_table(reductive_degree,
-                        ((f.q, f.reductive_degree) for f in facts))
-    staged: dict[Quandle, _Stage] = {}
-    for f, lattice in zip(facts, lattices):
-        if f.q not in staged:
-            staged[f.q] = _congruence_stage(f, lattice, tos_of, lr_of)
-        stage = staged[f.q]
-        for name, k in stage.counts.items():
-            checked[name] += k
-        for name, detail in stage.failures:
-            failed[name].append(f"{f.name}: {detail}")
-        if stage.error is not None:
-            failed["classification-completes"].append(f"{f.name}: {stage.error}")
-
-    for f in facts:
-        tos = f.tos_degree
-        if tos is None or f.order > SUBQUANDLE_MAX_ORDER:
-            continue
-        for subset in orbitseries.all_subquandles(f.q):
-            st = tos_of(core.induced_subquandle(f.q, subset))
-            record("subquandle-tos-bounded", st is not None and st <= tos,
-                   f"{f.name}: subquandle {subset} tos {st} exceeds {tos}")
-
-    for fa, fb in combinations_with_replacement(facts, 2):
-        if fa.order * fb.order > PRODUCT_MAX_ORDER:
-            continue
-        pt = tos_of(core.direct_product(fa.q, fb.q))
-        ta, tb = fa.tos_degree, fb.tos_degree
+        pt = tos_of[core.direct_product(qa, qb)]
         if ta is None or tb is None:
             record("product-tos-is-max", pt is None,
-                   f"{fa.name} x {fb.name}: product tos {pt} without factors")
+                   f"{na} x {nb}: product tos {pt} without factors")
         else:
             record("product-tos-is-max", pt == max(ta, tb),
-                   f"{fa.name} x {fb.name}: product tos {pt} "
-                   f"!= max({ta},{tb})")
+                   f"{na} x {nb}: product tos {pt} != max({ta},{tb})")
 
     for gname, table in groups or ():
         whole = core.conj(table)
@@ -811,8 +778,8 @@ def verify_suite(corpus: Iterable[Quandle],
                        f"{gname}, subset {subset}, n={n}: "
                        f"local reductivity {lhs} vs bracket {rhs}")
         try:
-            two_engel = _two_engel_verdict(table, tos_of(whole))
-            red = red_of(whole) if two_engel else None
+            two_engel = _two_engel_verdict(table, tos_of[whole])
+            red = red_of[whole] if two_engel else None
         except QuandleError as exc:
             record("two-engel-conjugation-reductive-by-3", False,
                    f"{gname}: {exc}")

@@ -1,5 +1,6 @@
 """Tests for the predicate layer: degrees, structure flags, and the suite."""
 
+import hashlib
 import math
 import random
 import time
@@ -570,19 +571,111 @@ class TestVerifySuite:
         assert ({r.name: r.checked for r in rep.results}
                 == _inputs.census_verify_fact_counts())
 
-    #: The facts of the congruence stage, which runs once per table.
-    STAGE_FACTS = ("branches-are-principal-series",
-                   "congruence-classes-are-subquandles",
-                   "relative-transvections-trivial-iff-kernel",
-                   "quotient-tos-bounded", "locally-reductive-extension-bound",
-                   "tos-extension-bound", "quotient-series-memberwise")
+    #: sha256 of repr([(name, passed, checked, witnesses), ...]) of
+    #: verify_suite(census_verify_members(0), builtin_groups()), clean and
+    #: with a planted defect.  A refactor of the suite leaves all three as
+    #: they are; a deliberate change of its output recomputes them.
+    CENSUS_VERIFY_DIGESTS = {
+        "clean":
+            "4996ee0bdc4a34f411f594a79f7e847fa4615d62e8c8906c2224ea68cabdd15f",
+        "tos-plus-one":
+            "ff7cda2f0834a4e0d2df9e494e4d604c060aceaacff0032c4be3c3572b1867f2",
+        "non-congruence":
+            "f84776f47a2b74fe8779aa47cf60a23cc3516e7105340d789407382f579797ea",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(CENSUS_VERIFY_DIGESTS))
+    def test_census_verify_output_is_pinned(self, monkeypatch, variant):
+        # The whole output, witnesses included, not just the counts: tos + 1
+        # from orbitseries.degrees fails the quotient, subquandle, product
+        # and 2-Engel facts; a non-congruence inserted mid-lattice cuts the
+        # stage short on every member of order 3 to 8.
+        degrees, lattice = orbitseries.degrees, congruence.all_congruences
+
+        def tos_plus_one(q):
+            d = degrees(q)
+            return orbitseries.SeriesDegrees(
+                d.os_degree, None if d.tos_degree is None else d.tos_degree + 1)
+
+        def with_non_congruence(q):
+            found = lattice(q)
+            if q.order < 3:
+                return found
+            bad = congruence.Congruence.from_classes(
+                q.order, [(0, 1)] + [(x,) for x in range(2, q.order)])
+            return found[:2] + (bad,) + found[2:]
+
+        if variant == "tos-plus-one":
+            monkeypatch.setattr(orbitseries, "degrees", tos_plus_one)
+        elif variant == "non-congruence":
+            monkeypatch.setattr(congruence, "all_congruences",
+                                with_non_congruence)
+        rep = classify.verify_suite(_inputs.census_verify_members(0),
+                                    corpus.builtin_groups())
+        rows = [(r.name, r.passed, r.checked, r.witnesses) for r in rep.results]
+        assert rep.ok == (variant == "clean")
+        assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+                == self.CENSUS_VERIFY_DIGESTS[variant])
+
+    @staticmethod
+    def _plant_scan_and_stage_errors(monkeypatch):
+        """is_ncs raises on order 4; a non-congruence ends every lattice."""
+        scan, lattice = orbitseries.is_ncs, congruence.all_congruences
+
+        def ncs(q):
+            if q.order == 4:
+                raise CapExceeded("number of subquandles found", 1)
+            return scan(q)
+
+        def with_non_congruence(q):
+            bad = congruence.Congruence.from_classes(
+                q.order, [(0, 1)] + [(x,) for x in range(2, q.order)])
+            return lattice(q) + (bad,)
+
+        monkeypatch.setattr(orbitseries, "is_ncs", ncs)
+        monkeypatch.setattr(congruence, "all_congruences", with_non_congruence)
+
+    def test_unlabelled_members_have_one_name_in_every_witness(
+            self, monkeypatch):
+        # A scan error and a stage error name an unlabelled member alike.
+        self._plant_scan_and_stage_errors(monkeypatch)
+        rep = classify.verify_suite([core.dihedral(3).relabel(None),
+                                     core.dihedral(4).relabel(None)])
+        assert rep.results[0].witnesses == (
+            "order-3 table: partition is not a congruence, "
+            "witness (0, 1, 0, 0, 1)",
+            "order-4 table: number of subquandles found exceeded cap 1")
+        witnesses = [w for r in rep.results for w in r.witnesses]
+        assert len(witnesses) == 3
+        assert {w.split(": ")[0] for w in witnesses} == {
+            "order-3 table", "order-4 table"}
+        # a member whose scans raised joins no product: only 3 x 3 is checked
+        products = next(r for r in rep.results if r.name == "product-tos-is-max")
+        assert products.checked == 1
+
+    def test_completion_witnesses_follow_member_order(self, monkeypatch):
+        # Members are sorted by order, then label: "b" of order 3 comes
+        # before "a" of order 4, whichever kind of error each one hit.
+        self._plant_scan_and_stage_errors(monkeypatch)
+        rep = classify.verify_suite([core.dihedral(4).relabel("a"),
+                                     core.dihedral(3).relabel("b")])
+        assert rep.results[0] == CheckResult(
+            "classification-completes", False,
+            ("b: partition is not a congruence, witness (0, 1, 0, 0, 1)",
+             "a: number of subquandles found exceeded cap 1"), 2)
+
+    #: The facts of the table stage, which runs once per table: every
+    #: corpus fact but classification-completes and product-tos-is-max.
+    STAGE_FACTS = tuple(name for name in classify._CORPUS_FACTS if name not in (
+        "classification-completes", "product-tos-is-max"))
 
     def test_members_sharing_a_table_are_scanned_once_under_their_labels(
             self, monkeypatch):
         # A negated ncs scan and quotient tos degrees one too high make every
         # member fail with witnesses naming it.  The facts, the scans, the
-        # lattice and the congruence stage run once per table; the stage's
-        # counts and failures are replayed for each member, in member order.
+        # lattice, the subquandles and the table stage run once per table;
+        # the stage's counts and failures are replayed for each member, in
+        # member order.
         calls = Counter()
 
         def counting(fn, negate=False):
@@ -606,8 +699,10 @@ class TestVerifySuite:
                             counting(congruence.all_congruences))
         monkeypatch.setattr(classify, "is_medial",
                             counting(classify.is_medial))
-        monkeypatch.setattr(classify, "_congruence_stage",
-                            counting(classify._congruence_stage))
+        monkeypatch.setattr(orbitseries, "all_subquandles",
+                            counting(orbitseries.all_subquandles))
+        monkeypatch.setattr(classify, "_table_stage",
+                            counting(classify._table_stage))
         # the members' own tos comes from their facts, their quotients' from
         # orbitseries.degrees: dihedral(4)'s two quotients of order 3 fail
         monkeypatch.setattr(orbitseries, "degrees", tos_plus_one)
@@ -626,9 +721,14 @@ class TestVerifySuite:
         assert medial.passed and medial.checked == 3
         for r in one.results:
             if r.name in self.STAGE_FACTS:
-                assert results[r.name].checked == 3 * r.checked > 0, r.name
+                assert results[r.name].checked == 3 * r.checked, r.name
+        # dihedral(4) is neither faithful nor connected
+        assert {r.name for r in one.results
+                if r.name in self.STAGE_FACTS and r.checked == 0} == {
+            "reductive-faithful-or-connected-is-trivial"}
         assert calls == {"gather_facts": 1, "is_ncs": 1, "all_congruences": 1,
-                         "is_medial": 1, "_congruence_stage": 1}
+                         "is_medial": 1, "all_subquandles": 1,
+                         "_table_stage": 1}
 
         # A QuandleError in the middle of the stage: each member keeps the
         # counts recorded before it and gets its own completion witness.
@@ -657,7 +757,7 @@ class TestVerifySuite:
                 assert results[r.name].checked == 3 * r.checked, r.name
         # two congruences' quotient facts ran before the raise, none after
         assert results["quotient-tos-bounded"].checked == 3 * 2
-        assert calls["_congruence_stage"] == 1
+        assert calls["_table_stage"] == 1
 
     def test_negated_ncs_scan_fails_on_every_checked_member(
             self, monkeypatch):
