@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import congruence, core, grouptables, orbitseries, permgroup
 from .core import Quandle
-from .errors import InconsistentCharacterizations, NotACongruence, QuandleError
+from .errors import InconsistentCharacterizations, QuandleError
 from .grouptables import GroupTable
 from .permgroup import PermGroup
 
@@ -519,12 +519,13 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
     facts.  A detail is formatted only when its check fails.
 
     The principal series serve both the branch and the quotient facts.
-    Each quotient is built from the lattice's own class ids, after
-    core.congruence_witness clears them, so a partition that is not a
-    congruence raises NotACongruence as core.quotient would.  Within the
-    table, a class met again in another congruence reuses its subquandle's
-    tos and lr, a quotient table met again reuses its principal series,
-    and each subset along the series is projected once per congruence.
+    Each quotient is built by core.quotient, so a partition that is not a
+    congruence raises NotACongruence there; the lattice's classes are in
+    canonical order, so the quotient's class ids are the lattice's own.
+    Within the table, a class met again in another congruence reuses its
+    subquandle's tos and lr, a quotient table met again reuses its
+    principal series, and each subset along the series is projected once
+    per congruence.
     """
     counts: dict[str, int] = {}
     failures: list[tuple[str, str]] = []
@@ -628,10 +629,7 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                    trivial == cong.refines(f.lam),
                    "relative transvection triviality disagrees with "
                    "translation-kernel refinement")
-            witness = core.congruence_witness(q, class_of)
-            if witness is not None:
-                raise NotACongruence(witness)
-            quot = core._quotient_table(q, cong.classes, class_of, None)
+            quot, _ = core.quotient(q, cong.classes)
             if tos is not None or lr is not None:
                 for cls in cong.classes:
                     if cls not in blocks:

@@ -148,12 +148,6 @@ def _subset_label(subset: tuple[int, ...]) -> str:
     return "{" + ",".join(str(member + 1) for member in subset) + "}"
 
 
-def _tree_text(node: OrbitTreeNode, indent: int, lines: list[str]) -> None:
-    lines.append("  " * indent + f"{_subset_label(node.subset)} size {node.size}")
-    for child in node.children:
-        _tree_text(child, indent + 1, lines)
-
-
 def _tree_dot(root: OrbitTreeNode) -> list[str]:
     lines = ["digraph orbit_tree {", "  node [shape=box];"]
     names: dict[int, str] = {}
@@ -173,9 +167,9 @@ def cmd_tree(args: argparse.Namespace) -> int:
     if args.dot:
         sys.stdout.write("\n".join(_tree_dot(root)) + "\n")
     else:
-        lines: list[str] = []
-        _tree_text(root, 0, lines)
-        sys.stdout.write("\n".join(lines) + "\n")
+        for node in root.nodes():
+            sys.stdout.write("  " * node.depth
+                             + f"{_subset_label(node.subset)} size {node.size}\n")
     return EXIT_OK
 
 

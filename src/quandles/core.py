@@ -55,14 +55,15 @@ def validate(table: Sequence[Sequence[int]], label: str | None = None) -> Quandl
 
     Distributivity says each L_a is an automorphism, L_a L_b = L_(a>b) L_a,
     and is checked a row at a time for a in a generating set X only, taken
-    greedily in element order with _close.  That is enough: once the rows
-    are bijections, {a : L_a is an automorphism} is closed under >, since
-    then L_(a>b) = L_a L_b L_a^-1, and closure under > alone gives the
-    subquandle X generates, which is everything.  A failure reruns the
-    ordered scan over all (a, b, c), so the witness is the first one in
-    that order.  The cost is |X| n row compositions: O(n^2) for connected
-    quandles generated by a few elements, but still O(n^3) for trivial(n),
-    where every element closes on itself alone and |X| = n.
+    greedily in element order by grouptables._generating_set, which
+    validate_group uses too.  That is enough: once the rows are bijections,
+    {a : L_a is an automorphism} is closed under >, since then L_(a>b) =
+    L_a L_b L_a^-1, and closure under > alone gives the subquandle X
+    generates, which is everything.  A failure reruns the ordered scan
+    over all (a, b, c), so the witness is the first one in that order.
+    The cost is |X| n row compositions: O(n^2) for connected quandles
+    generated by a few elements, but still O(n^3) for trivial(n), where
+    every element closes on itself alone and |X| = n.
     """
     t = tuple(tuple(row) for row in table)
     n = len(t)
@@ -80,7 +81,7 @@ def validate(table: Sequence[Sequence[int]], label: str | None = None) -> Quandl
             raise AxiomViolation(2, (a,))
     compose = permgroup.compose
     if all(compose(t[a], t[b]) == compose(t[t[a][b]], t[a])
-           for a in _generating_set(t) for b in range(n)):
+           for a in grouptables._generating_set(t) for b in range(n)):
         return Quandle(t, label)
     for a in range(n):
         ta = t[a]
@@ -92,28 +93,6 @@ def validate(table: Sequence[Sequence[int]], label: str | None = None) -> Quandl
                 if ta[tb[c]] != tabrow[ta[c]]:
                     raise AxiomViolation(3, (a, b, c))
     return Quandle(t, label)
-
-
-def _generating_set(table: Table) -> list[int]:
-    """Elements, in order, each outside the closure under > of those before.
-
-    Their closure is the whole carrier.  The rows must be idempotent
-    bijections of 0..n-1; distributivity is not needed.
-    """
-    gens: list[int] = []
-    members: list[int] = []
-    seen: set[int] = set()
-    for a in range(len(table)):
-        if len(members) == len(table):
-            break
-        if a in seen:
-            continue
-        gens.append(a)
-        done = len(members)
-        members.append(a)
-        _close(table, members, done)
-        seen.update(members[done:])
-    return gens
 
 
 def trivial(n: int) -> Quandle:
@@ -216,31 +195,6 @@ def direct_product(*quandles: Quandle) -> Quandle:
     return Quandle(table, " x ".join(q.label or "?" for q in quandles))
 
 
-def _close(table: Table, members: list[int], done: int) -> list[int]:
-    """Extend distinct members, the first done of them closed, to a closed set.
-
-    Each later member is multiplied both ways with every member listed
-    before it, and new products are appended, so each pair is multiplied once.
-    """
-    seen = set(members)
-    i = done
-    while i < len(members):
-        x = members[i]
-        row = table[x]
-        for j in range(i):
-            y = members[j]
-            v = row[y]
-            if v not in seen:
-                seen.add(v)
-                members.append(v)
-            v = table[y][x]
-            if v not in seen:
-                seen.add(v)
-                members.append(v)
-        i += 1
-    return members
-
-
 def subquandle_closure(q: Quandle, seed: Sequence[int]) -> tuple[int, ...]:
     """Smallest subset containing the seed closed under >, returned sorted.
 
@@ -253,7 +207,7 @@ def subquandle_closure(q: Quandle, seed: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("seed must be nonempty")
     if not all(0 <= x < q.order for x in members):
         raise ValueError("seed contains elements outside the carrier")
-    return tuple(sorted(_close(q.table, list(members), 0)))
+    return tuple(sorted(grouptables._close(q.table, list(members), 0)))
 
 
 def induced_subquandle(q: Quandle, subset: Sequence[int]) -> Quandle:

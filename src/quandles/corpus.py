@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator
 
-from . import core, grouptables
+from . import core, grouptables, qndfile
 from .core import Quandle, Table
 from .errors import CapExceeded, UnknownName
 from .grouptables import GroupTable
@@ -24,9 +24,10 @@ from .permgroup import compose, cycle_type, inverse
 DEFAULT_ENUMERATION_CAP = 6
 
 # 16-element witness: three orbits, the first carrying two interleaved
-# 4-element dihedral blocks, the other two trivial; the table is written
-# 1-based, row a column b holding a > b.
+# 4-element dihedral blocks, the other two trivial; the table is a .qnd
+# document (qndfile), 1-based, row a column b holding a > b.
 _SIXTEEN = """
+16
 1 2 4 3 5 6 7 8 11 12 9 10 15 16 13 14
 1 2 4 3 5 6 7 8 11 12 9 10 15 16 13 14
 2 1 3 4 5 6 7 8 10 9 12 11 14 13 16 15
@@ -46,13 +47,8 @@ _SIXTEEN = """
 """
 
 
-def _one_based_table(text: str) -> tuple[tuple[int, ...], ...]:
-    rows = [line.split() for line in text.strip().splitlines()]
-    return tuple(tuple(int(v) - 1 for v in row) for row in rows)
-
-
 def _sixteen() -> Quandle:
-    return core.validate(_one_based_table(_SIXTEEN), label="paper-example-16")
+    return qndfile.parse(_SIXTEEN, label="paper-example-16")
 
 
 def _s3_class(which: int, label: str) -> Quandle:

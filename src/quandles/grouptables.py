@@ -4,7 +4,9 @@ A group table is a square tuple-of-tuples over 0..m-1 with table[a][b] the
 product a*b.  Nothing here assumes which element is the identity; validation
 finds it.  Tables double as their own left regular permutation representation
 (row a is the permutation x -> a*x), so permgroup.closure(table) is the group
-as a permutation group, with its nilpotency class and derived length.
+as a permutation group, with its nilpotency class and derived length.  The
+closure of a subset under the operation, and the greedy generating set read
+off it, serve quandle tables too.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     """Check the group axioms and return the table as nested tuples.
 
     Associativity is checked a row at a time for a in a generating set X
-    only, taken greedily in element order by _product_generators.  That is
+    only, taken greedily in element order by _generating_set.  That is
     enough: A = {a : (ab)c = a(bc) for all b, c} is closed under the
     product, since for a, a' in A, ((aa')b)c = (a(a'b))c = a((a'b)c) =
     a(a'(bc)) = (aa')(bc), and X generates everything under the product
     alone, so A holds every element.  Neither step needs an identity.  The
     cost is O(m^2 |X|) lookups.  A failure reruns the ordered scan over
     all (a, b, c), so the message names the first failing triple in that
-    order; the identity and inverse checks then run as before.
+    order.  The identity is identity_of's first left identity e, which is
+    the two-sided one f when there is one (e = ef = f), so the table has
+    an identity exactly when e is also a right identity.
     """
     t = tuple(tuple(row) for row in table)
     m = len(t)
@@ -42,19 +46,15 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
                 raise NotAGroup(f"entry at ({a}, {b}) is not an element index")
     compose = permgroup.compose
     if not all(t[t[a][b]] == compose(t[a], t[b])
-               for a in _product_generators(t) for b in range(m)):
+               for a in _generating_set(t) for b in range(m)):
         for a in range(m):
             for b in range(m):
                 ab = t[a][b]
                 for c in range(m):
                     if t[ab][c] != t[a][t[b][c]]:
                         raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
-    e = None
-    for cand in range(m):
-        if all(t[cand][x] == x == t[x][cand] for x in range(m)):
-            e = cand
-            break
-    if e is None:
+    e = identity_of(t)
+    if any(t[x][e] != x for x in range(m)):
         raise NotAGroup("no identity element")
     for a in range(m):
         if e not in t[a]:
@@ -62,32 +62,56 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupTable:
     return t
 
 
-def _product_generators(table: GroupTable) -> list[int]:
-    """Elements, in order, each outside the product closure of those before.
+def _close(table: GroupTable, members: list[int], done: int) -> list[int]:
+    """Extend distinct members, the first done of them closed, to a closed set.
 
-    Their closure under the product is the whole carrier.  Each new member
-    of a closure is multiplied both ways with every member listed before
-    it and with itself, so each ordered pair is multiplied once: O(m^2).
+    Each later member is multiplied with itself and both ways with every
+    member listed before it, and new products are appended, so each
+    ordered pair of members is multiplied once.  Quandles share this
+    closure: there a > a = a, so the square adds nothing, but a group
+    needs it.
+    """
+    seen = set(members)
+    i = done
+    while i < len(members):
+        x = members[i]
+        row = table[x]
+        for y in members[:i]:
+            v = row[y]
+            if v not in seen:
+                seen.add(v)
+                members.append(v)
+            v = table[y][x]
+            if v not in seen:
+                seen.add(v)
+                members.append(v)
+        v = row[x]
+        if v not in seen:
+            seen.add(v)
+            members.append(v)
+        i += 1
+    return members
+
+
+def _generating_set(table: GroupTable) -> list[int]:
+    """Elements, in order, each outside the closure (_close) of those before.
+
+    Their closure is the whole carrier.  The operation need satisfy no
+    axiom; core.validate and validate_group both read the set.
     """
     gens: list[int] = []
     members: list[int] = []
     seen: set[int] = set()
     for a in range(len(table)):
+        if len(members) == len(table):
+            break
         if a in seen:
             continue
         gens.append(a)
-        seen.add(a)
-        i = len(members)
+        done = len(members)
         members.append(a)
-        while i < len(members):
-            x = members[i]
-            row = table[x]
-            for y in members[:i + 1]:
-                for v in (row[y], table[y][x]):
-                    if v not in seen:
-                        seen.add(v)
-                        members.append(v)
-            i += 1
+        _close(table, members, done)
+        seen.update(members[done:])
     return gens
 
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Quandle, _close
+from .core import Quandle
 from .errors import CapExceeded
+from .grouptables import _close
 from .permgroup import orbits
 
 #: Most subquandles the enumerations find before raising CapExceeded.

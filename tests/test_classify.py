@@ -804,6 +804,74 @@ class TestVerifySuite:
         assert {r.name for r in rep.results if not r.passed} == {
             "classification-completes", "congruence-classes-are-subquandles"}
 
+    @staticmethod
+    def _failing(rep):
+        """{fact: witnesses} of the failing facts; each has a witness."""
+        failing = {r.name: r.witnesses for r in rep.results if not r.passed}
+        assert all(failing.values())
+        return failing
+
+    def test_swapped_quotient_labels_fail_only_the_memberwise_series(
+            self, monkeypatch):
+        # Every quotient table, the L-chain's too, conjugated by the swap
+        # of its classes 0 and 1: an isomorphic table, so the tos and lr
+        # facts still hold, but the projection onto it is wrong.
+        quotient_table = core._quotient_table
+
+        def swapped(q, blocks, class_of, label):
+            t = quotient_table(q, blocks, class_of, label).table
+            s = [1, 0, *range(2, len(t))] if len(t) > 1 else [0]
+            rows = [[0] * len(t) for _ in t]
+            for a, row in enumerate(t):
+                for b, v in enumerate(row):
+                    rows[s[a]][s[b]] = s[v]
+            return core.Quandle(tuple(map(tuple, rows)), label)
+
+        monkeypatch.setattr(core, "_quotient_table", swapped)
+        failing = self._failing(classify.verify_suite(corpus.default_corpus()))
+        assert set(failing) == {"quotient-series-memberwise"}
+        witnesses = failing["quotient-series-memberwise"]
+        assert "d4: projected series of 0 differs from the quotient series" in (
+            witnesses)
+        assert all(w.endswith(" differs from the quotient series")
+                   for w in witnesses)
+
+    def test_quotient_and_block_tos_one_too_low_fail_the_extension_bound(
+            self, monkeypatch):
+        # orbitseries.degrees serves only the memo: quotients, classes,
+        # subquandles and products that are not corpus members.  Lowering
+        # its tos passes the two upper bounds and fails the extension bound
+        # and the product fact.
+        degrees = orbitseries.degrees
+
+        def tos_minus_one(q):
+            d = degrees(q)
+            t = d.tos_degree
+            return orbitseries.SeriesDegrees(d.os_degree, t - 1 if t else t)
+
+        monkeypatch.setattr(orbitseries, "degrees", tos_minus_one)
+        failing = self._failing(classify.verify_suite(corpus.default_corpus()))
+        assert set(failing) == {"tos-extension-bound", "product-tos-is-max"}
+        assert failing["tos-extension-bound"] == (
+            "conj-d8: tos 2 exceeds 0+1", "conj-q8: tos 2 exceeds 0+1")
+
+    def test_quotient_and_block_lr_one_too_low_fail_the_extension_bound(
+            self, monkeypatch):
+        # The members' own lr stays right; only the memo's lr of the
+        # quotients and classes that are not members is one too low.
+        members = corpus.default_corpus()
+        own = set(members)
+        lr_degree = classify.locally_reductive_degree
+
+        def lr_minus_one(q):
+            lr = lr_degree(q)
+            return lr - 1 if lr and q not in own else lr
+
+        monkeypatch.setattr(classify, "locally_reductive_degree", lr_minus_one)
+        failing = self._failing(classify.verify_suite(members))
+        assert failing == {"locally-reductive-extension-bound": (
+            "conj-d8: lr 2 exceeds 0+1", "conj-q8: lr 2 exceeds 0+1")}
+
     def test_two_engel_fact_checks_groups_of_every_order(self):
         rep = classify.verify_suite([], [("d34", grouptables.dihedral_group(17))])
         fact = next(r for r in rep.results

@@ -127,14 +127,30 @@ def _with_row(table, a, b, v):
     return table[:a] + (tuple(row),) + table[a + 1:]
 
 
+def _closure_by_sweeps(table, seed):
+    """Closure of seed under the table's operation, by sweeps of products."""
+    members = set(seed)
+    while fresh := {table[a][b] for a in members for b in members} - members:
+        members |= fresh
+    return members
+
+
 def test_generating_set_generates():
-    for q in corpus.default_corpus() + [core.trivial(5), core.dihedral(64)]:
-        gens = core._generating_set(q.table)
-        assert core.subquandle_closure(q, gens) == tuple(range(q.order)), q.label
+    # one greedy generating set serves quandles and groups: each element
+    # lies outside the closure of those before it, and all of them close on
+    # the whole carrier; a group's closure needs squares, a quandle's not
+    tables = [(q.label, q.table) for q in corpus.default_corpus()
+              + [core.trivial(5), core.dihedral(64)]]
+    tables += corpus.builtin_groups()
+    tables.append(("s5-group", grouptables.symmetric_group(5)))
+    for label, table in tables:
+        gens = grouptables._generating_set(table)
+        assert _closure_by_sweeps(table, gens) == set(range(len(table))), label
         for i in range(1, len(gens)):
-            assert gens[i] not in core.subquandle_closure(q, gens[:i]), q.label
-    assert core._generating_set(core.trivial(5).table) == [0, 1, 2, 3, 4]
-    assert core._generating_set(core.dihedral(64).table) == [0, 1]
+            assert gens[i] not in _closure_by_sweeps(table, gens[:i]), label
+    assert grouptables._generating_set(core.trivial(5).table) == [0, 1, 2, 3, 4]
+    assert grouptables._generating_set(core.dihedral(64).table) == [0, 1]
+    assert grouptables._generating_set(grouptables.cyclic(5)) == [0, 1]
 
 
 def test_trivial_rows_are_identity():

@@ -74,6 +74,10 @@ def test_validate_group_reports_identity_and_inverse_failures():
     zero = [[0, 0], [0, 0]]
     assert _verdict(zero) == _oracles.group_axiom_violation(zero) == (
         "no identity element")
+    # x * y = y: both elements are left identities, neither a right one
+    left = [[0, 1], [0, 1]]
+    assert _verdict(left) == _oracles.group_axiom_violation(left) == (
+        "no identity element")
     monoid = [[0, 0], [0, 1]]  # {0, 1} under multiplication
     assert _verdict(monoid) == _oracles.group_axiom_violation(monoid) == (
         "element 0 has no inverse")

@@ -198,11 +198,29 @@ def _functions_calling(name: str) -> set[str]:
 
 
 def test_only_outside_tables_are_validated():
-    assert _functions_calling("validate") == {"qndfile.parse", "corpus._sixteen"}
+    # the paper's 16-element table enters as a .qnd document
+    assert _functions_calling("validate") == {"qndfile.parse"}
 
 
 def test_group_tables_are_validated_in_one_place():
     assert _functions_calling("validate_group") == {"core.conj_subset"}
+
+
+def test_one_closure_kernel_for_quandles_and_groups():
+    # quandle and group validation read one greedy generating set, and
+    # every closure under the operation runs one worklist
+    assert _functions_calling("_close") == {
+        "grouptables._generating_set", "core.subquandle_closure",
+        "orbitseries._subquandles"}
+    assert _functions_calling("_generating_set") == {
+        "core.validate", "grouptables.validate_group"}
+
+
+def test_quotients_are_built_in_one_place():
+    # the suite's quotients pass core.quotient's congruence check; only
+    # the row-equality chain, a congruence by construction, skips it
+    assert _functions_calling("_quotient_table") == {
+        "core.quotient", "congruence.l_chain"}
 
 
 def test_one_engel_bracket_loop():
