@@ -17,13 +17,9 @@ def show_report(q):
 
 
 def show_tree(q, indent="   "):
-    def walk(node, depth):
+    for node in orbitseries.orbit_tree(q).nodes():
         members = "{" + ",".join(str(x + 1) for x in node.subset) + "}"
-        print(f"{indent}{'  ' * depth}{members} size {node.size}")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(orbitseries.orbit_tree(q), 0)
+        print(f"{indent}{'  ' * node.depth}{members} size {node.size}")
     print()
 
 

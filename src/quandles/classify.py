@@ -234,19 +234,20 @@ def is_connected(q: Quandle) -> bool:
     return len(permgroup.orbits(q.table)) == 1
 
 
-def _two_engel_verdict(table: GroupTable, whole_tos: int | None) -> bool:
-    """Whether the conjugation quandle of the group trivializes in two splits.
+def _two_engel_verdict(by_bracket: bool, whole_tos: int | None, order: int) -> bool:
+    """Whether the conjugation quandle of a group trivializes in two splits.
 
-    Decided by the bracket identity, is_n_engel_subset over the whole group
-    with n = 2, and cross-checked against whole_tos, the orbit-tree tos
-    degree of core.conj(table); the two computations share nothing, so a
-    mismatch raises InconsistentCharacterizations.
+    by_bracket is the group's verdict by the bracket identity,
+    is_n_engel_subset over the whole group with n = 2, which the suite's
+    Engel bridge has already computed.  It is cross-checked against
+    whole_tos, the orbit-tree tos degree of the group's conjugation quandle;
+    the two computations share nothing, so a mismatch raises
+    InconsistentCharacterizations.  order is the group's, for the message.
     """
-    by_bracket = grouptables.is_n_engel_subset(table, range(len(table)), 2)
     by_tree = whole_tos is not None and whole_tos <= 2
     if by_bracket != by_tree:
         raise InconsistentCharacterizations(
-            f"two-split verdicts disagree on a group of order {len(table)}: "
+            f"two-split verdicts disagree on a group of order {order}: "
             f"bracket={by_bracket} tree={by_tree}")
     return by_bracket
 
@@ -312,12 +313,11 @@ class QuandleFacts(ClassificationReport):
     verify_suite() reports it as a failing fact.
     """
 
-    q: Quandle
     inn_orbits: tuple[tuple[int, ...], ...]
     trans_orbits: tuple[tuple[int, ...], ...]
     lam: congruence.Congruence
     tree: orbitseries.OrbitTreeNode
-    chain: congruence.OChain
+    chain: tuple[congruence.Congruence, ...]
     ident: int | None
     collapse_steps: int | None
 
@@ -365,6 +365,7 @@ def gather_facts(q: Quandle) -> QuandleFacts:
         ident = _first_constant_layer(q)
     inn_cls = permgroup.nilpotency_class(groups.inn, groups.inn_derived)
     collapse = congruence.l_chain(q)
+    red = len(chain) - 1 if chain[-1].is_zero else None
     steps = len(collapse) - 1 if collapse[-1].order == 1 else None
     trans_orbits = chain[min(1, len(chain) - 1)].classes
     # Abelian: medial with Trans(Q) semiregular, every orbit of |Trans| points.
@@ -380,7 +381,7 @@ def gather_facts(q: Quandle) -> QuandleFacts:
         nilpotent_quandle=nilpotent,
         solvable_quandle=dl is not None,
         trans_derived_length=dl,
-        reductive_degree=chain.degree,
+        reductive_degree=red,
         locally_reductive_degree=lr,
         os_degree=sd.os_degree,
         tos_degree=sd.tos_degree,
@@ -388,7 +389,6 @@ def gather_facts(q: Quandle) -> QuandleFacts:
         inn_order=groups.inn.order,
         trans_order=trans_group.order,
         inn_nilpotency_class=inn_cls,
-        q=q,
         inn_orbits=inn_orbits,
         trans_orbits=trans_orbits,
         lam=lam,
@@ -519,9 +519,8 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
     facts.  A detail is formatted only when its check fails.
 
     The principal series serve both the branch and the quotient facts.
-    Each quotient is built by core.quotient, so a partition that is not a
-    congruence raises NotACongruence there; the lattice's classes are in
-    canonical order, so the quotient's class ids are the lattice's own.
+    Each quotient and its projection come from core.quotient, so a
+    partition that is not a congruence raises NotACongruence there.
     Within the table, a class met again in another congruence reuses its
     subquandle's tos and lr, a quotient table met again reuses its
     principal series, and each subset along the series is projected once
@@ -618,7 +617,6 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
         blocks: dict[tuple[int, ...], tuple[int | None, int | None]] = {}
         quotient_series: dict[Quandle, list[list[tuple[int, ...]]]] = {}
         for cong in lattice or ():  # None above CONGRUENCE_MAX_ORDER
-            class_of = cong.class_of
             for cls in cong.classes:
                 members = set(cls)
                 record("congruence-classes-are-subquandles",
@@ -629,7 +627,7 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                    trivial == cong.refines(f.lam),
                    "relative transvection triviality disagrees with "
                    "translation-kernel refinement")
-            quot, _ = core.quotient(q, cong.classes)
+            quot, class_of = core.quotient(q, cong.classes)
             if tos is not None or lr is not None:
                 for cls in cong.classes:
                     if cls not in blocks:
@@ -719,7 +717,8 @@ def verify_suite(corpus: Iterable[Quandle],
     "order-n table".  A QuandleError in the stage fails
     classification-completes for each of its members, who keep the counts
     recorded before it; one while deciding the 2-Engel verdict or the
-    reductive degree of a group's conjugation quandle fails that fact.
+    reductive degree of a group's conjugation quandle fails that fact.  The
+    2-Engel verdict reads the bridge's n = 2 scan of the whole group.
     Within one call the tos, lr and reductive degrees come from per-table
     memos, which each stage seeds with its table's own degrees; a reductive
     degree the memo lacks comes from classify().
@@ -764,19 +763,22 @@ def verify_suite(corpus: Iterable[Quandle],
                    f"{na} x {nb}: product tos {pt} != max({ta},{tb})")
 
     for gname, table in groups or ():
-        whole = core.conj(table)
-        subsets = [(tuple(range(len(table))), whole)]
+        whole, everything = core.conj(table), tuple(range(len(table)))
+        subsets = [(everything, whole)]
         subsets.extend((cls, core.induced_subquandle(whole, cls))
                        for cls in grouptables.conjugacy_classes(table))
+        bracket: dict[tuple[tuple[int, ...], int], bool] = {}
         for subset, quandle in subsets:
             for n in range(1, ENGEL_MAX_N + 1):
                 lhs = is_n_locally_reductive(quandle, n)
-                rhs = grouptables.is_n_engel_subset(table, subset, n)
+                rhs = bracket[subset, n] = grouptables.is_n_engel_subset(
+                    table, subset, n)
                 record("conjugation-engel-subset-bridge", lhs == rhs,
                        f"{gname}, subset {subset}, n={n}: "
                        f"local reductivity {lhs} vs bracket {rhs}")
         try:
-            two_engel = _two_engel_verdict(table, tos_of[whole])
+            two_engel = _two_engel_verdict(bracket[everything, 2],
+                                           tos_of[whole], len(table))
             red = red_of[whole] if two_engel else None
         except QuandleError as exc:
             record("two-engel-conjugation-reductive-by-3", False,

@@ -56,17 +56,17 @@ def _int_params(family: str, params: Sequence[str], count: int) -> list[int]:
     return values
 
 
+#: The families taking integer parameters: each name's builder and arity.
+_INTEGER_FAMILIES = {"trivial": (core.trivial, 1), "dihedral": (core.dihedral, 1),
+                     "affine": (core.affine, 2)}
+_COMPOSITES = {"union": core.disjoint_union, "product": core.direct_product}
+
+
 def _build_member(family: str, params: Sequence[str]) -> Quandle:
     """Construct one flat family member; see _generate for union/product."""
-    if family == "trivial":
-        (n,) = _int_params(family, params, 1)
-        return core.trivial(n)
-    if family == "dihedral":
-        (n,) = _int_params(family, params, 1)
-        return core.dihedral(n)
-    if family == "affine":
-        n, t = _int_params(family, params, 2)
-        return core.affine(n, t)
+    if family in _INTEGER_FAMILIES:
+        builder, arity = _INTEGER_FAMILIES[family]
+        return builder(*_int_params(family, params, arity))
     if family == "conj":
         if not 1 <= len(params) <= 2:
             raise _UsageError("conj takes a builtin group name and an optional exponent")
@@ -83,9 +83,6 @@ def _build_member(family: str, params: Sequence[str]) -> Quandle:
             raise _UsageError("builtin takes exactly one registry name")
         return corpus.builtin_quandle(params[0])
     raise _UsageError(f"unknown family {family!r}")
-
-
-_COMPOSITES = {"union": core.disjoint_union, "product": core.direct_product}
 
 
 def _member_from_spec(spec: str) -> Quandle:
@@ -191,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write an operation table in .qnd form")
     gen.add_argument("family",
-                     choices=("trivial", "dihedral", "affine", "conj", "union",
-                              "product", "builtin"))
+                     choices=(*_INTEGER_FAMILIES, "conj", *_COMPOSITES, "builtin"))
     gen.add_argument("params", nargs="*", metavar="PARAM",
                      help="family parameters; union/product take flat specs like dihedral:4")
     gen.add_argument("--out", metavar="PATH", help="output file (default: stdout)")

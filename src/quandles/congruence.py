@@ -11,7 +11,7 @@ rows, and the two descending chains derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import core, permgroup
 from .core import Quandle
@@ -252,41 +252,14 @@ def l_chain(q: Quandle) -> list[Quandle]:
     return chain
 
 
-@dataclass(frozen=True)
-class OChain:
-    """The descending chain 1_Q = O^0, O^1, ... up to its first repeat.
+def o_chain(q: Quandle) -> tuple[Congruence, ...]:
+    """The descending chain 1_Q = O^0, O^1, ... of orbit congruences.
 
-    Each term is the orbit congruence of the transvection group relative to
-    the previous term; reaching the identity partition is exactly
-    reductivity, and the index of that term is the reductive degree.
-    """
-
-    terms: tuple[Congruence, ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, i: int) -> Congruence:
-        return self.terms[i]
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    @property
-    def degree(self) -> Optional[int]:
-        """Index of the first identity-partition term, if any."""
-        for i, term in enumerate(self.terms):
-            if term.is_zero:
-                return i
-        return None
-
-
-def o_chain(q: Quandle) -> OChain:
-    """Compute the O-chain of q, stopping at the first repeated term.
-
-    Each term is the orbit partition of the previous term's
-    trans_rel_generators; no group is closed.  The identity partition,
-    which has no generators, ends the chain.
+    Each term is the orbit partition of the transvections relative to the
+    previous term (trans_rel_generators); no group is closed.  The chain
+    stops at its first zero term, which has no generators, or before its
+    first repeat.  Reaching the zero term is exactly reductivity: it is then
+    the last term, and its index, len(chain) - 1, is the reductive degree.
     """
     terms = [Congruence.one(q.order)]
     while not terms[-1].is_zero:
@@ -295,4 +268,4 @@ def o_chain(q: Quandle) -> OChain:
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    return OChain(tuple(terms))
+    return tuple(terms)

@@ -51,10 +51,9 @@ def _sixteen() -> Quandle:
     return qndfile.parse(_SIXTEEN, label="paper-example-16")
 
 
-def _s3_class(which: int, label: str) -> Quandle:
+def _s3_class(which: int) -> Quandle:
     table = grouptables.symmetric_group(3)
-    cls = grouptables.conjugacy_classes(table)[which]
-    return core.conj_subset(table, cls, label=label)
+    return core.conj_subset(table, grouptables.conjugacy_classes(table)[which])
 
 
 _GROUP_BUILDERS: dict[str, Callable[[], GroupTable]] = {
@@ -96,8 +95,8 @@ _QUANDLE_BUILDERS: dict[str, Callable[[], Quandle]] = {
     "conj-d8": lambda: core.conj(grouptables.dihedral_group(4)),
     "conj-a4": lambda: core.conj(grouptables.alternating_group_4()),
     "conj-d16": lambda: core.conj(grouptables.dihedral_group(8)),
-    "s3-transpositions": lambda: _s3_class(1, "s3-transpositions"),
-    "s3-3cycles": lambda: _s3_class(2, "s3-3cycles"),
+    "s3-transpositions": lambda: _s3_class(1),
+    "s3-3cycles": lambda: _s3_class(2),
     "d4-plus-d4": lambda: core.disjoint_union(core.dihedral(4), core.dihedral(4)),
     "d3-times-d3": lambda: core.direct_product(core.dihedral(3), core.dihedral(3)),
     "d4-times-d4": lambda: core.direct_product(core.dihedral(4), core.dihedral(4)),

@@ -58,10 +58,9 @@ class NotACongruence(QuandleError):
     and b>d lie in different classes.
     """
 
-    def __init__(self, witness: tuple[int, ...] | None = None):
+    def __init__(self, witness: tuple[int, ...]):
         self.witness = witness
-        detail = f", witness {witness}" if witness is not None else ""
-        super().__init__(f"partition is not a congruence{detail}")
+        super().__init__(f"partition is not a congruence, witness {witness}")
 
 
 class CapExceeded(QuandleError):

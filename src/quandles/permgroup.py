@@ -98,6 +98,24 @@ class _Level:
         return level
 
 
+def _sift(levels: Sequence[_Level], g: Perm, start: int) -> tuple[Perm, int]:
+    """Strip g by the transversals of levels[start:], level by level.
+
+    Returns the residue and the first level whose orbit misses the image of
+    its point, or len(levels) when g passed them all; g lies in the group
+    of levels[start] exactly when the residue is the identity.
+    """
+    for i in range(start, len(levels)):
+        level = levels[i]
+        x = g[level.point]
+        if x != level.point:
+            inv = level.rep_inv.get(x)
+            if inv is None:
+                return g, i
+            g = compose(inv, g)
+    return g, len(levels)
+
+
 class PermGroup:
     """A permutation group as a base and strong generating set.
 
@@ -119,22 +137,10 @@ class PermGroup:
         return self._order
 
     def __contains__(self, p: Perm) -> bool:
-        """Membership by sifting.
-
-        p is in the group exactly when stripping it by the transversals,
-        level by level, leaves the identity.
-        """
+        """Membership: p is in the group exactly when _sift strips it to 1."""
         if len(p) != self.degree:
             return False
-        p = tuple(p)
-        for level in self._levels:
-            x = p[level.point]
-            if x != level.point:
-                inv = level.rep_inv.get(x)
-                if inv is None:
-                    return False
-                p = compose(inv, p)
-        return p == self._identity
+        return _sift(self._levels, tuple(p), 0)[0] == self._identity
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermGroup):
@@ -179,8 +185,9 @@ class PermGroup:
         of them.  Pairs already tested stay tested, since transversals only
         grow.  A new representative's inverse is the old one's times the
         kept inverse of the strong generator, so inverse() runs once per
-        strong generator, not once per orbit point.  The helpers are local:
-        sift runs once per Schreier generator.
+        strong generator, not once per orbit point.  The helpers are local,
+        and the Schreier loop reaches _sift through a local name, as it
+        runs once per Schreier generator.
 
         bound, when given, is an order the group generated by the current
         generators and the candidates cannot exceed.  Building stops as
@@ -193,19 +200,7 @@ class PermGroup:
         and strong generating set already.
         """
         levels, e = self._levels, self._identity
-
-        def sift(g: Perm, start: int) -> tuple[Perm, int]:
-            # The residue, and the first level whose orbit misses the image
-            # of its point (len(levels) when g passed them all).
-            for i in range(start, len(levels)):
-                level = levels[i]
-                x = g[level.point]
-                if x != level.point:
-                    inv = level.rep_inv.get(x)
-                    if inv is None:
-                        return g, i
-                    g = compose(inv, g)
-            return g, len(levels)
+        sift = _sift
 
         def add_strong(h: Perm, first: int, last: int) -> None:
             # last may be one past the deepest level: a new level, based at
@@ -243,7 +238,7 @@ class PermGroup:
                         if self._order == bound:
                             return None
                         continue
-                    residue, stop = sift(compose(rep_inv[y], moved), i + 1)
+                    residue, stop = sift(levels, compose(rep_inv[y], moved), i + 1)
                     if residue != e:
                         return residue, stop
                 at += 1
@@ -252,7 +247,7 @@ class PermGroup:
         for g in candidates:
             if self._order == bound:
                 return
-            residue, stop = sift(g, 0)
+            residue, stop = _sift(levels, g, 0)
             if residue == e:
                 continue
             self.generators += (g,)

@@ -96,7 +96,9 @@ def test_criterion_04_reductivity_routes_agree(full_corpus):
     counts = [len(corpus.enumerate_quandles(n)) for n in range(1, 6)]
     assert counts == [1, 1, 3, 7, 22]
     for q in full_corpus:
-        chain_deg = congruence.o_chain(q).degree
+        chain = congruence.o_chain(q)
+        chain_deg = next(
+            (i for i, term in enumerate(chain) if term.is_zero), None)
         ident_deg = _identity_route_degree(q)
         inn_cls = permgroup.nilpotency_class(congruence.inn(q))
         collapse = congruence.l_chain(q)

@@ -320,8 +320,10 @@ class TestStructureFlags:
 
 
 def _two_engel(table):
+    # the suite passes its Engel bridge's whole-group verdict at n = 2
     return classify._two_engel_verdict(
-        table, orbitseries.degrees(core.conj(table)).tos_degree)
+        grouptables.is_n_engel_subset(table, range(len(table)), 2),
+        orbitseries.degrees(core.conj(table)).tos_degree, len(table))
 
 
 class TestConjTwoEngelCheck:
@@ -347,6 +349,14 @@ class TestConjTwoEngelCheck:
         ("d16-group", False), ("a4-group", False)])
     def test_builtin_group_verdicts(self, name, verdict):
         assert _two_engel(corpus.builtin_group(name)) == verdict
+
+    def test_bracket_and_tree_disagreeing_raise(self):
+        with pytest.raises(InconsistentCharacterizations,
+                           match="order 8: bracket=True tree=False"):
+            classify._two_engel_verdict(True, 3, 8)
+        with pytest.raises(InconsistentCharacterizations,
+                           match="order 6: bracket=False tree=True"):
+            classify._two_engel_verdict(False, 2, 6)
 
 
 class TestClassifyReports:
@@ -550,7 +560,7 @@ class TestVerifySuite:
 
     def test_two_engel_cross_check_error_is_a_failing_fact(self, monkeypatch):
         # The bracket and orbit-tree verdicts disagreeing is data too.
-        def disagree(table, whole_tos):
+        def disagree(by_bracket, whole_tos, order):
             raise InconsistentCharacterizations("verdicts disagree")
 
         monkeypatch.setattr(classify, "_two_engel_verdict", disagree)
@@ -871,6 +881,98 @@ class TestVerifySuite:
         failing = self._failing(classify.verify_suite(members))
         assert failing == {"locally-reductive-extension-bound": (
             "conj-d8: lr 2 exceeds 0+1", "conj-q8: lr 2 exceeds 0+1")}
+
+    # One planted defect per quantity that no other test makes wrong; each
+    # names the exact set of facts it fails, on the default corpus and the
+    # builtin groups.
+    @pytest.fixture
+    def planted_failures(self, monkeypatch):
+        def plant(module, name, wrap):
+            monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+            return self._failing(classify.verify_suite(
+                corpus.default_corpus(), corpus.builtin_groups()))
+        return plant
+
+    def test_o_chain_with_terms_one_and_two_swapped(self, planted_failures):
+        # the reductive degree stays; the Trans orbits become O^2
+        def swap(o_chain):
+            def chain(q):
+                c = o_chain(q)
+                return (c[0], c[2], c[1], *c[3:]) if len(c) >= 4 else c
+            return chain
+
+        failing = planted_failures(congruence, "o_chain", swap)
+        members = ("d8", "conj-d16", "d16", "paper-example-16")
+        assert failing == {
+            "orbits-inner-equal-transvection": tuple(
+                f"{m}: inner and transvection orbits differ" for m in members),
+            "orbit-chain-descends": (
+                "d8: chain of 4 terms not descending",
+                "conj-d16: chain of 4 terms not descending",
+                "d16: chain of 5 terms not descending",
+                "paper-example-16: chain of 5 terms not descending"),
+        }
+
+    def test_negated_medial_scan(self, planted_failures):
+        failing = planted_failures(
+            classify, "is_medial", lambda is_medial: lambda q: not is_medial(q))
+        assert set(failing) == {"medial-iff-abelian-transvections"}
+        witnesses = failing["medial-iff-abelian-transvections"]
+        assert len(witnesses) == 24
+        assert "d3: medial=False abelian transvections=True" in witnesses
+        assert "conj-s3: medial=True abelian transvections=False" in witnesses
+
+    def test_engel_brackets_one_step_short(self, planted_failures):
+        # the bridge's whole-group verdict at n = 2 is also the 2-Engel
+        # fact's bracket verdict
+        failing = planted_failures(
+            grouptables, "is_n_engel_subset",
+            lambda engel: lambda table, subset, n: engel(table, subset, n - 1))
+        assert set(failing) == {"conjugation-engel-subset-bridge",
+                                "two-engel-conjugation-reductive-by-3"}
+        assert ("c2-group, subset (0, 1), n=1: local reductivity True vs "
+                "bracket False") in failing["conjugation-engel-subset-bridge"]
+        assert failing["two-engel-conjugation-reductive-by-3"] == tuple(
+            f"{name}: two-split verdicts disagree on a group of order "
+            f"{order}: bracket=False tree=True"
+            for name, order in (("d8-group", 8), ("q8-group", 8),
+                                ("h27-group", 27)))
+
+    def test_principal_series_missing_its_last_term(self, planted_failures):
+        def short(principal_series):
+            def series(q, x):
+                s = principal_series(q, x)
+                return s[:-1] if len(s) > 1 else s
+            return series
+
+        failing = planted_failures(orbitseries, "principal_series", short)
+        assert set(failing) == {"branches-are-principal-series",
+                                "quotient-series-memberwise"}
+        assert ("d2: branch to (0,) is not the principal series of its members"
+                in failing["branches-are-principal-series"])
+        assert ("d4: projected series of 0 differs from the quotient series"
+                in failing["quotient-series-memberwise"])
+
+    def test_row_equality_congruence_always_zero(self, planted_failures):
+        # every member reads as faithful and the L-chain never leaves it
+        failing = planted_failures(
+            congruence, "lambda_congruence",
+            lambda _: lambda q: congruence.Congruence.zero(q.order))
+        assert set(failing) == {
+            "reductivity-routes-agree",
+            "reductive-faithful-or-connected-is-trivial",
+            "relative-transvections-trivial-iff-kernel",
+            "two-engel-conjugation-reductive-by-3"}
+        assert ("d4: chain=2 identity=2 inner-class=1 collapse=None"
+                in failing["reductivity-routes-agree"])
+        assert ("d4: reductive but order 4"
+                in failing["reductive-faithful-or-connected-is-trivial"])
+        assert ("t2: relative transvection triviality disagrees with "
+                "translation-kernel refinement"
+                in failing["relative-transvections-trivial-iff-kernel"])
+        assert ("h27-group: reductivity routes disagree on conj(order 27, "
+                "k=1): chain=2 identity=2 inner-class=1 collapse-steps=None"
+                in failing["two-engel-conjugation-reductive-by-3"])
 
     def test_two_engel_fact_checks_groups_of_every_order(self):
         rep = classify.verify_suite([], [("d34", grouptables.dihedral_group(17))])

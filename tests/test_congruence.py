@@ -336,22 +336,27 @@ def test_l_chain_stalls_on_faithful_nontrivial():
     assert chain[-1].order == 3
 
 
+def _first_zero_index(chain):
+    """Index of the chain's first zero term, the reductive degree, or None."""
+    return next((i for i, term in enumerate(chain) if term.is_zero), None)
+
+
 def test_o_chain_of_trivial():
     chain = congruence.o_chain(core.trivial(3))
     assert len(chain) == 2
     assert chain[0].num_classes == 1 and chain[1].is_zero
-    assert chain.degree == 1
+    assert _first_zero_index(chain) == 1
 
 
 def test_o_chain_of_dihedral_four():
     chain = congruence.o_chain(core.dihedral(4))
-    assert chain.degree == 2
+    assert _first_zero_index(chain) == 2
     assert classes_as_sets(chain[1]) == {frozenset({0, 2}), frozenset({1, 3})}
 
 
 def test_o_chain_of_dihedral_three_never_reaches_zero():
     chain = congruence.o_chain(core.dihedral(3))
-    assert chain.degree is None
+    assert _first_zero_index(chain) is None
     assert chain[-1].num_classes == 1
 
 
@@ -364,7 +369,7 @@ def test_o_chain_terms_refine_downward():
 
 def test_o_chain_degree_of_the_point_is_zero():
     chain = congruence.o_chain(core.trivial(1))
-    assert chain.degree == 0
+    assert _first_zero_index(chain) == 0
 
 
 def test_o_chain_matches_checked_orbit_congruences():
@@ -387,7 +392,7 @@ def test_o_chain_matches_checked_orbit_congruences():
             if nxt == terms[-1]:
                 break
             terms.append(nxt)
-        assert congruence.o_chain(q).terms == tuple(terms), q.label
+        assert congruence.o_chain(q) == tuple(terms), q.label
 
 
 def _every_relative_transvection(q, cong):
@@ -409,7 +414,7 @@ def test_o_chain_without_repeated_generators_is_the_full_generator_chain():
             if nxt == terms[-1]:
                 break
             terms.append(nxt)
-        assert congruence.o_chain(q).terms == tuple(terms), label
+        assert congruence.o_chain(q) == tuple(terms), label
 
 
 def test_trans_rel_generators_are_the_distinct_relative_transvections():

@@ -19,6 +19,8 @@ def test_tour(capsys):
     out = capsys.readouterr().out
     assert "paper-example-16" in out
     assert "reductive only at 4" in out
+    # dihedral(4)'s orbit tree: the orbit {1,3} one split below the root
+    assert "\n     {1,3} size 2\n" in out
 
 
 def test_census(capsys):

@@ -7,9 +7,10 @@ adding or removing a knob or an export is a deliberate change of this file.  So 
 the functions that call core.validate: tables are checked where they enter
 the program, and a builder that re-validates a table it built is a change
 of this file too.  So are the callers of engel_bracket, so that a second
-bracket loop is one as well, of the exponential subquandle scan is_ncs,
-which only the fact suite runs, and of normal_closure, which only the
-derived subgroup and the lower central terms use.
+bracket loop is one as well, of the bracket scan is_n_engel_subset and of
+the sift, of the exponential subquandle scan is_ncs, which only the fact
+suite runs, and of normal_closure, which only the derived subgroup and the
+lower central terms use.  So is the list of gen families.
 """
 
 import argparse
@@ -225,6 +226,27 @@ def test_quotients_are_built_in_one_place():
 
 def test_one_engel_bracket_loop():
     assert _functions_calling("engel_bracket") == {"grouptables.is_n_engel_subset"}
+
+
+def test_one_engel_bracket_scan():
+    # the 2-Engel verdict reads the bridge's whole-group scan at n = 2
+    assert _functions_calling("is_n_engel_subset") == {"classify.verify_suite"}
+
+
+def test_one_sift():
+    # membership and Schreier-Sims strip by the transversals alike
+    assert _functions_calling("_sift") == {
+        "permgroup.PermGroup.__contains__", "permgroup.PermGroup._extend"}
+
+
+def test_gen_families_come_from_one_table():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    family = next(action for action in commands["gen"]._actions
+                  if action.dest == "family")
+    assert family.choices == (
+        "trivial", "dihedral", "affine", "conj", "union", "product", "builtin")
 
 
 def test_orbit_partitions_are_not_recomputed():
