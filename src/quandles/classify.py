@@ -3,11 +3,14 @@
 Each degree implemented here has at least two independent computations
 behind it.  The folded-product identity, the descending orbit-congruence
 chain, the nilpotency class of the inner group and the stabilizer-collapse
-chain all measure reductivity.  classify() insists they agree, and
-enforces the ordering between the three families on every report it emits;
-reductive_degree() reads its report.  A disagreement is never a property of
-the input quandle, only of this package, so it surfaces as
-InconsistentCharacterizations rather than as a value.
+chain all measure reductivity.  The identity and the collapse chain refine
+one relation two ways (see _first_constant_layer); the orbit chain and the
+inner class are the independent characterizations.  classify() insists
+the four agree, and enforces the ordering between the three families on
+every report it emits; reductive_degree() reads its report.  A
+disagreement is never a property of the input quandle, only of this
+package, so it surfaces as InconsistentCharacterizations rather than as a
+value.
 
 classify() and verify_suite() share one per-quandle pass, gather_facts().
 
@@ -55,6 +58,13 @@ def _first_constant_layer(q: Quandle, max_layer: int | None = None) -> int | Non
     that merges no class repeats forever: no layer is all-constant and the
     function returns None.  With max_layer set, gives up (returns None)
     past that layer instead of iterating to the fixed point.
+
+    =_k is the kernel of the projection Q -> L_k(Q), the k-th quotient of
+    congruence.l_chain, by induction: a =_(k+1) a' iff (a > c) =_k (a' > c)
+    for every c, iff [a] and [a'] have equal rows in L_k(Q).  So the
+    identity route and the collapse-steps route compute one sequence of
+    partitions, and comparing them checks two implementations, not two
+    characterizations; the O-chain and the inner class are those.
 
     Since the relations only coarsen and every step but the last merges a
     class, there are at most n layers of n^2 table lookups each: O(n^3),
@@ -171,12 +181,11 @@ def is_n_locally_reductive(q: Quandle, n: int) -> bool:
     n is clamped to |Q| first, which changes no answer: per b, the images
     of x -> x > b shrink strictly until they reach {b} or stop shrinking
     for good (see _constant_power), so the degree, when it exists, is
-    below |Q|.  The scan costs min(n, |Q|) |Q|^2 steps.
+    below |Q|.  The scan costs min(n, |Q|) |Q|^2 steps; at n = 0 it takes
+    none, and a equals every b only on the one-element quandle.
     """
     if n < 0:
         raise ValueError(f"local reductivity degree must be >= 0, got {n}")
-    if n == 0:
-        return q.order == 1
     n = min(n, q.order)
     table = q.table
     for b in range(q.order):
@@ -293,16 +302,6 @@ def _degree_chain_fault(lr: int | None, tos: int | None,
     return None
 
 
-def _enforce_degree_chain(report: ClassificationReport) -> None:
-    lr, tos, red = (report.locally_reductive_degree, report.tos_degree,
-                    report.reductive_degree)
-    fault = _degree_chain_fault(lr, tos, red)
-    if fault is not None:
-        raise InconsistentCharacterizations(
-            f"{fault} on {report.label or report.order}: "
-            f"lr={lr} tos={tos} red={red}")
-
-
 @dataclass(frozen=True)
 class QuandleFacts(ClassificationReport):
     """The report fields plus the raw material the fact suite reads.
@@ -408,16 +407,20 @@ def classify(q: Quandle) -> ClassificationReport:
     reductivity routes or the degree ordering disagree.
     """
     f = gather_facts(q)
+    name = q.label or f"order {q.order}"
     if not _routes_agree(f.reductive_degree, f.ident, f.inn_nilpotency_class,
                          f.collapse_steps):
         raise InconsistentCharacterizations(
-            f"reductivity routes disagree on {q.label or f'order {q.order}'}: "
+            f"reductivity routes disagree on {name}: "
             f"chain={f.reductive_degree} identity={f.ident} "
             f"inner-class={f.inn_nilpotency_class} "
             f"collapse-steps={f.collapse_steps}")
-    report = f.report()
-    _enforce_degree_chain(report)
-    return report
+    lr, tos, red = f.locally_reductive_degree, f.tos_degree, f.reductive_degree
+    fault = _degree_chain_fault(lr, tos, red)
+    if fault is not None:
+        raise InconsistentCharacterizations(
+            f"{fault} on {name}: lr={lr} tos={tos} red={red}")
+    return f.report()
 
 
 def reductive_degree(q: Quandle) -> int | None:

@@ -47,10 +47,6 @@ _SIXTEEN = """
 """
 
 
-def _sixteen() -> Quandle:
-    return qndfile.parse(_SIXTEEN, label="paper-example-16")
-
-
 def _s3_class(which: int) -> Quandle:
     table = grouptables.symmetric_group(3)
     return core.conj_subset(table, grouptables.conjugacy_classes(table)[which])
@@ -100,7 +96,7 @@ _QUANDLE_BUILDERS: dict[str, Callable[[], Quandle]] = {
     "d4-plus-d4": lambda: core.disjoint_union(core.dihedral(4), core.dihedral(4)),
     "d3-times-d3": lambda: core.direct_product(core.dihedral(3), core.dihedral(3)),
     "d4-times-d4": lambda: core.direct_product(core.dihedral(4), core.dihedral(4)),
-    "paper-example-16": _sixteen,
+    "paper-example-16": lambda: qndfile.parse(_SIXTEEN),
 }
 
 

@@ -28,16 +28,6 @@ from .permgroup import orbits
 DEFAULT_SUBSET_CAP = 2 ** 20
 
 
-def _orbits_within(table: tuple[tuple[int, ...], ...],
-                   subset: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the induced quandle on a closed subset.
-
-    The restricted translations are bijections of the subset, so the orbits
-    of the group they generate are the components of the edges b -> a |> b.
-    """
-    return orbits([table[a] for a in subset], subset)
-
-
 @dataclass(frozen=True)
 class OrbitTreeNode:
     """One closed subset along a splitting path.
@@ -79,12 +69,15 @@ class OrbitTreeNode:
 def orbit_tree(q: Quandle) -> OrbitTreeNode:
     """Build the full splitting tree of a quandle.
 
-    A subset splits only into at least two orbits, each strictly smaller and
-    nonempty, so the depth stays below q.order and the recursion ends.
+    A node's translations, restricted to its closed subset, are bijections
+    of it, so the orbits of the group they generate are the components of
+    the edges b -> a |> b.  A subset splits only into at least two orbits,
+    each strictly smaller and nonempty, so the depth stays below q.order
+    and the recursion ends.
     """
 
     def build(subset: tuple[int, ...], depth: int) -> OrbitTreeNode:
-        orbs = _orbits_within(q.table, subset)
+        orbs = orbits([q.table[a] for a in subset], subset)
         if len(orbs) == 1:
             return OrbitTreeNode(subset, depth, ())
         return OrbitTreeNode(

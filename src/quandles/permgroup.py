@@ -171,7 +171,7 @@ class PermGroup:
         group._order = self._order
         return group
 
-    def _extend(self, candidates: Iterable[Perm], bound: int | None = None) -> None:
+    def _extend(self, candidates: Iterable[Perm], bound: int | None) -> None:
         """Add the candidates in order, keeping each that does not sift to 1.
 
         A kept candidate joins generators, and its residue becomes a strong
@@ -189,7 +189,7 @@ class PermGroup:
         and the Schreier loop reaches _sift through a local name, as it
         runs once per Schreier generator.
 
-        bound, when given, is an order the group generated by the current
+        bound, unless None, is an order the group generated by the current
         generators and the candidates cannot exceed.  Building stops as
         soon as the order reaches it, even inside the Schreier-Sims loop:
         the strong generators of each level generate a group containing
@@ -294,7 +294,7 @@ def closure(generators: Sequence[Perm], degree: int | None = None, *,
 
 
 def normal_closure(seed: Sequence[Perm], ambient: PermGroup, *,
-                   bound: int | None = None) -> PermGroup:
+                   bound: int) -> PermGroup:
     """Smallest subgroup containing seed that ambient's generators normalize.
 
     One chain grows: the closure of seed, then each kept generator's
@@ -302,9 +302,9 @@ def normal_closure(seed: Sequence[Perm], ambient: PermGroup, *,
     they do not sift (and kept, so conjugated in their turn).  Since
     everything is finite, closure under conjugation by each ambient
     generator already gives closure under conjugation by inverses.  The
-    ambient generators' inverses are computed once.  bound, when given, is
-    an order the result is known not to exceed, and building stops once it
-    is reached (see PermGroup._extend).
+    ambient generators' inverses are computed once.  bound is an order the
+    result is known not to exceed, and building stops once it is reached
+    (see PermGroup._extend).
     """
     group = closure(seed, ambient.degree, bound=bound)
     ambient_inv = [(inverse(t), t) for t in ambient.generators]

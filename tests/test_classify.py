@@ -974,6 +974,29 @@ class TestVerifySuite:
                 "k=1): chain=2 identity=2 inner-class=1 collapse-steps=None"
                 in failing["two-engel-conjugation-reductive-by-3"])
 
+    def test_branch_leaving_its_subset(self, planted_failures):
+        # on d4, the first depth-2 leaf under the first root child holds a
+        # point of the other root child, so that branch's meet is not its
+        # leaf; the tree's degrees stay as they are
+        def stray(orbit_tree):
+            def tree(q):
+                root = orbit_tree(q)
+                if q.label != "d4":
+                    return root
+                first, *rest = root.children
+                outside = next(x for x in root.subset if x not in first.subset)
+                leaf, *others = first.children
+                leaf = orbitseries.OrbitTreeNode((outside,), leaf.depth, ())
+                first = orbitseries.OrbitTreeNode(
+                    first.subset, first.depth, (leaf, *others))
+                return orbitseries.OrbitTreeNode(
+                    root.subset, root.depth, (first, *rest))
+            return tree
+
+        failing = planted_failures(orbitseries, "orbit_tree", stray)
+        assert failing == {"branches-are-principal-series": (
+            "d4: branch meet is not the leaf",)}
+
     def test_two_engel_fact_checks_groups_of_every_order(self):
         rep = classify.verify_suite([], [("d34", grouptables.dihedral_group(17))])
         fact = next(r for r in rep.results
@@ -1059,6 +1082,20 @@ class TestRouteAgreement:
         assert not chain.passed
         assert chain.checked == 1
         assert chain.witnesses[0].startswith(f"{q.label}: lr={lr} ")
+
+    @pytest.mark.parametrize("module, name, fake, message", [
+        (congruence, "l_chain", lambda q: [q],
+         "reductivity routes disagree on order 4: chain=2 identity=2 "
+         "inner-class=1 collapse-steps=None"),
+        (classify, "locally_reductive_degree", lambda q: 99,
+         "degree ordering violated on order 4: lr=99 tos=2 red=2"),
+    ])
+    def test_both_faults_name_an_unlabelled_quandle_by_its_order(
+            self, monkeypatch, module, name, fake, message):
+        monkeypatch.setattr(module, name, fake)
+        with pytest.raises(InconsistentCharacterizations) as caught:
+            classify.classify(core.dihedral(4).relabel(None))
+        assert str(caught.value) == message
 
 
 class TestLargeInnerGroups:

@@ -254,7 +254,7 @@ def test_orbit_partitions_are_not_recomputed():
     # orbits off the O-chain instead of running orbits again.
     assert _functions_calling("orbits") == {
         "classify.is_connected", "congruence.o_chain",
-        "core._element_invariants", "orbitseries._orbits_within"}
+        "core._element_invariants", "orbitseries.orbit_tree.build"}
 
 
 def test_union_find_serves_only_congruences():
