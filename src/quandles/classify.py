@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import congruence, core, grouptables, orbitseries, permgroup
 from .core import Quandle
@@ -306,15 +306,15 @@ def _degree_chain_fault(lr: int | None, tos: int | None,
 class QuandleFacts(ClassificationReport):
     """The report fields plus the raw material the fact suite reads.
 
-    Built by gather_facts().  The four reductivity routes (the O-chain's
-    degree, ident, inn_nilpotency_class, collapse_steps) are stored side by
-    side and not compared here: classify() raises on a disagreement,
-    verify_suite() reports it as a failing fact.
+    Built by gather_facts().  The raw material is the Inn and Trans orbits,
+    the orbit tree and the O-chain; the four reductivity routes (the
+    O-chain's degree, ident, inn_nilpotency_class, collapse_steps) are
+    stored side by side and not compared here: classify() raises on a
+    disagreement, verify_suite() reports it as a failing fact.
     """
 
     inn_orbits: tuple[tuple[int, ...], ...]
     trans_orbits: tuple[tuple[int, ...], ...]
-    lam: congruence.Congruence
     tree: orbitseries.OrbitTreeNode
     chain: tuple[congruence.Congruence, ...]
     ident: int | None
@@ -329,18 +329,19 @@ def gather_facts(q: Quandle) -> QuandleFacts:
     """Every per-quandle quantity of the report and the suite, each built once.
 
     One pass builds the inner and transvection groups and their derived
-    subgroups (_groups: each from the last, none twice), the orbit tree,
-    the O- and L-chains and the rest, all polynomial in the order.  The Inn
-    orbits are the tree root's children (the root if it is a leaf); the
-    Trans orbits are O^1, or O^0 when the chain stops there (Q connected or
-    of order 1).  medial is whether the transvection group is abelian,
-    O(n^3), and ncs whether tos_degree exists; is_medial() and is_ncs() are
-    left to the suite.  Every leaf of the orbit tree is a connected
-    subquandle, and a connected subquandle lies in one orbit of each node
-    containing it, hence in a leaf: so ncs holds exactly when every leaf is
-    a singleton.  ncs is None above NCS_MAX_ORDER, the largest order the
-    suite's is_ncs scan checks it against.  Never raises on a route
-    disagreement.
+    subgroups (_groups: each from the last, none twice), the orbit tree, the
+    O- and L-chains and the rest, all polynomial in the order.  Q is
+    faithful when the L-chain stops at Q, so the equal-rows congruence is
+    built once, as its first step.  The Inn orbits are the tree root's
+    children (the root if it is a leaf); the Trans orbits are O^1, or O^0
+    when the chain stops there (Q connected or of order 1).  medial is
+    whether the transvection group is abelian, O(n^3), and ncs whether
+    tos_degree exists; is_medial() and is_ncs() are left to the suite.
+    Every leaf of the orbit tree is a connected subquandle, and a connected
+    subquandle lies in one orbit of each node containing it, hence in a
+    leaf: so ncs holds exactly when every leaf is a singleton.  ncs is None
+    above NCS_MAX_ORDER, the largest order the suite's is_ncs scan checks it
+    against.  Never raises on a route disagreement.
     """
     groups = _groups(q)
     trans_group = groups.trans
@@ -348,7 +349,6 @@ def gather_facts(q: Quandle) -> QuandleFacts:
     inn_orbits = tuple(c.subset for c in tree.children) or (tree.subset,)
     sd = orbitseries.SeriesDegrees.of_tree(tree)
     dl = permgroup.derived_length(trans_group, groups.trans_derived)
-    lam = congruence.lambda_congruence(q)
     medial = trans_group.is_abelian()
     nilpotent = permgroup.nilpotency_class(trans_group, groups.trans_derived) is not None
     lr = locally_reductive_degree(q)
@@ -374,7 +374,7 @@ def gather_facts(q: Quandle) -> QuandleFacts:
         label=q.label,
         orbit_sizes=tuple(sorted((len(o) for o in inn_orbits), reverse=True)),
         connected=len(inn_orbits) == 1,
-        faithful=lam.is_zero,
+        faithful=len(collapse) == 1,
         medial=medial,
         abelian=abelian,
         nilpotent_quandle=nilpotent,
@@ -390,7 +390,6 @@ def gather_facts(q: Quandle) -> QuandleFacts:
         inn_nilpotency_class=inn_cls,
         inn_orbits=inn_orbits,
         trans_orbits=trans_orbits,
-        lam=lam,
         tree=tree,
         chain=chain,
         ident=ident,
@@ -469,21 +468,22 @@ class SuiteReport:
 
 
 class _PerTable(dict):
-    """fn memoized on the table: memo[q] is fn(q), computed on first use.
+    """fn memoized on a table or a pair of tables, computed on first use.
 
-    verify_suite makes one per degree per call, and each table stage seeds
-    them with its own table's degrees.  So a table met again in the same
-    call, as a member, quotient, block, subquandle, product or conjugation
-    quandle, is not recomputed, and nothing is kept between calls.
-    Quandles compare and hash by table only.
+    verify_suite makes one per call for each quantity it looks up by
+    table: the stages, the principal series, the tos, lr and reductive
+    degrees, and the products' tos per pair of factor tables.  So a table
+    met again in the same call, as a member, quotient, block, subquandle,
+    product factor or conjugation quandle, is not recomputed, and nothing
+    is kept between calls.  Quandles compare and hash by table only.
     """
 
-    def __init__(self, fn: Callable[[Quandle], int | None]) -> None:
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
         super().__init__()
         self.fn = fn
 
-    def __missing__(self, q: Quandle) -> int | None:
-        value = self[q] = self.fn(q)
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.fn(key)
         return value
 
 
@@ -499,19 +499,17 @@ class _Stage(NamedTuple):
     (fact, detail) pairs of the checks that failed, in order; a member's
     witness is its name, a colon and the detail.  error is the QuandleError
     that ended the stage early, if any; the counts and failures recorded
-    before it stand.  facts is None when gathering the facts or the scans
-    raised, which leaves no counts; otherwise the members join the
-    products.
+    before it stand.  counts is empty exactly when gathering the facts or
+    the scans raised; otherwise the members join the products.
     """
 
     counts: dict[str, int]
     failures: list[tuple[str, str]]
     error: QuandleError | None
-    facts: QuandleFacts | None
 
 
 def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
-                 red_of: _PerTable) -> _Stage:
+                 red_of: _PerTable, series_of: _PerTable) -> _Stage:
     """Every fact of verify_suite that reads only the table, recorded once.
 
     The stage gathers the facts and runs the is_ncs scan (to
@@ -521,13 +519,13 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
     (to SUBQUANDLE_MAX_ORDER), the branch facts and the per-congruence
     facts.  A detail is formatted only when its check fails.
 
-    The principal series serve both the branch and the quotient facts.
-    Each quotient and its projection come from core.quotient, so a
-    partition that is not a congruence raises NotACongruence there.
-    Within the table, a class met again in another congruence reuses its
-    subquandle's tos and lr, a quotient table met again reuses its
-    principal series, and each subset along the series is projected once
-    per congruence.
+    The principal series, from series_of, serve both the branch and the
+    quotient facts, so a quotient table met again anywhere in the call
+    reuses its series.  Each quotient and its projection come from
+    core.quotient, so a partition that is not a congruence raises
+    NotACongruence there.  Within the table, a class met again in another
+    congruence reuses its subquandle's tos and lr, and each subset along
+    the series is projected once per congruence.
     """
     counts: dict[str, int] = {}
     failures: list[tuple[str, str]] = []
@@ -544,7 +542,7 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                    if q.order <= CONGRUENCE_MAX_ORDER else None)
         identity_medial = is_medial(q)
     except QuandleError as exc:
-        return _Stage({}, [], exc, None)
+        return _Stage({}, [], exc)
     red, lr, tos = (f.reductive_degree, f.locally_reductive_degree,
                     f.tos_degree)
     # Seeding here computes no degree twice: members arrive sorted by
@@ -597,7 +595,7 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                 record("subquandle-tos-bounded", st is not None and st <= tos,
                        "subquandle {} tos {} exceeds {}", subset, st, tos)
 
-        series = [orbitseries.principal_series(q, x) for x in range(q.order)]
+        series = series_of[q]
         for branch in f.tree.branches():
             path = [node.subset for node in branch]
             meet = set(path[0])
@@ -618,7 +616,7 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
         index = {s: i for i, s in enumerate(subsets)}
         paths = [[index[s] for s in path] for path in series]
         blocks: dict[tuple[int, ...], tuple[int | None, int | None]] = {}
-        quotient_series: dict[Quandle, list[list[tuple[int, ...]]]] = {}
+        lam = congruence.lambda_congruence(q)
         for cong in lattice or ():  # None above CONGRUENCE_MAX_ORDER
             for cls in cong.classes:
                 members = set(cls)
@@ -627,7 +625,7 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                        "class {} is not closed", cls)
             trivial = all(g == e for g in congruence.trans_rel_generators(q, cong))
             record("relative-transvections-trivial-iff-kernel",
-                   trivial == cong.refines(f.lam),
+                   trivial == cong.refines(lam),
                    "relative transvection triviality disagrees with "
                    "translation-kernel refinement")
             quot, class_of = core.quotient(q, cong.classes)
@@ -650,10 +648,7 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                     record("locally-reductive-extension-bound",
                            lr <= outer + max(inner_lr),
                            "lr {} exceeds {}+{}", lr, outer, max(inner_lr))
-            if quot not in quotient_series:
-                quotient_series[quot] = [orbitseries.principal_series(quot, y)
-                                         for y in range(quot.order)]
-            image = quotient_series[quot]
+            image = series_of[quot]
             projected = [tuple(sorted({class_of[x] for x in s})) for s in subsets]
             for x, path in enumerate(paths):
                 left = [projected[i] for i in path]
@@ -664,8 +659,8 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                        "projected series of {} differs from the quotient series",
                        x)
     except QuandleError as exc:
-        return _Stage(counts, failures, exc, f)
-    return _Stage(counts, failures, None, f)
+        return _Stage(counts, failures, exc)
+    return _Stage(counts, failures, None)
 
 
 #: Names of the corpus facts in report order; the group facts follow when
@@ -722,9 +717,10 @@ def verify_suite(corpus: Iterable[Quandle],
     recorded before it; one while deciding the 2-Engel verdict or the
     reductive degree of a group's conjugation quandle fails that fact.  The
     2-Engel verdict reads the bridge's n = 2 scan of the whole group.
-    Within one call the tos, lr and reductive degrees come from per-table
-    memos, which each stage seeds with its table's own degrees; a reductive
-    degree the memo lacks comes from classify().
+    Within one call every lookup by table goes through a _PerTable memo,
+    which the stages seed with their tables' own degrees; a reductive
+    degree the memo lacks comes from classify().  The principal series
+    share each distinct subset (subset_of), however many tables hold it.
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -739,25 +735,28 @@ def verify_suite(corpus: Iterable[Quandle],
     tos_of = _PerTable(lambda q: orbitseries.degrees(q).tos_degree)
     lr_of = _PerTable(locally_reductive_degree)
     red_of = _PerTable(reductive_degree)
-    stages: dict[Quandle, _Stage] = {}
+    subset_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    series_of = _PerTable(lambda q: [
+        [subset_of.setdefault(s, s) for s in orbitseries.principal_series(q, x)]
+        for x in range(q.order)])
+    stages = _PerTable(lambda q: _table_stage(q, tos_of, lr_of, red_of, series_of))
+    product_tos = _PerTable(lambda pair: tos_of[core.direct_product(*pair)])
     gathered: list[tuple[str, Quandle, int | None]] = []
     for q in quandles:
-        if q not in stages:
-            stages[q] = _table_stage(q, tos_of, lr_of, red_of)
-        counts, failures, error, facts = stages[q]
+        counts, failures, error = stages[q]
         name = q.label or f"order-{q.order} table"
         record("classification-completes", error is None, f"{name}: {error}")
         for fact, k in counts.items():
             checked[fact] += k
         for fact, detail in failures:
             failed[fact].append(f"{name}: {detail}")
-        if facts is not None:
-            gathered.append((name, q, facts.tos_degree))
+        if counts:
+            gathered.append((name, q, tos_of[q]))
 
     for (na, qa, ta), (nb, qb, tb) in combinations_with_replacement(gathered, 2):
         if qa.order * qb.order > PRODUCT_MAX_ORDER:
             continue
-        pt = tos_of[core.direct_product(qa, qb)]
+        pt = product_tos[qa, qb]
         if ta is None or tb is None:
             record("product-tos-is-max", pt is None,
                    f"{na} x {nb}: product tos {pt} without factors")

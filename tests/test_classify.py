@@ -298,6 +298,25 @@ class TestStructureFlags:
         assert not classify.classify(core.trivial(2)).faithful
         assert not classify.classify(core.dihedral(4)).faithful
 
+    def test_classify_builds_the_row_equality_congruence_once(self, monkeypatch):
+        # faithfulness is read off the L-chain, whose first step is λ(Q)
+        calls = Counter()
+        lambda_congruence = congruence.lambda_congruence
+
+        def counting(q):
+            calls[q.table] += 1
+            return lambda_congruence(q)
+
+        monkeypatch.setattr(congruence, "lambda_congruence", counting)
+        for q in (core.dihedral(8), core.dihedral(64), core.affine(43, 3)):
+            calls.clear()
+            congruence.l_chain(q)
+            alone = sum(calls.values())
+            calls.clear()
+            classify.classify(q)
+            assert sum(calls.values()) == alone, q.label
+            assert calls[q.table] == 1, q.label
+
     def test_abelian_quandle_values(self):
         assert classify.classify(core.trivial(4)).abelian
         assert classify.classify(core.dihedral(3)).abelian
@@ -467,11 +486,15 @@ class TestVerifySuite:
         # groups' conjugation quandles repeat tables; within one call each table's
         # orbit-tree degrees, lr and O-chain are computed once (the members'
         # own lr and O-chain by gather_facts, a group's conjugation quandle's
-        # by the classify() behind the reductive-degree memo), and a second
-        # call computes them again
+        # by the classify() behind the reductive-degree memo), as are the
+        # principal series of each (table, x) and the product of each pair
+        # of factor tables; a second call computes them again
         tos_calls, lr_calls, chain_calls = Counter(), Counter(), Counter()
+        series_calls, product_calls = Counter(), Counter()
         degrees, lr = orbitseries.degrees, classify.locally_reductive_degree
         o_chain = congruence.o_chain
+        principal_series = orbitseries.principal_series
+        direct_product = core.direct_product
 
         def counting_degrees(q):
             tos_calls[q.table] += 1
@@ -485,15 +508,27 @@ class TestVerifySuite:
             chain_calls[q.table] += 1
             return o_chain(q)
 
-        monkeypatch.setattr(orbitseries, "degrees", counting_degrees)
-        monkeypatch.setattr(classify, "locally_reductive_degree", counting_lr)
-        monkeypatch.setattr(congruence, "o_chain", counting_o_chain)
+        def counting_series(q, x):
+            series_calls[q.table, x] += 1
+            return principal_series(q, x)
+
+        def counting_product(*factors):
+            product_calls[tuple(f.table for f in factors)] += 1
+            return direct_product(*factors)
+
         members = corpus.default_corpus()  # t2 = d2 = s3-3cycles, d3 = s3-transpositions
         assert len(set(members)) < len(members)
         groups = corpus.builtin_groups()
+        monkeypatch.setattr(orbitseries, "degrees", counting_degrees)
+        monkeypatch.setattr(classify, "locally_reductive_degree", counting_lr)
+        monkeypatch.setattr(congruence, "o_chain", counting_o_chain)
+        monkeypatch.setattr(orbitseries, "principal_series", counting_series)
+        monkeypatch.setattr(core, "direct_product", counting_product)
         assert classify.verify_suite(members, groups).ok
         assert len(tos_calls) > 50 and max(tos_calls.values()) == 1
         assert len(chain_calls) > 21 and max(chain_calls.values()) == 1
+        assert len(series_calls) > 400 and max(series_calls.values()) == 1
+        assert len(product_calls) > 30 and max(product_calls.values()) == 1
         # The one exception for lr: a group's conjugation quandle that is no
         # member but is a quotient too (trivial(5) = conj(C5), a quotient of
         # conj-q8) gets its lr from the lr memo and again inside classify().

@@ -75,17 +75,32 @@ class TestGen:
     def test_wrong_parameter_count(self, capsys):
         assert cli.main(["gen", "affine", "5"]) == 1
         assert "2 integer parameters" in capsys.readouterr().err
+        for params in ([], ["q8-group", "2", "3"]):
+            assert cli.main(["gen", "conj", *params]) == 1
+            assert ("conj takes a builtin group name and an optional exponent"
+                    in capsys.readouterr().err)
+        for params in ([], ["d4", "d6"]):
+            assert cli.main(["gen", "builtin", *params]) == 1
+            assert ("builtin takes exactly one registry name"
+                    in capsys.readouterr().err)
 
     def test_non_integer_parameter(self, capsys):
         assert cli.main(["gen", "dihedral", "x"]) == 1
         assert "not an integer" in capsys.readouterr().err
+        assert cli.main(["gen", "conj", "q8-group", "x"]) == 1
+        assert ("conj: exponent 'x' is not an integer"
+                in capsys.readouterr().err)
 
     def test_bad_parameter_value_is_a_usage_error(self, capsys):
         assert cli.main(["gen", "dihedral", "0"]) == 1
         assert "order must be positive" in capsys.readouterr().err
 
-    def test_unknown_family_is_a_usage_error(self):
+    def test_unknown_family_is_a_usage_error(self, capsys):
         assert cli.main(["gen", "octonion", "3"]) == 1
+        capsys.readouterr()
+        # a member spec reaches the family check past the argument parser
+        assert cli.main(["gen", "union", "foo:1", "dihedral:3"]) == 1
+        assert "unknown family 'foo'" in capsys.readouterr().err
 
     def test_bad_affine_multiplier_is_a_domain_error(self, capsys):
         assert cli.main(["gen", "affine", "6", "2"]) == 2

@@ -171,6 +171,17 @@ def test_join():
     assert a.refines(joined) and b.refines(joined)
 
 
+def test_carriers_of_different_sizes_are_rejected():
+    four, three = Congruence.one(4), Congruence.one(3)
+    with pytest.raises(ValueError, match="partitions of different carriers"):
+        four.refines(three)
+    with pytest.raises(ValueError, match="partitions of different carriers"):
+        congruence.join(four, three)
+    with pytest.raises(ValueError,
+                       match="congruence size differs from quandle order"):
+        congruence.trans_rel_generators(core.dihedral(4), three)
+
+
 def _kernel_inputs():
     """The census up to order 5 and every default-corpus member up to order 8."""
     return _census(5) + [q for q in corpus.default_corpus() if q.order <= 8]

@@ -302,6 +302,12 @@ def test_disjoint_union_orbits_concatenate():
     assert parts == permgroup.orbits(q1.table) + shifted
 
 
+def test_composites_need_a_quandle():
+    for composite in (core.disjoint_union, core.direct_product):
+        with pytest.raises(ValueError, match="need at least one quandle"):
+            composite()
+
+
 def test_direct_product_with_point_is_identity():
     q = core.dihedral(5)
     prod = core.direct_product(core.trivial(1), q)
@@ -332,6 +338,14 @@ def test_subquandle_closure_of_singleton():
 
 def test_subquandle_closure_spans_dihedral_four():
     assert core.subquandle_closure(core.dihedral(4), (0, 1)) == (0, 1, 2, 3)
+
+
+def test_subquandle_closure_rejects_empty_and_foreign_seeds():
+    with pytest.raises(ValueError, match="seed must be nonempty"):
+        core.subquandle_closure(core.dihedral(4), [])
+    with pytest.raises(ValueError,
+                       match="seed contains elements outside the carrier"):
+        core.subquandle_closure(core.dihedral(4), [4])
 
 
 def test_subquandle_closure_in_trivial_is_identity():
@@ -373,6 +387,14 @@ def test_quotient_rejects_non_congruences():
     with pytest.raises(NotACongruence) as info:
         core.quotient(core.dihedral(3), [[0, 1], [2]])
     assert info.value.witness is not None
+    # an overlap and a missing element are no partitions at all
+    for classes in ([[0, 1], [1, 2, 3]], [[0, 2], [1]]):
+        with pytest.raises(ValueError, match="not a partition of the carrier"):
+            core.quotient(core.dihedral(4), classes)
+    # the witness search takes one class label per element
+    with pytest.raises(ValueError,
+                       match="partition size differs from quandle order"):
+        core.congruence_witness(core.dihedral(4), [0, 0, 1])
 
 
 def test_is_isomorphic_finds_relabelings():

@@ -21,6 +21,10 @@ def test_validate_group_accepts_presets():
 def test_validate_group_rejects_broken_tables():
     with pytest.raises(NotAGroup):
         grouptables.validate_group([[0, 1], [1, 1]])
+    with pytest.raises(NotAGroup, match="empty table"):
+        grouptables.validate_group(())
+    with pytest.raises(NotAGroup, match="row 1 has length 1, expected 2"):
+        grouptables.validate_group(((0, 1), (1,)))
     # latin square without associativity: the smallest loop that is not a group
     loop = [
         [0, 1, 2, 3, 4],

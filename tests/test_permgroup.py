@@ -113,6 +113,15 @@ def test_closure_without_generators():
     g = permgroup.closure([], degree=4)
     assert g.order == 1
     assert _elements(g) == [(0, 1, 2, 3)]
+    with pytest.raises(ValueError,
+                       match="need a degree when there are no generators"):
+        permgroup.closure([])
+
+
+def test_closure_rejects_generators_of_different_degrees():
+    with pytest.raises(ValueError,
+                       match="generators act on different point sets"):
+        permgroup.closure([(0, 1), (0, 1, 2)])
 
 
 def test_closure_of_inner_dihedral_three():
@@ -137,6 +146,8 @@ def test_closure_contains_inverses_and_products():
         assert permgroup.inverse(x) in g
         for y in elements[:5]:
             assert permgroup.compose(x, y) in g
+    # a permutation of another degree is no member
+    assert (0, 1) not in permgroup.closure([(1, 0, 2)])
 
 
 def test_closure_keeps_only_generators_that_enlarge_the_group():
