@@ -6,7 +6,9 @@ a, every L_a is a permutation, a > (b > c) = (a > b) > (a > c)) on tables
 that come from outside the program.  The constructors and quotient() build
 quandles by construction, checking only their parameters, so each table is
 checked once, where it enters.  Elements are 0-based indices; the file
-format used by the command line shifts to 1-based on the way out.
+format used by the command line shifts to 1-based on the way out.  A table
+the package builds indexes one tuple(range(n)), so it holds n int objects;
+validate() and qndfile.parse() give tables from outside the same form.
 """
 
 from __future__ import annotations
@@ -65,21 +67,22 @@ def validate(table: Sequence[Sequence[int]], label: str | None = None) -> Quandl
     generated by a few elements, but still O(n^3) for trivial(n), where
     every element closes on itself alone and |X| = n.
     """
-    t = tuple(tuple(row) for row in table)
-    n = len(t)
+    n = len(table)
     if n == 0:
         raise ValueError("a quandle needs at least one element")
-    for a, row in enumerate(t):
+    for a, row in enumerate(table):
         if len(row) != n or not all(isinstance(v, int) for v in row):
             raise AxiomViolation(2, (a,))
     for a in range(n):
-        if not (0 <= t[a][a] < n) or t[a][a] != a:
+        if table[a][a] != a:
             raise AxiomViolation(1, (a,))
-    full = set(range(n))
+    values = tuple(range(n))
+    full = set(values)
     for a in range(n):
-        if set(t[a]) != full:
+        if set(table[a]) != full:
             raise AxiomViolation(2, (a,))
     compose = permgroup.compose
+    t = tuple(compose(values, row) for row in table)
     if all(compose(t[a], t[b]) == compose(t[t[a][b]], t[a])
            for a in grouptables._generating_set(t) for b in range(n)):
         return Quandle(t, label)
@@ -104,15 +107,17 @@ def trivial(n: int) -> Quandle:
 
 
 def affine(n: int, t: int) -> Quandle:
-    """x > y = t(y - x) + x on Z_n; t must be a unit mod n."""
+    """x > y = t(y - x) + x = ty + (1 - t)x on Z_n, t a unit mod n: row x is
+    row 0 shifted by (1 - t)x, so row 0 is computed once."""
     if n < 1:
         raise ValueError("order must be positive")
     t %= n
     if math.gcd(t, n) != 1:
         raise NotAUnit(n, t)
-    table = tuple(
-        tuple((t * (b - a) + a) % n for b in range(n)) for a in range(n)
-    )
+    values = tuple(range(n))
+    row0 = [t * b % n for b in values]
+    table = tuple(permgroup.compose(values[k:] + values[:k], row0)
+                  for k in ((1 - t) * a % n for a in values))
     return Quandle(table, f"affine({n},{t})")
 
 
@@ -165,23 +170,14 @@ def disjoint_union(*quandles: Quandle) -> Quandle:
         raise ValueError("need at least one quandle")
     if len(quandles) == 1:
         return quandles[0]
-    offsets = []
-    acc = 0
-    for q in quandles:
-        offsets.append(acc)
-        acc += q.order
+    values = tuple(range(sum(q.order for q in quandles)))
     table = []
-    for qi, q in enumerate(quandles):
-        oi = offsets[qi]
-        for a in range(q.order):
-            row = []
-            for qj, r in enumerate(quandles):
-                oj = offsets[qj]
-                if qi == qj:
-                    row.extend(oi + v for v in q.table[a])
-                else:
-                    row.extend(range(oj, oj + r.order))
-            table.append(tuple(row))
+    s = 0
+    for q in quandles:
+        e = s + q.order
+        table.extend(values[:s] + permgroup.compose(values[s:e], row) + values[e:]
+                     for row in q.table)
+        s = e
     label = " + ".join(q.label or "?" for q in quandles)
     return Quandle(tuple(table), label)
 

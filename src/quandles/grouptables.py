@@ -221,9 +221,9 @@ def cyclic(n: int) -> GroupTable:
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
     """Componentwise product, row-major: pair (a1, a2) is a1 * len(t2) + a2."""
     m2 = len(t2)
-    offsets = [[v * m2 for v in row] for row in t1]
-    return tuple(tuple([o + v for o in off for v in row2])
-                 for off in offsets for row2 in t2)
+    values = tuple(range(len(t1) * m2))
+    return tuple(permgroup.compose(values, [c * m2 + v for c in row1 for v in row2])
+                 for row1 in t1 for row2 in t2)
 
 
 def dihedral_group(m: int) -> GroupTable:

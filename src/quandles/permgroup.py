@@ -34,7 +34,8 @@ def compose(p: Perm, q: Perm) -> Perm:
 
     The images are gathered by one itemgetter call.  Below degree 2 that
     would return a scalar (degree 1) or raise (degree 0), so those take
-    the plain loop.
+    the plain loop.  compose(values, row) is also how a table row gathers
+    its entries from one shared tuple(range(n)).
     """
     if len(q) < 2:
         return tuple(p[x] for x in q)

@@ -55,6 +55,7 @@ def parse(text: str, label: str | None = None) -> Quandle:
     if n < 1:
         raise ParseError(f"line {number}: order must be positive, got {n}")
 
+    values: tuple[int, ...] = ()
     rows: list[tuple[int, ...]] = []
     for _ in range(n):
         try:
@@ -64,6 +65,7 @@ def parse(text: str, label: str | None = None) -> Quandle:
         tokens = content.split()
         if len(tokens) != n:
             raise ParseError(f"line {number}: expected {n} entries, found {len(tokens)}")
+        values = values or tuple(range(n))  # once a row shows the document is that large
         row = []
         for token in tokens:
             if not _INTEGER.fullmatch(token):
@@ -71,7 +73,7 @@ def parse(text: str, label: str | None = None) -> Quandle:
             value = int(token)
             if not 1 <= value <= n:
                 raise ParseError(f"line {number}: entry {value} outside 1..{n}")
-            row.append(value - 1)
+            row.append(values[value - 1])
         rows.append(tuple(row))
 
     for number, content in lines:

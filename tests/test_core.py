@@ -10,7 +10,7 @@ import pytest
 
 import _inputs
 import _oracles
-from quandles import congruence, core, corpus, grouptables, permgroup
+from quandles import congruence, core, corpus, grouptables, permgroup, qndfile
 from quandles.errors import (
     AxiomViolation,
     NotACongruence,
@@ -328,6 +328,54 @@ def test_direct_product_componentwise():
                 for b2 in range(2):
                     left = prod.table[a1 * 2 + a2][b1 * 2 + b2]
                     assert left == q1.table[a1][b1] * 2 + q2.table[a2][b2]
+
+
+def _affine_op(n, t):
+    return lambda x, y: (t * (y - x) + x) % n
+
+
+def _union_op(x, y):
+    """dihedral(200) + dihedral(101): each block's own operation, y across."""
+    s, m = (0, 200) if x < 200 else (200, 101)
+    return s + (2 * (x - s) - (y - s)) % m if s <= y < s + m else y
+
+
+def _product_op(x, y):
+    """dihedral(17) x dihedral(18), pairs (a1, a2) numbered a1 * 18 + a2."""
+    (x1, x2), (y1, y2) = divmod(x, 18), divmod(y, 18)
+    return (2 * x1 - y1) % 17 * 18 + (2 * x2 - y2) % 18
+
+
+def _reference(n, op):
+    return tuple(tuple(op(x, y) for y in range(n)) for x in range(n))
+
+
+@pytest.mark.parametrize("build, n, op", [
+    pytest.param(lambda: core.dihedral(300), 300, _affine_op(300, -1), id="dihedral"),
+    pytest.param(lambda: core.affine(307, 3), 307, _affine_op(307, 3), id="affine"),
+    pytest.param(lambda: core.disjoint_union(core.dihedral(200), core.dihedral(101)),
+                 301, _union_op, id="disjoint_union"),
+    pytest.param(lambda: core.direct_product(core.dihedral(17), core.dihedral(18)),
+                 306, _product_op, id="direct_product"),
+    pytest.param(lambda: qndfile.parse(qndfile.serialize(core.dihedral(300))),
+                 300, _affine_op(300, -1), id="qndfile.parse"),
+    pytest.param(lambda: core.validate([list(r) for r in _reference(300, _affine_op(300, -1))]),
+                 300, _affine_op(300, -1), id="validate"),
+    pytest.param(lambda: core.induced_subquandle(core.dihedral(600), range(0, 600, 2)),
+                 300, _affine_op(300, -1), id="induced_subquandle"),
+    pytest.param(lambda: core.quotient(core.dihedral(600),
+                                       [(x, x + 300) for x in range(300)])[0],
+                 300, _affine_op(300, -1), id="quotient"),
+    pytest.param(lambda: congruence.l_chain(core.dihedral(1024))[1],
+                 512, _affine_op(512, -1), id="l_chain"),
+])
+def test_table_holds_one_int_object_per_value(build, n, op):
+    # CPython caches the ints up to 256 only, so above that an entry
+    # computed afresh would be an object of its own.
+    table = build().table
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    assert table == _reference(n, op)
+    assert len({id(v) for row in table for v in row}) == n
 
 
 def test_subquandle_closure_of_singleton():

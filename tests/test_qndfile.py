@@ -1,6 +1,7 @@
 """Tests for the plain-text table format."""
 
 import re
+import tracemalloc
 
 import pytest
 
@@ -80,6 +81,19 @@ class TestParse:
     def test_too_few_rows(self):
         with pytest.raises(ParseError, match="expected 3 table rows, found only 1"):
             qndfile.parse("3\n1 3 2\n")
+
+    def test_an_order_larger_than_the_document_allocates_nothing_of_its_size(self):
+        # the shared values of the parsed rows are built only once a row of
+        # n tokens shows the document is that large
+        tracemalloc.start()
+        try:
+            for text in ("1000000\n", "1000000\n1 2\n"):
+                with pytest.raises(ParseError):
+                    qndfile.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trailing_content_rejected(self):
         with pytest.raises(ParseError, match="line 4: unexpected content"):
