@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import congruence, core, grouptables, orbitseries, permgroup
 from .core import Quandle
 from .errors import InconsistentCharacterizations, QuandleError
 from .grouptables import GroupTable
-from .permgroup import PermGroup
 
 #: Bounds that choose the instances of verify_suite's exponential scans (see
 #: there); the report's ncs shares NCS_MAX_ORDER with the scan checking it.
@@ -68,16 +68,18 @@ def _first_constant_layer(q: Quandle, max_layer: int | None = None) -> int | Non
 
     Since the relations only coarsen and every step but the last merges a
     class, there are at most n layers of n^2 table lookups each: O(n^3),
-    the cost of core.validate's axiom scan.
+    the cost of core.validate's axiom scan.  The signatures come from
+    permgroup._row_signatures: byte strings up to order 256, translated in
+    C, and tuples gathered from tuple(range(n)) above.
     """
     size = q.order
-    labels: Sequence[int] = range(size)
+    signatures = permgroup._row_signatures(q.table)
+    labels: Sequence[int] = tuple(range(size))
     classes = size
     k = 0
     while True:
-        ids: dict[tuple[int, ...], int] = {}
-        labels = [ids.setdefault(permgroup.compose(labels, row), len(ids))
-                  for row in q.table]
+        ids: dict[Sequence[int], int] = {}
+        labels = [ids.setdefault(sig, len(ids)) for sig in signatures(labels)]
         k += 1
         if len(ids) == 1:
             return k
@@ -102,17 +104,8 @@ def is_n_reductive(q: Quandle, n: int) -> bool:
     return _first_constant_layer(q, max_layer=n) is not None
 
 
-class _Groups(NamedTuple):
-    """Trans(Q), its derived subgroup, Inn(Q) and its derived subgroup."""
-
-    trans: PermGroup
-    trans_derived: PermGroup
-    inn: PermGroup
-    inn_derived: PermGroup
-
-
-def _groups(q: Quandle) -> _Groups:
-    """The four groups the report reads, each built once, each from the last.
+def _groups(q: Quandle) -> SimpleNamespace:
+    """Trans(Q), Inn(Q) and their derived subgroups, each built once, each from the last.
 
     Inn(Q) = Trans(Q) <L_e> (Joyce 1982) extends a copy of Trans(Q)'s
     chain.  T' = [Trans, Trans] is built once; it is the second term of
@@ -136,12 +129,22 @@ def _groups(q: Quandle) -> _Groups:
     trans_group = congruence.trans(q)
     inn_group = congruence.inn(q, trans_group)
     trans_derived = permgroup.derived_subgroup(trans_group)
-    l_e = (q.table[0], permgroup.inverse(q.table[0]))
+    l_e, = permgroup._with_inverses(trans_group, [q.table[0]])
     brackets = permgroup._commutators(
-        (t, l_e) for t in permgroup._with_inverses(trans_group))
+        ((t, l_e) for t in permgroup._with_inverses(trans_group)), trans_group)
     inn_derived = permgroup.closure(brackets, q.order, start=trans_derived,
                                     bound=trans_group.order)
-    return _Groups(trans_group, trans_derived, inn_group, inn_derived)
+    return SimpleNamespace(trans=trans_group, trans_derived=trans_derived,
+                           inn=inn_group, inn_derived=inn_derived)
+
+
+def _group_facts(q: Quandle) -> tuple[int, int, bool, bool, int | None, int | None]:
+    """|Trans|, |Inn|, medial, nilpotent, Trans's derived length, Inn's class; no group kept."""
+    g = _groups(q)
+    return (g.trans.order, g.inn.order, g.trans.is_abelian(),
+            permgroup.nilpotency_class(g.trans, g.trans_derived) is not None,
+            permgroup.derived_length(g.trans, g.trans_derived),
+            permgroup.nilpotency_class(g.inn, g.inn_derived))
 
 
 def _routes_agree(deg: int | None, ident: int | None, cls: int | None,
@@ -328,9 +331,10 @@ class QuandleFacts(ClassificationReport):
 def gather_facts(q: Quandle) -> QuandleFacts:
     """Every per-quandle quantity of the report and the suite, each built once.
 
-    One pass builds the inner and transvection groups and their derived
-    subgroups (_groups: each from the last, none twice), the orbit tree, the
-    O- and L-chains and the rest, all polynomial in the order.  Q is
+    One pass reads the inner and transvection groups and their derived
+    subgroups (_group_facts: each from the last, none twice, none kept),
+    the orbit tree, the O- and L-chains and the rest, all polynomial in the
+    order.  Q is
     faithful when the L-chain stops at Q, so the equal-rows congruence is
     built once, as its first step.  The Inn orbits are the tree root's
     children (the root if it is a leaf); the Trans orbits are O^1, or O^0
@@ -343,14 +347,10 @@ def gather_facts(q: Quandle) -> QuandleFacts:
     above NCS_MAX_ORDER, the largest order the suite's is_ncs scan checks it
     against.  Never raises on a route disagreement.
     """
-    groups = _groups(q)
-    trans_group = groups.trans
+    trans_order, inn_order, medial, nilpotent, dl, inn_cls = _group_facts(q)
     tree = orbitseries.orbit_tree(q)
     inn_orbits = tuple(c.subset for c in tree.children) or (tree.subset,)
     sd = orbitseries.SeriesDegrees.of_tree(tree)
-    dl = permgroup.derived_length(trans_group, groups.trans_derived)
-    medial = trans_group.is_abelian()
-    nilpotent = permgroup.nilpotency_class(trans_group, groups.trans_derived) is not None
     lr = locally_reductive_degree(q)
     # The four reductivity routes.  When lr is None the identity route is
     # None without building a layer: layer k contains R_b^k, and an
@@ -362,13 +362,12 @@ def gather_facts(q: Quandle) -> QuandleFacts:
         ident = None
     else:
         ident = _first_constant_layer(q)
-    inn_cls = permgroup.nilpotency_class(groups.inn, groups.inn_derived)
     collapse = congruence.l_chain(q)
     red = len(chain) - 1 if chain[-1].is_zero else None
     steps = len(collapse) - 1 if collapse[-1].order == 1 else None
     trans_orbits = chain[min(1, len(chain) - 1)].classes
     # Abelian: medial with Trans(Q) semiregular, every orbit of |Trans| points.
-    abelian = medial and all(len(o) == trans_group.order for o in trans_orbits)
+    abelian = medial and all(len(o) == trans_order for o in trans_orbits)
     return QuandleFacts(
         order=q.order,
         label=q.label,
@@ -385,8 +384,8 @@ def gather_facts(q: Quandle) -> QuandleFacts:
         os_degree=sd.os_degree,
         tos_degree=sd.tos_degree,
         ncs=sd.tos_degree is not None if q.order <= NCS_MAX_ORDER else None,
-        inn_order=groups.inn.order,
-        trans_order=trans_group.order,
+        inn_order=inn_order,
+        trans_order=trans_order,
         inn_nilpotency_class=inn_cls,
         inn_orbits=inn_orbits,
         trans_orbits=trans_orbits,

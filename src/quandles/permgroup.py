@@ -10,6 +10,15 @@ base points, the basic orbit of its point under them, and a transversal
 of that orbit with its inverses.  The order is the product of the basic
 orbit lengths and membership is a sift, so no element set is ever built.
 
+Inside a chain, below degree 257, each permutation is a 256-byte
+translation table that fixes every point from the degree on: p*q is
+q.translate(p) and p^-1 is bytes.maketrans(p, range(256)), both in C.  A
+byte holds only the points below 256 and translate takes a table of
+exactly 256 entries, so larger degrees keep the tuples.  PermGroup picks
+its kernel (_kernel) once from the degree and the chain code calls only
+it, so no other module sees the table form: compose, inverse and identity
+take and return tuples, and so do a group's generators.
+
 Everything is deterministic: generators are taken in the given order and
 a new base point is the first point the sifted residue moves, which keeps
 every downstream computation reproducible.
@@ -19,10 +28,13 @@ The commutator convention is [x, y] = x^{-1} y^{-1} x y throughout.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
+
+_POINTS = bytes(range(256))
 
 
 def identity(degree: int) -> Perm:
@@ -47,6 +59,36 @@ def inverse(p: Perm) -> Perm:
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
+
+
+def _kernel(degree: int) -> tuple[Callable, Callable, Callable, Sequence[int]]:
+    """(to_chain, after, invert, identity) of a chain on degree points.
+
+    to_chain takes a sequence of degree points to the chain form, in which
+    after(q, p) is p*q and invert(p) is p^-1.  Up to 256 points the form is
+    a translation table padded with the fixed points up to 256, and after
+    is bytes.translate itself; above, it is the tuple.
+    """
+    if degree <= 256:
+        pad = _POINTS[degree:]
+        return (lambda p: bytes(p) + pad, bytes.translate,
+                lambda p: bytes.maketrans(p, _POINTS), _POINTS)
+    return tuple, lambda q, p: itemgetter(*q)(p), inverse, identity(degree)
+
+
+def _row_signatures(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Iterable]:
+    """A function taking labels to compose(labels, row) for each row, in order.
+
+    The rows are those of a square table, so labels has one entry per row.
+    The images serve only as dict keys: up to 256 rows they are byte
+    strings, the rows turned into bytes once, here, and translated through
+    the labels padded to 256 entries on each call; above, they are tuples.
+    """
+    if len(rows) > 256:
+        return lambda labels: map(compose, repeat(labels), rows)
+    rows = [bytes(row) for row in rows]
+    return lambda labels: map(bytes.translate, rows,
+                              repeat(bytes(labels) + _POINTS[len(labels):]))
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
@@ -99,12 +141,16 @@ class _Level:
         return level
 
 
-def _sift(levels: Sequence[_Level], g: Perm, start: int) -> tuple[Perm, int]:
+def _sift(levels: Sequence[_Level], g: Perm, start: int,
+          after: Callable) -> tuple[Perm, int]:
     """Strip g by the transversals of levels[start:], level by level.
 
-    Returns the residue and the first level whose orbit misses the image of
-    its point, or len(levels) when g passed them all; g lies in the group
-    of levels[start] exactly when the residue is the identity.
+    g and the chain are in the chain form of the group's kernel (_kernel),
+    and after(q, p) = p*q, so after(g, inv) strips g by the inverse
+    representative inv.  Returns the residue and the first level whose
+    orbit misses the image of its point, or len(levels) when g passed them
+    all; g lies in the group of levels[start] exactly when the residue is
+    the identity.
     """
     for i in range(start, len(levels)):
         level = levels[i]
@@ -113,7 +159,7 @@ def _sift(levels: Sequence[_Level], g: Perm, start: int) -> tuple[Perm, int]:
             inv = level.rep_inv.get(x)
             if inv is None:
                 return g, i
-            g = compose(inv, g)
+            g = after(g, inv)
     return g, len(levels)
 
 
@@ -121,15 +167,16 @@ class PermGroup:
     """A permutation group as a base and strong generating set.
 
     Build one with closure() or normal_closure(); the constructor makes the
-    trivial group.  generators are the kept given generators: each one that
-    did not sift to the identity, so each lies outside the group generated
-    by those kept before it.  The order is exact once the builder returns.
+    trivial group.  generators are the kept given generators, as tuples:
+    each one that did not sift to the identity, so each lies outside the
+    group generated by those kept before it.  The chain holds its own copy
+    in the kernel's form.  The order is exact once the builder returns.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
         self.generators: tuple[Perm, ...] = ()
-        self._identity = identity(degree)
+        self._to_chain, self._after, self._invert, self._identity = _kernel(degree)
         self._levels: list[_Level] = []
         self._order = 1
 
@@ -137,11 +184,11 @@ class PermGroup:
     def order(self) -> int:
         return self._order
 
-    def __contains__(self, p: Perm) -> bool:
+    def __contains__(self, p: Sequence[int]) -> bool:
         """Membership: p is in the group exactly when _sift strips it to 1."""
         if len(p) != self.degree:
             return False
-        return _sift(self._levels, tuple(p), 0)[0] == self._identity
+        return _sift(self._levels, self._to_chain(p), 0, self._after)[0] == self._identity
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermGroup):
@@ -157,10 +204,10 @@ class PermGroup:
 
     def is_abelian(self) -> bool:
         """True when the generators commute pairwise, which they generate."""
-        gens = self.generators
+        gens, after = list(map(self._to_chain, self.generators)), self._after
         for i, x in enumerate(gens):
             for y in gens[i + 1:]:
-                if compose(x, y) != compose(y, x):
+                if after(y, x) != after(x, y):
                     return False
         return True
 
@@ -175,9 +222,10 @@ class PermGroup:
     def _extend(self, candidates: Iterable[Perm], bound: int | None) -> None:
         """Add the candidates in order, keeping each that does not sift to 1.
 
-        A kept candidate joins generators, and its residue becomes a strong
-        generator of every level down to the one where its sift stopped.
-        The Schreier-Sims loop then runs from that level up to the top.  A
+        Candidates come in the kernel's chain form.  A kept candidate joins
+        generators as a tuple, and its residue becomes a strong generator
+        of every level down to the one where its sift stopped.  The
+        Schreier-Sims loop then runs from that level up to the top.  A
         level is done when every (orbit point, generator) pair is tested:
         a pair whose image is new extends the orbit and the transversal,
         any other gives a Schreier generator that must sift to the identity
@@ -185,10 +233,12 @@ class PermGroup:
         generator of the levels below, and the loop resumes at the deepest
         of them.  Pairs already tested stay tested, since transversals only
         grow.  A new representative's inverse is the old one's times the
-        kept inverse of the strong generator, so inverse() runs once per
-        strong generator, not once per orbit point.  The helpers are local,
-        and the Schreier loop reaches _sift through a local name, as it
-        runs once per Schreier generator.
+        kept inverse of the strong generator, so the kernel's invert runs
+        once per strong generator, not once per orbit point.  Every product
+        is the kernel's after(q, p) = p*q, which up to degree 256 is
+        bytes.translate itself.  The helpers are local, and the Schreier
+        loop reaches _sift and after through local names, as it runs once
+        per Schreier generator.
 
         bound, unless None, is an order the group generated by the current
         generators and the candidates cannot exceed.  Building stops as
@@ -201,14 +251,14 @@ class PermGroup:
         and strong generating set already.
         """
         levels, e = self._levels, self._identity
-        sift = _sift
+        sift, after, invert = _sift, self._after, self._invert
 
         def add_strong(h: Perm, first: int, last: int) -> None:
             # last may be one past the deepest level: a new level, based at
             # the first point h moves.
             if last == len(levels):
                 levels.append(_Level(next(x for x in range(self.degree) if h[x] != x), e))
-            h_inv = inverse(h)
+            h_inv = invert(h)
             for level in levels[first:last + 1]:
                 level.gens.append(h)
                 level.gens_inv.append(h_inv)
@@ -233,13 +283,13 @@ class PermGroup:
                     tested[at] = t + 1
                     s = gens[t]
                     y = s[x]
-                    moved = compose(s, rep[x])
+                    moved = after(rep[x], s)
                     if y not in rep:
-                        grow(level, y, moved, compose(rep_inv[x], level.gens_inv[t]))
+                        grow(level, y, moved, after(level.gens_inv[t], rep_inv[x]))
                         if self._order == bound:
                             return None
                         continue
-                    residue, stop = sift(levels, compose(rep_inv[y], moved), i + 1)
+                    residue, stop = sift(levels, after(moved, rep_inv[y]), i + 1, after)
                     if residue != e:
                         return residue, stop
                 at += 1
@@ -248,10 +298,10 @@ class PermGroup:
         for g in candidates:
             if self._order == bound:
                 return
-            residue, stop = _sift(levels, g, 0)
+            residue, stop = _sift(levels, g, 0, after)
             if residue == e:
                 continue
-            self.generators += (g,)
+            self.generators += (tuple(g[:self.degree]),)
             add_strong(residue, 0, stop)
             i = stop
             while i >= 0 and self._order != bound:
@@ -264,12 +314,13 @@ class PermGroup:
                     i = stop
 
 
-def closure(generators: Sequence[Perm], degree: int | None = None, *,
+def closure(generators: Sequence[Sequence[int]], degree: int | None = None, *,
             start: PermGroup | None = None, bound: int | None = None) -> PermGroup:
     """The group the generators generate, by Schreier-Sims.
 
-    Generators are taken in order and each one that sifts to the identity
-    is skipped: the result's generators are the kept ones, each outside the
+    Generators are sequences of points (tuples, lists, byte strings ...),
+    taken in order, and each one that sifts to the identity is skipped:
+    the result's generators are the kept ones, as tuples, each outside the
     group generated by those before it.  The cost is polynomial in the
     degree and the number of generators, whatever the group's order.
 
@@ -290,11 +341,11 @@ def closure(generators: Sequence[Perm], degree: int | None = None, *,
             start is not None and start.degree != degree):
         raise ValueError("generators act on different point sets")
     group = PermGroup(degree) if start is None else start._copy()
-    group._extend((tuple(g) for g in generators), bound)
+    group._extend(map(group._to_chain, generators), bound)
     return group
 
 
-def normal_closure(seed: Sequence[Perm], ambient: PermGroup, *,
+def normal_closure(seed: Sequence[Sequence[int]], ambient: PermGroup, *,
                    bound: int) -> PermGroup:
     """Smallest subgroup containing seed that ambient's generators normalize.
 
@@ -303,28 +354,38 @@ def normal_closure(seed: Sequence[Perm], ambient: PermGroup, *,
     they do not sift (and kept, so conjugated in their turn).  Since
     everything is finite, closure under conjugation by each ambient
     generator already gives closure under conjugation by inverses.  The
-    ambient generators' inverses are computed once.  bound is an order the
-    result is known not to exceed, and building stops once it is reached
-    (see PermGroup._extend).
+    conjugates are built in the chain form, and the ambient generators and
+    their inverses are put in it once.  bound is an order the result is
+    known not to exceed, and building stops once it is reached (see
+    PermGroup._extend).
     """
     group = closure(seed, ambient.degree, bound=bound)
-    ambient_inv = [(inverse(t), t) for t in ambient.generators]
+    after, ambient_gens = group._after, _with_inverses(ambient)
     done = 0
     while done < len(group.generators) and group.order != bound:
-        s = group.generators[done]
-        group._extend((compose(t_inv, compose(s, t)) for t_inv, t in ambient_inv), bound)
+        s = group._to_chain(group.generators[done])
+        group._extend((after(after(t, s), t_inv) for t, t_inv in ambient_gens), bound)
         done += 1
     return group
 
 
-def _commutators(pairs: Iterable[tuple[tuple[Perm, Perm], tuple[Perm, Perm]]]) -> list[Perm]:
-    """[x, y] = x^-1 y^-1 x y for each ((x, x^-1), (y, y^-1))."""
-    return [compose(x_inv, compose(y_inv, compose(x, y)))
+def _commutators(pairs: Iterable[tuple[tuple[Perm, Perm], tuple[Perm, Perm]]],
+                 group: PermGroup) -> list[Sequence[int]]:
+    """[x, y] = x^-1 y^-1 x y for each ((x, x^-1), (y, y^-1)) of group's chain form.
+
+    Each comes back as its first group.degree images, as closure takes it.
+    """
+    after, degree = group._after, group.degree
+    return [after(after(after(y, x), y_inv), x_inv)[:degree]
             for (x, x_inv), (y, y_inv) in pairs]
 
 
-def _with_inverses(group: PermGroup) -> list[tuple[Perm, Perm]]:
-    return [(g, inverse(g)) for g in group.generators]
+def _with_inverses(group: PermGroup,
+                   perms: Iterable[Sequence[int]] | None = None) -> list[tuple[Perm, Perm]]:
+    """(p, p^-1) in group's chain form for each of perms, by default its generators."""
+    invert = group._invert
+    return [(p, invert(p)) for p in map(
+        group._to_chain, group.generators if perms is None else perms)]
 
 
 def _commutator_term(term: PermGroup, group: PermGroup) -> PermGroup:
@@ -338,7 +399,7 @@ def _commutator_term(term: PermGroup, group: PermGroup) -> PermGroup:
     """
     gens = _with_inverses(group)
     pairs = ((x, g) for x in _with_inverses(term) for g in gens)
-    return normal_closure(_commutators(pairs), group, bound=term.order)
+    return normal_closure(_commutators(pairs, group), group, bound=term.order)
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
@@ -349,7 +410,7 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     """
     gens = _with_inverses(group)
     pairs = ((gens[i], gens[j]) for j in range(len(gens)) for i in range(j))
-    return normal_closure(_commutators(pairs), group, bound=group.order)
+    return normal_closure(_commutators(pairs, group), group, bound=group.order)
 
 
 def _commutator_series(group: PermGroup, second: PermGroup | None,

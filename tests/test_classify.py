@@ -337,6 +337,23 @@ class TestStructureFlags:
             assert (classify.classify(q).nilpotent_quandle
                     == (permgroup.nilpotency_class(group) is not None)), q.label
 
+    def test_group_fields_agree_across_the_byte_table_limit(self):
+        # groups of degree 256 are chained as byte tables, above as tuples;
+        # a point that every translation fixes changes no group but Trans:
+        # its own translation is the identity, so Trans reaches Inn
+        fields = ["inn_order", "inn_nilpotency_class", "trans_derived_length",
+                  "nilpotent_quandle", "solvable_quandle"]
+        union = core.disjoint_union(core.dihedral(128), core.dihedral(128))
+        tables = classify.classify(union)
+        plus_point = classify.classify(core.disjoint_union(union, core.trivial(1)))
+        doubled = classify.classify(core.direct_product(union, core.trivial(2)))
+        assert plus_point.order == 257 and doubled.order == 512
+        for report in (plus_point, doubled):
+            assert ([getattr(report, f) for f in fields]
+                    == [getattr(tables, f) for f in fields]), report.label
+        assert doubled.trans_order == tables.trans_order
+        assert plus_point.trans_order == plus_point.inn_order
+
 
 def _two_engel(table):
     # the suite passes its Engel bridge's whole-group verdict at n = 2

@@ -243,6 +243,15 @@ def test_one_sift():
         "permgroup.PermGroup.__contains__", "permgroup.PermGroup._extend"}
 
 
+def test_only_permgroup_knows_the_byte_table_form():
+    # chains below degree 257 compose with bytes.translate and invert with
+    # bytes.maketrans, both picked by one kernel; every other module passes
+    # and receives tuples
+    assert _functions_calling("maketrans") == {"permgroup._kernel"}
+    assert {caller.split(".")[0] for caller in _functions_calling("translate")} <= {
+        "permgroup"}
+
+
 def test_gen_families_come_from_one_table():
     parser = cli.build_parser()
     commands = next(action for action in parser._actions

@@ -470,3 +470,43 @@ def test_bounded_and_resumed_chains_match_the_plain_closure():
                 assert (x in resumed) == (x in plain), label
                 assert (x in bounded) == (x in head), label
     assert stopped_early > 0
+
+
+def _padded(perm, degree):
+    return tuple(perm) + tuple(range(len(perm), degree))
+
+
+def test_byte_table_and_tuple_chains_agree():
+    # the same generators closed at their own degree (a chain of byte tables
+    # up to 256 points, degree 256 with an empty pad) and with fixed points
+    # appended past 256 (a chain of tuples)
+    rng = random.Random(3)
+    cases = [(label, degree, given) for label, degree, given in _oracle_generator_lists()
+             if len(given) > 1]
+    cases += [("inn dihedral(200)", 200, list(core.dihedral(200).table)),
+              ("inn dihedral(256)", 256, list(core.dihedral(256).table)),
+              ("s4 on 256 points", 256, [_padded((1, 2, 3, 0), 256),
+                                         _padded((1, 0), 256)])]
+    verdicts = set()
+    for label, degree, given in cases:
+        wide = 257
+        small = permgroup.closure(given, degree)
+        big = permgroup.closure([_padded(g, wide) for g in given], wide)
+        assert isinstance(small._identity, bytes) and isinstance(big._identity, tuple)
+        assert small.order == big.order, label
+        assert all(type(g) is tuple for g in small.generators), label
+        assert [g[:degree] for g in big.generators] == list(small.generators), label
+        for series in (permgroup.lower_central_series, permgroup.derived_series):
+            small_terms, big_terms = series(small), series(big)
+            assert [h.order for h in small_terms] == [h.order for h in big_terms], label
+            assert all(type(g) is tuple for h in small_terms for g in h.generators), label
+        for _ in range(5):
+            word = permgroup.identity(degree)
+            for g in rng.choices(given, k=6):
+                word = permgroup.compose(g, word)
+            p = tuple(rng.sample(range(degree), degree))
+            for x in (word, p):
+                verdicts.add(x in small)
+                assert (x in small) == (_padded(x, wide) in big), label
+            assert word in small, label
+    assert verdicts == {True, False}
