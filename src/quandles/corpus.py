@@ -168,8 +168,8 @@ def _row0_representatives(n: int) -> list[tuple[int, ...]]:
 
 
 def _quandle_tables(n: int) -> Iterator[Table]:
-    """The quandle tables of order n with row 0 in _row0_representatives(n),
-    in lexicographic order.
+    """The quandle tables of order n with row 0 in _row0_representatives(n)
+    that survive the orderly pruning below, in lexicographic order.
 
     Rows are placed top to bottom among the permutations fixing the
     diagonal entry.  Self-distributivity is L_(x>y) = L_x L_y L_x^-1 for
@@ -180,7 +180,22 @@ def _quandle_tables(n: int) -> Iterator[Table]:
     there (it fixes c, since L_x L_y L_x^-1 (x>y) = x>y).  Each pair is
     settled once its larger member is placed, so a completed table is a
     quandle.
+
+    Orderly pruning (McKay, J. Algorithms 26, 1998): once row 0 is p, the
+    relabellings sigma != 1 that fix 0 and commute with p are listed, and
+    after each later row is placed the prefix is compared with its image.
+    Row j of sigma T is sigma T[sigma^-1(j)] sigma^-1, and sigma T has row
+    0 equal to p.  Let j be the first row where sigma T and T differ.  If
+    rows j and sigma^-1(j) are both placed and sigma T is smaller there,
+    then every completion T' of the prefix has sigma T' < T', so none is
+    the least table of its class, and the branch is pruned.  The least
+    table of a class is never pruned, and the tables still come in
+    lexicographic order, so the first table met of each class is its
+    least.  A sigma whose image is larger at a placed row can never prune
+    below it and is dropped; one stopped at an unplaced row carries its j
+    down to the next row.
     """
+    stabiliser = [p for p in permutations(range(n)) if p[0] == 0]
     candidates = [_row0_representatives(n)] + [
         [p for p in permutations(range(n)) if p[a] == a] for a in range(1, n)]
     rows: list[tuple[int, ...]] = []
@@ -203,7 +218,24 @@ def _quandle_tables(n: int) -> Iterator[Table]:
                     return False
         return True
 
-    def extend(r: int) -> Iterator[Table]:
+    def undecided(r: int, pending: list[tuple]) -> list[tuple] | None:
+        """The (sigma, sigma^-1, j) of pending that rows 0..r leave open,
+        each with j its first row not known equal; None when one of them
+        makes the prefix smaller."""
+        left = []
+        for s, s_inv, j in pending:
+            while j <= r and s_inv[j] <= r:
+                image = compose(compose(s, rows[s_inv[j]]), s_inv)
+                if image != rows[j]:
+                    if image < rows[j]:
+                        return None
+                    break
+                j += 1
+            else:
+                left.append((s, s_inv, j))
+        return left
+
+    def extend(r: int, pending: list[tuple]) -> Iterator[Table]:
         if r == n:
             yield tuple(rows)
             return
@@ -212,13 +244,17 @@ def _quandle_tables(n: int) -> Iterator[Table]:
             inverses.append(inverse(p))
             new: list[int] = []
             if propagate(r, new):
-                yield from extend(r + 1)
+                left = undecided(r, pending) if r else [
+                    (s, inverse(s), 1) for s in stabiliser[1:]
+                    if compose(s, p) == compose(p, s)]
+                if left is not None:
+                    yield from extend(r + 1, left)
             for c in new:
                 forced[c] = None
             rows.pop()
             inverses.pop()
 
-    return extend(0)
+    return extend(0, [])
 
 
 def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quandle]:
@@ -233,10 +269,14 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quand
     fixing 0 turns row 0 into sigma row0 sigma^-1, so the least table T
     of a class has row0(T) <= sigma row0(T) sigma^-1 for every such sigma:
     row0(T) is the least member of its conjugacy class under the
-    stabiliser of 0, and T is still visited.  The tables left out are
-    never the least of their class and propagation prunes only tables
-    that are not quandles, so the tables still arrive in lexicographic
-    order and the first one met of each class is its least.
+    stabiliser of 0, and T is still visited.  The search then prunes a
+    partial table once a relabelling fixing 0 and commuting with row 0
+    makes its placed rows smaller, since no completion of it is the least
+    of its class.  The tables left out are never the least of their class
+    and propagation prunes only tables that are not quandles, so the
+    tables still arrive in lexicographic order and the first one met of
+    each class is its least.  At orders 5, 6 and 7 the search completes
+    46, 187 and 950 tables for 22, 73 and 298 classes.
 
     A finished table is compared only with the accepted classes of equal
     sorted element invariants, since no other is isomorphic to it, and is

@@ -179,6 +179,7 @@ class PermGroup:
         self._to_chain, self._after, self._invert, self._identity = _kernel(degree)
         self._levels: list[_Level] = []
         self._order = 1
+        self._generator_pairs: list[tuple[Perm, Perm]] | None = None
 
     @property
     def order(self) -> int:
@@ -252,6 +253,7 @@ class PermGroup:
         """
         levels, e = self._levels, self._identity
         sift, after, invert = _sift, self._after, self._invert
+        self._generator_pairs = None
 
         def add_strong(h: Perm, first: int, last: int) -> None:
             # last may be one past the deepest level: a new level, based at
@@ -355,7 +357,8 @@ def normal_closure(seed: Sequence[Sequence[int]], ambient: PermGroup, *,
     everything is finite, closure under conjugation by each ambient
     generator already gives closure under conjugation by inverses.  The
     conjugates are built in the chain form, and the ambient generators and
-    their inverses are put in it once.  bound is an order the result is
+    their inverses are put in it once per ambient group, however many
+    closures it serves (_with_inverses).  bound is an order the result is
     known not to exceed, and building stops once it is reached (see
     PermGroup._extend).
     """
@@ -382,10 +385,17 @@ def _commutators(pairs: Iterable[tuple[tuple[Perm, Perm], tuple[Perm, Perm]]],
 
 def _with_inverses(group: PermGroup,
                    perms: Iterable[Sequence[int]] | None = None) -> list[tuple[Perm, Perm]]:
-    """(p, p^-1) in group's chain form for each of perms, by default its generators."""
+    """(p, p^-1) in group's chain form for each of perms, by default its generators.
+
+    The generators' pairs are built once per group and kept, so every term
+    of a series over the same ambient group reads one list.
+    """
+    if perms is None:
+        if group._generator_pairs is None:
+            group._generator_pairs = _with_inverses(group, group.generators)
+        return group._generator_pairs
     invert = group._invert
-    return [(p, invert(p)) for p in map(
-        group._to_chain, group.generators if perms is None else perms)]
+    return [(p, invert(p)) for p in map(group._to_chain, perms)]
 
 
 def _commutator_term(term: PermGroup, group: PermGroup) -> PermGroup:
@@ -398,7 +408,8 @@ def _commutator_term(term: PermGroup, group: PermGroup) -> PermGroup:
     exactly: a term that reaches it is term itself.
     """
     gens = _with_inverses(group)
-    pairs = ((x, g) for x in _with_inverses(term) for g in gens)
+    # term's own pairs serve this call only, so they are not kept on it
+    pairs = ((x, g) for x in _with_inverses(term, term.generators) for g in gens)
     return normal_closure(_commutators(pairs, group), group, bound=term.order)
 
 

@@ -142,12 +142,34 @@ class TestEnumerateQuandles:
             assert [q.label for q in found] == [
                 f"enum{n}-{i}" for i in range(len(found))], n
 
-    def test_search_yields_the_quandle_tables_with_a_representative_row_0(
+    def test_pruned_search_keeps_every_least_table_and_drops_only_others(
             self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             reps = corpus._row0_representatives(n)
-            assert list(corpus._quandle_tables(n)) == [
-                t for t in _oracles.all_quandle_tables(n) if t[0] in reps], n
+            unpruned = _oracles.quandle_tables_with_row_0(n, reps)
+            if n <= 4:
+                assert unpruned == [t for t in _oracles.all_quandle_tables(n)
+                                    if t[0] in reps], n
+            yielded = list(corpus._quandle_tables(n))
+            # an ordered subsequence of the unpruned search
+            kept = iter(unpruned)
+            assert all(t in kept for t in yielded), n
+            least = {}
+            for t in unpruned:
+                least.setdefault(_oracles.canonical_form(t), t)
+            assert set(least.values()) <= set(yielded), n
+            assert all(_oracles.canonical_form(t) < t
+                       for t in set(unpruned) - set(yielded)), n
+
+    def test_pruned_search_completes_few_tables(self):
+        assert [sum(1 for _ in corpus._quandle_tables(n))
+                for n in range(1, 7)] == [1, 1, 4, 12, 46, 187]
+
+    def test_order_seven_has_298_classes_five_connected(self):
+        # OEIS A181769 and A181771, past the default cap
+        found = corpus.enumerate_quandles(7, cap=7)
+        assert len(found) == 298
+        assert sum(len(permgroup.orbits(q.table)) == 1 for q in found) == 5
 
     def test_row_0_representatives_are_the_least_of_their_classes(self):
         # one per cycle type on the other n - 1 points: partitions of n - 1
