@@ -18,7 +18,7 @@ from . import core, grouptables, qndfile
 from .core import Quandle, Table
 from .errors import CapExceeded, UnknownName
 from .grouptables import GroupTable
-from .permgroup import compose, cycle_type, inverse
+from .permgroup import compose, inverse
 
 #: Largest order enumerate_quandles accepts by default.
 DEFAULT_ENUMERATION_CAP = 6
@@ -151,25 +151,9 @@ def default_corpus(spec: CorpusSpec | None = None) -> list[Quandle]:
     return members
 
 
-def _row0_representatives(n: int) -> list[tuple[int, ...]]:
-    """The least permutation of 0..n-1 fixing 0 of each cycle type, sorted.
-
-    Two permutations fixing 0 are conjugate under the stabiliser of 0
-    exactly when their cycle types agree, so these are the least members
-    of the stabiliser's conjugacy classes: one per partition of n - 1.
-    permutations() runs in lexicographic order, so the first member met
-    of each type is its least, and the types are met in that order too.
-    """
-    least: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for p in permutations(range(n)):
-        if p[0] == 0:
-            least.setdefault(cycle_type(p), p)
-    return list(least.values())
-
-
 def _quandle_tables(n: int) -> Iterator[Table]:
-    """The quandle tables of order n with row 0 in _row0_representatives(n)
-    that survive the orderly pruning below, in lexicographic order.
+    """The quandle tables of order n that survive the orderly pruning
+    below, in lexicographic order.
 
     Rows are placed top to bottom among the permutations fixing the
     diagonal entry.  Self-distributivity is L_(x>y) = L_x L_y L_x^-1 for
@@ -181,23 +165,28 @@ def _quandle_tables(n: int) -> Iterator[Table]:
     settled once its larger member is placed, so a completed table is a
     quandle.
 
-    Orderly pruning (McKay, J. Algorithms 26, 1998): once row 0 is p, the
-    relabellings sigma != 1 that fix 0 and commute with p are listed, and
-    after each later row is placed the prefix is compared with its image.
-    Row j of sigma T is sigma T[sigma^-1(j)] sigma^-1, and sigma T has row
-    0 equal to p.  Let j be the first row where sigma T and T differ.  If
-    rows j and sigma^-1(j) are both placed and sigma T is smaller there,
-    then every completion T' of the prefix has sigma T' < T', so none is
-    the least table of its class, and the branch is pruned.  The least
-    table of a class is never pruned, and the tables still come in
-    lexicographic order, so the first table met of each class is its
-    least.  A sigma whose image is larger at a placed row can never prune
-    below it and is dropped; one stopped at an unplaced row carries its j
-    down to the next row.
+    Orderly pruning (McKay, J. Algorithms 26, 1998): every relabelling
+    sigma != 1 that fixes 0 is listed, and after each row is placed the
+    prefix is compared with its image.  Row j of sigma T is
+    sigma T[sigma^-1(j)] sigma^-1.  Let j be the first row where sigma T
+    and T differ.  If rows j and sigma^-1(j) are both placed and sigma T
+    is smaller there, then every completion T' of the prefix has
+    sigma T' < T', so none is the least table of its class, and the
+    branch is pruned.  The least table of a class is never pruned, and
+    the tables still come in lexicographic order, so the first table met
+    of each class is its least.  A sigma whose image is larger at a
+    placed row can never prune below it and is dropped; one stopped at an
+    unplaced row carries its j down to the next row.
+
+    At row 0 this is the rule that row 0 be the least of its conjugates
+    under the stabiliser of 0.  Since sigma fixes 0, sigma T has row 0
+    equal to sigma p sigma^-1 when row 0 is p.  When p is not the least
+    of its conjugates, some sigma makes it smaller and the branch is
+    pruned; when it is, every sigma not commuting with p makes row 0
+    larger and is dropped, and those commuting with p go on with j = 1.
     """
-    stabiliser = [p for p in permutations(range(n)) if p[0] == 0]
-    candidates = [_row0_representatives(n)] + [
-        [p for p in permutations(range(n)) if p[a] == a] for a in range(1, n)]
+    candidates = [[p for p in permutations(range(n)) if p[a] == a]
+                  for a in range(n)]
     rows: list[tuple[int, ...]] = []
     inverses: list[tuple[int, ...]] = []
     forced: list[tuple[int, ...] | None] = [None] * n
@@ -244,9 +233,7 @@ def _quandle_tables(n: int) -> Iterator[Table]:
             inverses.append(inverse(p))
             new: list[int] = []
             if propagate(r, new):
-                left = undecided(r, pending) if r else [
-                    (s, inverse(s), 1) for s in stabiliser[1:]
-                    if compose(s, p) == compose(p, s)]
+                left = undecided(r, pending)
                 if left is not None:
                     yield from extend(r + 1, left)
             for c in new:
@@ -254,7 +241,8 @@ def _quandle_tables(n: int) -> Iterator[Table]:
             rows.pop()
             inverses.pop()
 
-    return extend(0, [])
+    # candidates[0][0] is the identity
+    return extend(0, [(s, inverse(s), 0) for s in candidates[0][1:]])
 
 
 def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quandle]:
@@ -264,19 +252,12 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Quand
     the classes come in the order of those tables.  The search is
     _quandle_tables(): it builds the tables by propagating
     L_(a>b) = L_a L_b L_a^-1 row by row, so a finished table is a quandle
-    and is not validated, and it restricts row 0 to one permutation per
-    cycle type.  That restriction loses no class.  A relabelling sigma
-    fixing 0 turns row 0 into sigma row0 sigma^-1, so the least table T
-    of a class has row0(T) <= sigma row0(T) sigma^-1 for every such sigma:
-    row0(T) is the least member of its conjugacy class under the
-    stabiliser of 0, and T is still visited.  The search then prunes a
-    partial table once a relabelling fixing 0 and commuting with row 0
-    makes its placed rows smaller, since no completion of it is the least
-    of its class.  The tables left out are never the least of their class
-    and propagation prunes only tables that are not quandles, so the
-    tables still arrive in lexicographic order and the first one met of
-    each class is its least.  At orders 5, 6 and 7 the search completes
-    46, 187 and 950 tables for 22, 73 and 298 classes.
+    and is not validated, and it prunes a partial table once a
+    relabelling fixing 0 makes its placed rows smaller.  Its docstring
+    shows that the least table of every class survives, in lexicographic
+    order, so the first table met of each class is its least.  At orders
+    5, 6 and 7 the search completes 46, 187 and 950 tables for 22, 73 and
+    298 classes.
 
     A finished table is compared only with the accepted classes of equal
     sorted element invariants, since no other is isomorphic to it, and is

@@ -143,12 +143,15 @@ def inverses_of(table: GroupTable) -> tuple[int, ...]:
 
 
 def power(table: GroupTable, a: int, k: int) -> int:
-    """a**k, k may be negative; at most ord(a) steps, whatever k is."""
-    e = identity_of(table)
-    cycle = [e]
-    while (x := table[cycle[-1]][a]) != e:
+    """a**k, k may be negative; at most ord(a) steps, whatever k is.
+
+    The walk a, a^2, ... returns to a after ord(a) steps, so a^k sits at
+    index (k - 1) mod ord(a), and no identity is needed.
+    """
+    cycle = [a]
+    while (x := table[cycle[-1]][a]) != a:
         cycle.append(x)
-    return cycle[k % len(cycle)]
+    return cycle[(k - 1) % len(cycle)]
 
 
 def commutator(table: GroupTable, x: int, y: int, inv: tuple[int, ...]) -> int:

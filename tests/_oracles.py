@@ -137,6 +137,26 @@ def quandle_tables_with_row_0(n: int, first_rows) -> list[Table]:
     return found
 
 
+def least_row_0_conjugates(n: int) -> list[tuple[int, ...]]:
+    """The least conjugate s p s^-1 of every permutation p of 0..n-1
+    fixing 0, over every s fixing 0, without repeats and sorted.
+
+    These are the rows 0 that the least table of a class can have, since
+    a relabelling s fixing 0 turns row 0 into s p s^-1.
+    """
+    stabiliser = [s for s in permutations(range(n)) if s[0] == 0]
+    least = set()
+    for p in stabiliser:
+        conjugates = []
+        for s in stabiliser:
+            s_inv = [0] * n
+            for i, v in enumerate(s):
+                s_inv[v] = i
+            conjugates.append(tuple(s[p[s_inv[i]]] for i in range(n)))
+        least.add(min(conjugates))
+    return sorted(least)
+
+
 def canonical_form(table: Table) -> Table:
     """Lexicographically least relabeling; brute force over all n! maps."""
     n = len(table)
