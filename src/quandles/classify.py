@@ -703,8 +703,10 @@ def verify_suite(corpus: Iterable[Quandle],
     for n up to ENGEL_MAX_N (4); the checked counts in the report show how
     many instances each fact actually saw.  The scan caps cannot bind
     here: order 8 allows at most Bell(8) = 4140 congruences, against
-    congruence.DEFAULT_CONGRUENCE_CAP, and order 12 at most 2^12 - 1
-    subquandles, against orbitseries.DEFAULT_SUBSET_CAP.  Group-level facts
+    congruence.DEFAULT_CONGRUENCE_CAP; order 10 at most 2^10 - 1
+    subquandles, and the is_ncs walk, which counts the subquandles of one
+    Inn(Q)-orbit at a time, at most 2^12 - 1 at order 12, both against
+    orbitseries.DEFAULT_SUBSET_CAP.  Group-level facts
     run only when group tables are supplied as (name, table) pairs.
 
     Every fact but the product and group facts reads only a member's

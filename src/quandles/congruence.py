@@ -11,6 +11,7 @@ rows, and the two descending chains derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Sequence
 
 from . import core, permgroup
@@ -37,15 +38,7 @@ class Congruence:
 
     @staticmethod
     def from_class_of(labels: Sequence[Hashable]) -> "Congruence":
-        buckets: dict[Hashable, list[int]] = {}
-        for x, lab in enumerate(labels):
-            if lab in buckets:
-                buckets[lab].append(x)
-            else:
-                buckets[lab] = [x]
-        ids = {lab: i for i, lab in enumerate(buckets)}
-        return Congruence(len(labels), tuple(map(ids.__getitem__, labels)),
-                          tuple(map(tuple, buckets.values())))
+        return _congruence(_canonical(labels))
 
     @staticmethod
     def from_classes(n: int, classes: Iterable[Sequence[int]]) -> "Congruence":
@@ -77,12 +70,14 @@ class Congruence:
         return all(oc[cls[0]] == oc[x] for cls in self.classes for x in cls)
 
 
-def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:
-    """A disjoint-set forest on 0..n-1, as (find, union) closures.
+def union_find(n: int) -> tuple[Callable[[int], int],
+                                Callable[[Iterable[tuple[int, int]]], list]]:
+    """A disjoint-set forest on 0..n-1, as (find, merge) closures.
 
-    find returns the root of a point's class; union merges two classes and
-    reports whether they were distinct.  Both halve the paths they walk,
-    and union walks them itself, so a union is one call.
+    find returns the root of a point's class.  merge takes a batch of
+    pairs, merges their classes in turn, and returns the pairs that joined
+    two distinct classes, in order.  Both halve the paths they walk, and
+    merge walks them itself, so a batch is one call.
     """
     parent = list(range(n))
 
@@ -91,17 +86,53 @@ def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]
             parent[x] = x = parent[parent[x]]
         return x
 
-    def union(x: int, y: int) -> bool:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x == y:
-            return False
-        parent[y] = x
-        return True
+    def merge(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        merged = []
+        for pair in pairs:
+            x, y = pair
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[y] = x
+                merged.append(pair)
+        return merged
 
-    return find, union
+    return find, merge
+
+
+def _canonical(labels: Iterable[Hashable]) -> tuple[int, ...]:
+    """Class ids numbered by first appearance, the canonical class_of."""
+    ids: dict[Hashable, int] = {}
+    return tuple([ids.setdefault(lab, len(ids)) for lab in labels])
+
+
+def _congruence(class_of: tuple[int, ...]) -> Congruence:
+    """The Congruence of canonical class ids, bucketed once."""
+    classes: list[list[int]] = [[] for _ in range(max(class_of, default=-1) + 1)]
+    for x, c in enumerate(class_of):
+        classes[c].append(x)
+    return Congruence(len(class_of), class_of, tuple(map(tuple, classes)))
+
+
+def _joined(class_of: tuple[int, ...],
+            links: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Canonical ids of the join of a partition with the pairs in links.
+
+    The classes of the partition are the points of the forest, merged
+    along each linked pair's ids in one batch.
+    """
+    find, merge = union_find(len(class_of))
+    merge((class_of[x], class_of[y]) for x, y in links)
+    return _canonical(map(find, class_of))
+
+
+def _links(class_of: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs tying each member of a class to its first one."""
+    first: dict[int, int] = {}
+    return [(f, x) for x, c in enumerate(class_of)
+            if (f := first.setdefault(c, x)) != x]
 
 
 def join(a: Congruence, b: Congruence) -> Congruence:
@@ -114,13 +145,22 @@ def join(a: Congruence, b: Congruence) -> Congruence:
     """
     if a.n != b.n:
         raise ValueError("partitions of different carriers")
-    find, union = union_find(len(a.classes))
-    ids = a.class_of
-    for cls in b.classes:
-        first = ids[cls[0]]
-        for x in cls[1:]:
-            union(first, ids[x])
-    return Congruence.from_class_of([find(i) for i in ids])
+    return _congruence(_joined(a.class_of, _links(b.class_of)))
+
+
+def _generated(table: core.Table, columns: Sequence[tuple[int, ...]],
+               pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Canonical ids of the least congruence holding the pairs.
+
+    columns is the transposed table, columns[x] = (c>x for each c).  One
+    merge per queued pair multiplies it by every c on both sides.
+    """
+    find, merge = union_find(len(table))
+    queue = merge(pairs)
+    while queue:
+        x, y = queue.pop()
+        queue += merge(chain(zip(table[x], table[y]), zip(columns[x], columns[y])))
+    return _canonical(map(find, range(len(table))))
 
 
 def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congruence:
@@ -141,23 +181,10 @@ def congruence_generated(q: Quandle, pairs: Iterable[tuple[int, int]]) -> Congru
     outside the carrier.
     """
     n = q.order
-    table = q.table
-    find, union = union_find(n)
-    queue = []
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError("pair contains elements outside the carrier")
-        if union(a, b):
-            queue.append((a, b))
-    while queue:
-        x, y = queue.pop()
-        for u, v in zip(table[x], table[y]):
-            if union(u, v):
-                queue.append((u, v))
-        for row in table:
-            if union(row[x], row[y]):
-                queue.append((row[x], row[y]))
-    return Congruence.from_class_of([find(x) for x in range(n)])
+    pairs = list(pairs)
+    if not all(0 <= a < n and 0 <= b < n for a, b in pairs):
+        raise ValueError("pair contains elements outside the carrier")
+    return _congruence(_generated(q.table, tuple(zip(*q.table)), pairs))
 
 
 def all_congruences(q: Quandle) -> tuple[Congruence, ...]:
@@ -170,21 +197,26 @@ def all_congruences(q: Quandle) -> tuple[Congruence, ...]:
     with the first pair (a, b) generating it, and refinement is read off
     that pair in O(1): Cg(a, b) <= theta exactly when a theta b, for every
     congruence theta, since Cg(a, b) is the least congruence relating a
-    and b.  Sorted finest first (descending class count
-    breaks no refinement order).  Raises CapExceeded exactly when the
+    and b.  Members are kept as canonical class ids, and a Congruence is
+    built only for each final one.  Sorted finest first (descending class
+    count breaks no refinement order).  Raises CapExceeded exactly when the
     lattice has more than DEFAULT_CONGRUENCE_CAP members.
     """
     n = q.order
-    principal: dict[Congruence, tuple[int, int]] = {}
+    table = q.table
+    columns = tuple(zip(*table))
+    principal: dict[tuple[int, ...], tuple[int, int]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            principal.setdefault(congruence_generated(q, [(a, b)]), (a, b))
-    found = {Congruence.zero(n)}
+            principal.setdefault(_generated(table, columns, [(a, b)]), (a, b))
+    found = {tuple(range(n))}
     for p, (a, b) in principal.items():
-        found |= {join(x, p) for x in found if x.class_of[a] != x.class_of[b]}
+        links = _links(p)
+        found |= {_joined(x, links) for x in found if x[a] != x[b]}
         if len(found) > DEFAULT_CONGRUENCE_CAP:
             raise CapExceeded("congruence enumeration", DEFAULT_CONGRUENCE_CAP)
-    return tuple(sorted(found, key=lambda c: (-c.num_classes, c.class_of)))
+    return tuple(sorted(map(_congruence, found),
+                        key=lambda c: (-c.num_classes, c.class_of)))
 
 
 def inn(q: Quandle, trans_group: PermGroup | None = None) -> PermGroup:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Quandle
+from .core import Quandle, induced_subquandle
 from .errors import CapExceeded
 from .grouptables import _close
 from .permgroup import orbits
@@ -188,15 +188,32 @@ def all_subquandles(q: Quandle) -> list[tuple[int, ...]]:
 def is_ncs(q: Quandle) -> bool:
     """True when no closed subset of size two or more is connected.
 
-    Stops at the first connected subquandle found, independently of the
-    orbit tree; for finite quandles this holds exactly when the tree's
-    descent trivializes, which verify_suite checks with this scan.  Raises
-    CapExceeded when more than DEFAULT_SUBSET_CAP subquandles are found
-    first.  A subquandle is connected when the orbit of its first member
-    is all of it.
+    Walks the subquandles of one Inn(Q)-orbit at a time, which is exact.
+    Let S be a connected subquandle with |S| >= 2 and s in S.  Then S is
+    the Inn(S)-orbit of s, and each generator L_t|_S of Inn(S) is the
+    restriction of L_t in Inn(Q), so S lies in the Inn(Q)-orbit O of s.  O
+    is closed, since a, b in O gives a > b = L_a(b) in O, and connectedness
+    depends only on S's own table.  So Q has a connected subquandle of size
+    two or more exactly when the quandle induced on some orbit has one.
+
+    The orbits come from this module's own search, independently of the
+    orbit tree; for finite quandles the answer holds exactly when the
+    tree's descent trivializes, which verify_suite checks with this scan.
+    Stops at the first connected subquandle found.  Raises CapExceeded when
+    one orbit holds more than DEFAULT_SUBSET_CAP subquandles.  A subquandle
+    is connected when the orbit of its first member is all of it.
     """
-    for members in _subquandles(q):
-        if (len(members) >= 2 and
-                len(_orbit_of(q.table, members, members[0])) == len(members)):
+    carrier = tuple(range(q.order))
+    seen: set[int] = set()
+    for x in carrier:
+        if x in seen:
+            continue
+        orbit = _orbit_of(q.table, carrier, x)
+        seen.update(orbit)
+        if len(orbit) < 2:
+            continue
+        sub = q if orbit == carrier else induced_subquandle(q, orbit)
+        if any(len(s) >= 2 and len(_orbit_of(sub.table, s, s[0])) == len(s)
+               for s in _subquandles(sub)):
             return False
     return True

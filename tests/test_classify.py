@@ -834,6 +834,28 @@ class TestVerifySuite:
         assert fact.checked == 20
         assert len(fact.witnesses) == 20
 
+    def test_ncs_walk_that_skips_the_last_orbit_fails(self, monkeypatch):
+        # is_ncs walks one Inn(Q)-orbit at a time; a walk that drops the
+        # last orbit misses the dihedral(3) block of the first member only.
+        scan = orbitseries.is_ncs
+
+        def skip_last_orbit(q):
+            carrier = tuple(range(q.order))
+            orbs = sorted({orbitseries._orbit_of(q.table, carrier, x)
+                           for x in carrier})
+            return all(scan(core.induced_subquandle(q, orbit))
+                       for orbit in orbs[:-1])
+
+        monkeypatch.setattr(orbitseries, "is_ncs", skip_last_orbit)
+        d3, t2 = core.dihedral(3), core.trivial(2)
+        rep = classify.verify_suite([
+            core.disjoint_union(t2, d3).relabel("last"),
+            core.disjoint_union(d3, t2).relabel("first")])
+        fact = next(r for r in rep.results
+                    if r.name == "tos-existence-iff-ncs")
+        assert fact == CheckResult("tos-existence-iff-ncs", False,
+                                   ("last: tos=None ncs=True",), 2)
+
     def test_ncs_scan_cap_is_a_failing_completion(self, monkeypatch):
         def cap(q):
             raise CapExceeded("number of subquandles found", 1)

@@ -146,6 +146,25 @@ def test_all_congruences_match_package_scan():
     assert partitions == 2550
 
 
+def test_lattice_members_are_canonical_and_hold_the_principal_ones():
+    # members are built straight from canonical class ids; each must be
+    # the partition from_class_of gives, with its classes in member order
+    for q in _census(5) + corpus.default_corpus():
+        n = q.order
+        lattice = congruence.all_congruences(q)
+        for c in lattice:
+            assert c.n == n, q.label
+            assert c.class_of == _oracles.canonical_labels(c.class_of), q.label
+            assert c.classes == tuple(
+                tuple(x for x in range(n) if c.class_of[x] == i)
+                for i in range(len(c.classes))), q.label
+            canonical = Congruence.from_class_of(c.class_of)
+            assert (c.class_of, c.classes) == (canonical.class_of, canonical.classes)
+        generated = {congruence.congruence_generated(q, [(a, b)])
+                     for a in range(n) for b in range(a + 1, n)}
+        assert {c for c in lattice if c in generated} == generated, q.label
+
+
 def test_congruence_lattice_sizes_frozen():
     sizes = {}
     for name, q in (("t3", core.trivial(3)), ("d3", core.dihedral(3)),
@@ -205,19 +224,22 @@ def kernel_lattices():
 
 
 def test_union_find_matches_a_relabelling_oracle():
-    # unions alone, with no find between them to flatten the forest, build
-    # trees deep enough for union's own path walks to matter
+    # batches of merges alone, with no find between them to flatten the
+    # forest, build trees deep enough for merge's own path walks to matter;
+    # each batch returns exactly the pairs that joined two classes, in order
     rng = random.Random(7)
     for n in (1, 2, 10, 60):
-        find, union = congruence.union_find(n)
+        find, merge = congruence.union_find(n)
         labels = list(range(n))
-        for _ in range(3 * n):
-            x, y = rng.randrange(n), rng.randrange(n)
-            distinct = labels[x] != labels[y]
-            assert union(x, y) == distinct
-            if distinct:
-                old, new = labels[y], labels[x]
-                labels = [new if v == old else v for v in labels]
+        for size in (0, 1, 2, n, 3 * n):
+            batch = [(rng.randrange(n), rng.randrange(n)) for _ in range(size)]
+            expected = []
+            for x, y in batch:
+                if labels[x] != labels[y]:
+                    expected.append((x, y))
+                    old, new = labels[y], labels[x]
+                    labels = [new if v == old else v for v in labels]
+            assert merge(batch) == expected
         assert (_oracles.canonical_labels(find(z) for z in range(n))
                 == _oracles.canonical_labels(labels))
 

@@ -167,7 +167,8 @@ def _mask_scan_inputs():
                 core.disjoint_union(core.affine(5, 2), d5),
                 core.direct_product(d3, core.trivial(3)),
                 core.direct_product(core.trivial(2), d5),
-                core.direct_product(d4, core.trivial(3))]
+                core.direct_product(d4, core.trivial(3)),
+                core.disjoint_union(core.trivial(2), d3)]
     return members
 
 
@@ -194,6 +195,14 @@ def test_is_ncs_stops_at_the_first_connected_subquandle(monkeypatch):
     q = core.disjoint_union(core.dihedral(3), core.trivial(17))
     monkeypatch.setattr(orbitseries, "DEFAULT_SUBSET_CAP", 10)
     assert not orbitseries.is_ncs(q)
+
+
+def test_is_ncs_answers_past_the_whole_carrier_cap():
+    # 2**21 and 2**24 subsets of the whole carrier are closed, but each
+    # Inn(Q)-orbit has at most three points
+    assert not orbitseries.is_ncs(core.disjoint_union(core.trivial(21),
+                                                      core.dihedral(3)))
+    assert orbitseries.is_ncs(core.trivial(24))
 
 
 def test_is_ncs_values():

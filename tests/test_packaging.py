@@ -274,12 +274,20 @@ def test_union_find_serves_only_congruences():
     # orbits search generator images; a union per (generator, point) edge
     # must not come back into the orbit kernel
     assert _functions_calling("union_find") == {
-        "congruence.join", "congruence.congruence_generated"}
+        "congruence._joined", "congruence._generated"}
 
 
 def test_only_the_suite_scans_for_connected_subquandles():
     # the suite's per-table stage, run once per distinct table
     assert _functions_calling("is_ncs") == {"classify._table_stage"}
+
+
+def test_the_ncs_walk_reads_no_orbit_tree():
+    # tos-existence-iff-ncs compares the walk with the orbit tree, so the
+    # walk finds its Inn(Q)-orbits with orbitseries' own search
+    tree = {"orbit_tree", "principal_series", "degrees", "orbits"}
+    assert not {f"orbitseries.{walk}" for walk in ("is_ncs", "_subquandles")} & {
+        caller for name in tree for caller in _functions_calling(name)}
 
 
 def test_normal_closures_serve_only_commutator_terms():
