@@ -197,18 +197,33 @@ def all_congruences(q: Quandle) -> tuple[Congruence, ...]:
     with the first pair (a, b) generating it, and refinement is read off
     that pair in O(1): Cg(a, b) <= theta exactly when a theta b, for every
     congruence theta, since Cg(a, b) is the least congruence relating a
-    and b.  Members are kept as canonical class ids, and a Congruence is
-    built only for each final one.  Sorted finest first (descending class
-    count breaks no refinement order).  Raises CapExceeded exactly when the
-    lattice has more than DEFAULT_CONGRUENCE_CAP members.
+    and b.  Cg(a, b) = Cg(c>a, c>b) for every c, since a congruence
+    relating a and b relates c>a and c>b, and L_c^-1 is a power of L_c; so
+    only the first pair of each Inn(Q)-orbit of pairs is closed, and the
+    rest of its orbit is marked by a search through the columns.  Members
+    are kept as canonical class ids, and a Congruence is built only for
+    each final one.  Sorted finest first (descending class count breaks no
+    refinement order).  Raises CapExceeded exactly when the lattice has
+    more than DEFAULT_CONGRUENCE_CAP members.
     """
     n = q.order
     table = q.table
     columns = tuple(zip(*table))
     principal: dict[tuple[int, ...], tuple[int, int]] = {}
+    seen: set[tuple[int, int]] = set()
     for a in range(n):
         for b in range(a + 1, n):
+            if (a, b) in seen:
+                continue
             principal.setdefault(_generated(table, columns, [(a, b)]), (a, b))
+            stack = [(a, b)]
+            while stack:
+                x, y = stack.pop()
+                for u, v in zip(columns[x], columns[y]):
+                    pair = (u, v) if u < v else (v, u)
+                    if pair not in seen:
+                        seen.add(pair)
+                        stack.append(pair)
     found = {tuple(range(n))}
     for p, (a, b) in principal.items():
         links = _links(p)
