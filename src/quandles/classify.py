@@ -467,14 +467,16 @@ class SuiteReport:
 
 
 class _PerTable(dict):
-    """fn memoized on a table or a pair of tables, computed on first use.
+    """fn memoized on its key, computed on first use.
 
     verify_suite makes one per call for each quantity it looks up by
     table: the stages, the principal series, the tos, lr and reductive
     degrees, and the products' tos per pair of factor tables.  So a table
     met again in the same call, as a member, quotient, block, subquandle,
     product factor or conjugation quandle, is not recomputed, and nothing
-    is kept between calls.  Quandles compare and hash by table only.
+    is kept between calls.  Quandles compare and hash by table only.  Each
+    table stage makes one more, of the subquandles induced on its table,
+    keyed by closed subset.
     """
 
     def __init__(self, fn: Callable[[Any], Any]) -> None:
@@ -522,9 +524,13 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
     quotient facts, so a quotient table met again anywhere in the call
     reuses its series.  Each quotient and its projection come from
     core.quotient, so a partition that is not a congruence raises
-    NotACongruence there.  Within the table, a class met again in another
-    congruence reuses its subquandle's tos and lr, and each subset along
-    the series is projected once per congruence.
+    NotACongruence there.  Within the table, the subquandle induced on a
+    closed subset is built once, for subquandle-tos-bounded and for each
+    congruence holding the subset as a class, and each subset along the
+    series is projected once per congruence.  The row-equality congruence,
+    the identity permutation and the index of the series' subsets serve
+    only the per-congruence facts, so a table without a lattice builds
+    none of them.
     """
     counts: dict[str, int] = {}
     failures: list[tuple[str, str]] = []
@@ -587,10 +593,11 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                for i in range(len(chain) - 1)),
            "chain of {} terms not descending", len(chain))
 
+    subquandle = _PerTable(lambda subset: core.induced_subquandle(q, subset))
     try:
         if tos is not None and q.order <= SUBQUANDLE_MAX_ORDER:
             for subset in orbitseries.all_subquandles(q):
-                st = tos_of[core.induced_subquandle(q, subset)]
+                st = tos_of[subquandle[subset]]
                 record("subquandle-tos-bounded", st is not None and st <= tos,
                        "subquandle {} tos {} exceeds {}", subset, st, tos)
 
@@ -610,13 +617,14 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                    "branch to {} is not the principal series of its members",
                    leaf)
 
+        if lattice is None:  # above CONGRUENCE_MAX_ORDER
+            return _Stage(counts, failures, None)
         e = permgroup.identity(q.order)
         subsets = list(dict.fromkeys(s for path in series for s in path))
         index = {s: i for i, s in enumerate(subsets)}
         paths = [[index[s] for s in path] for path in series]
-        blocks: dict[tuple[int, ...], tuple[int | None, int | None]] = {}
         lam = congruence.lambda_congruence(q)
-        for cong in lattice or ():  # None above CONGRUENCE_MAX_ORDER
+        for cong in lattice:
             for cls in cong.classes:
                 members = set(cls)
                 record("congruence-classes-are-subquandles",
@@ -629,11 +637,9 @@ def _table_stage(q: Quandle, tos_of: _PerTable, lr_of: _PerTable,
                    "translation-kernel refinement")
             quot, class_of = core.quotient(q, cong.classes)
             if tos is not None or lr is not None:
-                for cls in cong.classes:
-                    if cls not in blocks:
-                        block = core.induced_subquandle(q, cls)
-                        blocks[cls] = (tos_of[block], lr_of[block])
-                inner_tos, inner_lr = zip(*(blocks[cls] for cls in cong.classes))
+                blocks = [subquandle[cls] for cls in cong.classes]
+                inner_tos = [tos_of[block] for block in blocks]
+                inner_lr = [lr_of[block] for block in blocks]
             if tos is not None:
                 qt = tos_of[quot]
                 record("quotient-tos-bounded", qt is not None and qt <= tos,
@@ -717,11 +723,14 @@ def verify_suite(corpus: Iterable[Quandle],
     classification-completes for each of its members, who keep the counts
     recorded before it; one while deciding the 2-Engel verdict or the
     reductive degree of a group's conjugation quandle fails that fact.  The
-    2-Engel verdict reads the bridge's n = 2 scan of the whole group.
+    2-Engel verdict reads the bridge's n = 2 scan of the whole group, and
+    every bracket scan of a group reads its inverses, computed once.
     Within one call every lookup by table goes through a _PerTable memo,
     which the stages seed with their tables' own degrees; a reductive
-    degree the memo lacks comes from classify().  The principal series
-    share each distinct subset (subset_of), however many tables hold it.
+    degree the memo lacks comes from classify().  Within a stage the
+    subquandles of its table go through one more, keyed by subset.  The
+    principal series share each distinct subset (subset_of), however many
+    tables hold it.
     """
     quandles = sorted(corpus, key=lambda q: (q.order, q.label or ""))
     names = _CORPUS_FACTS + (_GROUP_FACTS if groups is not None else ())
@@ -767,6 +776,7 @@ def verify_suite(corpus: Iterable[Quandle],
 
     for gname, table in groups or ():
         whole, everything = core.conj(table), tuple(range(len(table)))
+        inv = grouptables.inverses_of(table)
         subsets = [(everything, whole)]
         subsets.extend((cls, core.induced_subquandle(whole, cls))
                        for cls in grouptables.conjugacy_classes(table))
@@ -775,7 +785,7 @@ def verify_suite(corpus: Iterable[Quandle],
             for n in range(1, ENGEL_MAX_N + 1):
                 lhs = is_n_locally_reductive(quandle, n)
                 rhs = bracket[subset, n] = grouptables.is_n_engel_subset(
-                    table, subset, n)
+                    table, subset, n, inv)
                 record("conjugation-engel-subset-bridge", lhs == rhs,
                        f"{gname}, subset {subset}, n={n}: "
                        f"local reductivity {lhs} vs bracket {rhs}")

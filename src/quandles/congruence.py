@@ -128,26 +128,6 @@ def _joined(class_of: tuple[int, ...],
     return _canonical(map(find, class_of))
 
 
-def _links(class_of: Sequence[int]) -> list[tuple[int, int]]:
-    """Pairs tying each member of a class to its first one."""
-    first: dict[int, int] = {}
-    return [(f, x) for x, c in enumerate(class_of)
-            if (f := first.setdefault(c, x)) != x]
-
-
-def join(a: Congruence, b: Congruence) -> Congruence:
-    """Smallest congruence containing both.
-
-    For congruences the equivalence-relation join (transitive closure of the
-    union) is already compatible both ways: any chain witnessing a join
-    relation maps through the operation one step at a time.  The classes of
-    a are the points of the forest, merged along each class of b.
-    """
-    if a.n != b.n:
-        raise ValueError("partitions of different carriers")
-    return _congruence(_joined(a.class_of, _links(b.class_of)))
-
-
 def _generated(table: core.Table, columns: Sequence[tuple[int, ...]],
                pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Canonical ids of the least congruence holding the pairs.
@@ -191,20 +171,25 @@ def all_congruences(q: Quandle) -> tuple[Congruence, ...]:
     """The whole congruence lattice, as joins of principal congruences.
 
     Every congruence is the join of the principal congruences of its
-    related pairs.  Step k joins every member found so far with the k-th
-    distinct principal congruence p, unless p refines it, so after k steps
-    found holds the joins of every subset of the first k.  Each p is kept
-    with the first pair (a, b) generating it, and refinement is read off
-    that pair in O(1): Cg(a, b) <= theta exactly when a theta b, for every
-    congruence theta, since Cg(a, b) is the least congruence relating a
-    and b.  Cg(a, b) = Cg(c>a, c>b) for every c, since a congruence
-    relating a and b relates c>a and c>b, and L_c^-1 is a power of L_c; so
-    only the first pair of each Inn(Q)-orbit of pairs is closed, and the
-    rest of its orbit is marked by a search through the columns.  Members
-    are kept as canonical class ids, and a Congruence is built only for
-    each final one.  Sorted finest first (descending class count breaks no
-    refinement order).  Raises CapExceeded exactly when the lattice has
-    more than DEFAULT_CONGRUENCE_CAP members.
+    related pairs.  The equivalence join of two congruences, the
+    transitive closure of their union, is again a congruence: any chain
+    witnessing a join relation maps through the operation one step at a
+    time.  Step k joins every member found so far with the k-th distinct
+    principal congruence p, unless p refines it, by merging the member's
+    classes along links tying each point to the first point of its class
+    in p (_joined); so after k steps found holds the joins of every subset
+    of the first k.  Each p is kept with the first pair (a, b) generating
+    it, and refinement is read off that pair in O(1): Cg(a, b) <= theta
+    exactly when a theta b, for every congruence theta, since Cg(a, b) is
+    the least congruence relating a and b.  Cg(a, b) = Cg(c>a, c>b) for
+    every c, since a congruence relating a and b relates c>a and c>b, and
+    L_c^-1 is a power of L_c; so only the first pair of each Inn(Q)-orbit
+    of pairs is closed, and the rest of its orbit is marked by a search
+    through the columns.  Members are kept as canonical class ids, and a
+    Congruence is built only for each final one.  Sorted finest first
+    (descending class count breaks no refinement order).  Raises
+    CapExceeded exactly when the lattice has more than
+    DEFAULT_CONGRUENCE_CAP members.
     """
     n = q.order
     table = q.table
@@ -226,7 +211,9 @@ def all_congruences(q: Quandle) -> tuple[Congruence, ...]:
                         stack.append(pair)
     found = {tuple(range(n))}
     for p, (a, b) in principal.items():
-        links = _links(p)
+        first: dict[int, int] = {}
+        links = [(f, x) for x, c in enumerate(p)
+                 if (f := first.setdefault(c, x)) != x]
         found |= {_joined(x, links) for x in found if x[a] != x[b]}
         if len(found) > DEFAULT_CONGRUENCE_CAP:
             raise CapExceeded("congruence enumeration", DEFAULT_CONGRUENCE_CAP)

@@ -11,7 +11,6 @@ off it, serve quandle tables too.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 from . import permgroup
@@ -124,13 +123,8 @@ def identity_of(table: GroupTable) -> int:
     raise NotAGroup("no identity element")
 
 
-@functools.lru_cache(maxsize=1)
 def inverses_of(table: GroupTable) -> tuple[int, ...]:
-    """inv[a] is the inverse of a.
-
-    The last table's answer is kept: a fact suite asks for one group's
-    inverses once per conjugacy class and once per bracket scan in a row.
-    """
+    """inv[a] is the inverse of a."""
     m = len(table)
     e = identity_of(table)
     inv = [-1] * m
@@ -171,12 +165,13 @@ def engel_bracket(table: GroupTable, a: int, b: int, n: int,
     return c
 
 
-def is_n_engel_subset(table: GroupTable, subset: Sequence[int], n: int) -> bool:
+def is_n_engel_subset(table: GroupTable, subset: Sequence[int], n: int,
+                      inv: tuple[int, ...]) -> bool:
     """Whether [b,_n a] = 1 for all a, b in the subset (brackets in the group).
 
-    The identity is read off the inverses, as 0 * 0^-1.
+    inv is inverses_of(table), computed once by the caller.  The identity
+    is read off the inverses, as 0 * 0^-1.
     """
-    inv = inverses_of(table)
     e = table[0][inv[0]]
     return all(engel_bracket(table, a, b, n, inv) == e
                for a in subset for b in subset)

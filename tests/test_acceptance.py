@@ -167,7 +167,8 @@ def test_criterion_08_conjugation_engel_bridge():
         if cls is not None:
             assert red == cls, name
         everything = tuple(range(len(table)))
-        two_engel = grouptables.is_n_engel_subset(table, everything, 2)
+        two_engel = grouptables.is_n_engel_subset(
+            table, everything, 2, grouptables.inverses_of(table))
         tos = orbitseries.degrees(core.conj(table)).tos_degree
         assert (tos is not None and tos <= 2) == two_engel, name
         if two_engel:

@@ -358,7 +358,8 @@ class TestStructureFlags:
 def _two_engel(table):
     # the suite passes its Engel bridge's whole-group verdict at n = 2
     return classify._two_engel_verdict(
-        grouptables.is_n_engel_subset(table, range(len(table)), 2),
+        grouptables.is_n_engel_subset(table, range(len(table)), 2,
+                                      grouptables.inverses_of(table)),
         orbitseries.degrees(core.conj(table)).tos_degree, len(table))
 
 
@@ -559,6 +560,41 @@ class TestVerifySuite:
         assert len(lr_calls) > 50 and max(lr_calls.values()) == 1
         assert classify.verify_suite(members) == first
         assert set(tos_calls.values()) == {2} and set(lr_calls.values()) == {2}
+
+    def test_the_stage_builds_each_subquandle_and_row_congruence_once(
+            self, monkeypatch):
+        # One induced subquandle per (table, closed subset) serves both
+        # subquandle-tos-bounded and the class blocks of the congruences,
+        # and a member above CONGRUENCE_MAX_ORDER, which has no lattice to
+        # compare λ with, builds λ once: gather_facts' L-chain always
+        # builds it first, so one call is that one.  The ncs scan is the
+        # mask oracle, so the count reads the stage alone, however the ncs
+        # walk finds its orbits.  No groups are passed: the group facts
+        # still rebuild the class subquandles of a conjugation quandle that
+        # is a member table too, 20 of them on the builtin groups, which
+        # this test leaves out of scope.
+        builds, rows = Counter(), Counter()
+        induced = core.induced_subquandle
+        lambda_congruence = congruence.lambda_congruence
+
+        def counting_induced(q, subset):
+            builds[q.table, tuple(subset)] += 1
+            return induced(q, subset)
+
+        def counting_lambda(q):
+            rows[q.table] += 1
+            return lambda_congruence(q)
+
+        monkeypatch.setattr(orbitseries, "is_ncs",
+                            lambda q: _oracles.is_ncs_by_mask(q.table))
+        monkeypatch.setattr(core, "induced_subquandle", counting_induced)
+        monkeypatch.setattr(congruence, "lambda_congruence", counting_lambda)
+        members = corpus.default_corpus()
+        assert classify.verify_suite(members).ok
+        assert len(builds) > 200 and sum(builds.values()) == len(builds)
+        big = {m.table for m in members
+               if m.order > classify.CONGRUENCE_MAX_ORDER}
+        assert len(big) > 5 and {rows[t] for t in big} == {1}
 
     def test_small_corpus_passes_every_check(self):
         members = [_builtin(n)
@@ -1001,7 +1037,8 @@ class TestVerifySuite:
         # fact's bracket verdict
         failing = planted_failures(
             grouptables, "is_n_engel_subset",
-            lambda engel: lambda table, subset, n: engel(table, subset, n - 1))
+            lambda engel: lambda table, subset, n, inv: engel(
+                table, subset, n - 1, inv))
         assert set(failing) == {"conjugation-engel-subset-bridge",
                                 "two-engel-conjugation-reductive-by-3"}
         assert ("c2-group, subset (0, 1), n=1: local reductivity True vs "

@@ -155,17 +155,20 @@ def test_two_engel_groups():
     # class <= 2 makes the whole group a 2-Engel subset
     for table in (grouptables.quaternion_8(), grouptables.dihedral_group(4),
                   grouptables.heisenberg_3()):
-        assert grouptables.is_n_engel_subset(table, range(len(table)), 2)
+        assert grouptables.is_n_engel_subset(
+            table, range(len(table)), 2, grouptables.inverses_of(table))
     # the order-16 dihedral group has class 3 and fails at 2
     d16 = grouptables.dihedral_group(8)
-    assert not grouptables.is_n_engel_subset(d16, range(16), 2)
-    assert grouptables.is_n_engel_subset(d16, range(16), 3)
+    inv = grouptables.inverses_of(d16)
+    assert not grouptables.is_n_engel_subset(d16, range(16), 2, inv)
+    assert grouptables.is_n_engel_subset(d16, range(16), 3, inv)
 
 
 def test_non_nilpotent_groups_are_never_engel():
     s3 = grouptables.symmetric_group(3)
+    inv = grouptables.inverses_of(s3)
     for n in range(1, 7):
-        assert not grouptables.is_n_engel_subset(s3, range(6), n)
+        assert not grouptables.is_n_engel_subset(s3, range(6), n, inv)
 
 
 def test_conjugacy_classes_of_s3():

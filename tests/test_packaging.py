@@ -7,10 +7,11 @@ adding or removing a knob or an export is a deliberate change of this file.  So 
 the functions that call core.validate: tables are checked where they enter
 the program, and a builder that re-validates a table it built is a change
 of this file too.  So are the callers of engel_bracket, so that a second
-bracket loop is one as well, of the bracket scan is_n_engel_subset and of
-the sift, of the exponential subquandle scan is_ncs, which only the fact
-suite runs, and of normal_closure, which only the derived subgroup and the
-lower central terms use.  So is the list of gen families, and so are the
+bracket loop is one as well, of the bracket scan is_n_engel_subset, of
+inverses_of, whose answer no cache keeps, of the sift, of the exponential
+subquandle scan is_ncs, which only the fact suite runs, and of
+normal_closure, which only the derived subgroup and the lower central
+terms use.  So is the list of gen families, and so are the
 functions that the benchmark's per-layer metrics name.
 """
 
@@ -235,6 +236,14 @@ def test_one_engel_bracket_loop():
 def test_one_engel_bracket_scan():
     # the 2-Engel verdict reads the bridge's whole-group scan at n = 2
     assert _functions_calling("is_n_engel_subset") == {"classify.verify_suite"}
+
+
+def test_group_inverses_are_computed_by_their_readers():
+    # no cache keeps them: the suite computes a group's inverses once and
+    # passes them to every bracket scan of that group
+    assert _functions_calling("inverses_of") == {
+        "core.conj_subset", "grouptables.conjugacy_classes",
+        "classify.verify_suite"}
 
 
 def test_one_sift():
